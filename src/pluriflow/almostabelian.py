@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import engine
-from .brackets import LieBracket
+from .brackets import LieBracket, soliton_decomposition
 from .hermitian import HermitianFrame, skt_closure_residual
 
 __all__ = [
@@ -72,17 +72,6 @@ class SktCriteriaDisagreement(RuntimeError):
     as a theorem, so this signals a numerical or code defect."""
 
 
-def standard_j1(m: int) -> np.ndarray:
-    """Anti-diagonal complex structure on the middle block, J1 e_i = e_(m+1-i)."""
-    if m % 2 != 0:
-        raise ValueError("middle block dimension must be even")
-    j = np.zeros((m, m))
-    for i in range(m // 2):
-        j[m - 1 - i, i] = 1.0
-        j[i, m - 1 - i] = -1.0
-    return j
-
-
 @dataclass(frozen=True)
 class AlmostAbelianData:
     """The tuple (a, v, A, J1) determining a left-invariant Hermitian structure."""
@@ -127,7 +116,7 @@ class AlmostAbelianData:
 
     @classmethod
     def with_standard_j1(cls, a, v, A) -> "AlmostAbelianData":
-        return cls(a, v, A, standard_j1(np.asarray(v).size))
+        return cls(a, v, A, HermitianFrame.antidiagonal(np.asarray(v).size).J)
 
     def replace(self, a=None, v=None, A=None) -> "AlmostAbelianData":
         return AlmostAbelianData(
@@ -166,7 +155,7 @@ class AlmostAbelianData:
         if isinstance(j1, str):
             if j1 != "standard":
                 raise ValueError(f"unknown J1 spec {j1!r}")
-            j1 = standard_j1(v.size)
+            j1 = HermitianFrame.antidiagonal(v.size).J
         return cls(float(obj["a"]), v, A, np.asarray(j1, dtype=float))
 
     @classmethod
@@ -286,9 +275,15 @@ def p_components(data: AlmostAbelianData, k: int | None = None) -> PComponents:
     """
     if k is None:
         k = skt_multiplicity_k(data.a, data.A)[0]
-    c = (k / 4.0 - 0.5) * data.a**2 - 0.5 * float(data.v @ data.v)
-    w = -0.25 * data.A.T @ data.v
-    return PComponents(c=c, w=w)
+    return PComponents(c=_c_scalar(k, data.a, data.v), w=_w_vector(data.A, data.v))
+
+
+def _c_scalar(k: int, a: float, v: np.ndarray) -> float:
+    return (k / 4.0 - 0.5) * a**2 - 0.5 * float(v @ v)
+
+
+def _w_vector(A: np.ndarray, v: np.ndarray) -> np.ndarray:
+    return -0.25 * A.T @ v
 
 
 def p_matrix(data: AlmostAbelianData, comps: PComponents | None = None) -> np.ndarray:
@@ -308,7 +303,7 @@ def p_matrix(data: AlmostAbelianData, comps: PComponents | None = None) -> np.nd
 def gauge_matrix(data: AlmostAbelianData) -> np.ndarray:
     """Skew-symmetric J-commuting gauge U making the flow preserve the block form."""
     d, m = data.dim, data.m
-    w = -0.25 * data.A.T @ data.v
+    w = _w_vector(data.A, data.v)
     u = np.zeros((d, d))
     u[0, 1 : 1 + m] = w
     u[1 : 1 + m, 0] = -w
@@ -327,6 +322,16 @@ def _s_matrix(a: float, A: np.ndarray, k: int) -> np.ndarray:
     )
 
 
+def _unnormalized_field(k: int, a: float, v: np.ndarray, A: np.ndarray) -> tuple:
+    c = _c_scalar(k, a, v)
+    dv = c * v + _s_matrix(a, A, k) @ v - 0.5 * float(v @ v) * v
+    return c * a, dv, c * A
+
+
+def _normalized_dv(s: np.ndarray, v: np.ndarray) -> np.ndarray:
+    return s @ v - 0.5 * float(v @ v) * v
+
+
 class ReducedFlow:
     """Reduced gauged bracket flow on the (a, v, A) parameters.
 
@@ -335,16 +340,13 @@ class ReducedFlow:
     risks rank flicker near zero eigenvalues.
     """
 
-    def __init__(self, data0: AlmostAbelianData, mode: str = UNNORMALIZED, check_skt: bool = True):
+    def __init__(self, data0: AlmostAbelianData, mode: str = UNNORMALIZED):
         if mode not in (UNNORMALIZED, A_NORM_FIXED):
             raise ValueError(f"unknown mode {mode!r}")
-        if check_skt:
-            verdict = skt_verdict(data0)
-            if not verdict.is_skt:
-                raise ValueError("initial condition is not pluriclosed")
-            self.k = verdict.k
-        else:
-            self.k = skt_multiplicity_k(data0.a, data0.A)[0]
+        verdict = skt_verdict(data0)
+        if not verdict.is_skt:
+            raise ValueError("initial condition is not pluriclosed")
+        self.k = verdict.k
         self.data0 = data0
         self.mode = mode
         self.m = data0.m
@@ -353,31 +355,23 @@ class ReducedFlow:
     def field(self, x: np.ndarray) -> np.ndarray:
         a, v, A = AlmostAbelianData.state_split(self.m, x)
         if self.mode == A_NORM_FIXED:
-            dv = self._s_frozen @ v - 0.5 * float(v @ v) * v
-            return np.concatenate([[0.0], dv, np.zeros(self.m * self.m)])
-        c = (self.k / 4.0 - 0.5) * a**2 - 0.5 * float(v @ v)
-        s = _s_matrix(a, A, self.k)
-        dv = c * v + s @ v - 0.5 * float(v @ v) * v
-        return np.concatenate([[c * a], dv, (c * A).ravel()])
+            return np.concatenate([[0.0], _normalized_dv(self._s_frozen, v), np.zeros(self.m * self.m)])
+        da, dv, dA = _unnormalized_field(self.k, a, v, A)
+        return np.concatenate([[da], dv, dA.ravel()])
 
 
 def reduced_vector_field(data: AlmostAbelianData, k: int | None = None) -> tuple:
     """(a', v', A') of the reduced flow at the given state."""
     if k is None:
         k = skt_multiplicity_k(data.a, data.A)[0]
-    flow = ReducedFlow.__new__(ReducedFlow)
-    flow.k, flow.m, flow.mode, flow._s_frozen = k, data.m, UNNORMALIZED, None
-    out = flow.field(data.to_state())
-    return AlmostAbelianData.state_split(data.m, out)
+    return _unnormalized_field(k, data.a, data.v, data.A)
 
 
 def normalized_vector_field(data: AlmostAbelianData, k: int | None = None) -> tuple:
     """(0, v', 0) of the a- and A-preserving normalization of the reduced flow."""
     if k is None:
         k = skt_multiplicity_k(data.a, data.A)[0]
-    s = _s_matrix(data.a, data.A, k)
-    dv = s @ data.v - 0.5 * float(data.v @ data.v) * data.v
-    return 0.0, dv, np.zeros_like(data.A)
+    return 0.0, _normalized_dv(_s_matrix(data.a, data.A, k), data.v), np.zeros_like(data.A)
 
 
 def eigencomponent_dynamics(data: AlmostAbelianData, k: int | None = None, gap_rtol: float = 1e-8):
@@ -442,7 +436,7 @@ class ReducedTrajectory:
             rows["a"].append(a)
             rows["v_norm"].append(float(np.linalg.norm(v)))
             rows["A_norm"].append(float(np.linalg.norm(A)))
-            rows["c"].append((self.k / 4.0 - 0.5) * a**2 - 0.5 * float(v @ v))
+            rows["c"].append(_c_scalar(self.k, a, v))
             rows["skt_residual"].append(skt_closure_residual(a, A) / scale2)
             rows["normality_defect"].append(float(np.linalg.norm(A @ A.T - A.T @ A)) / scale2)
         return {k: np.array(v) for k, v in rows.items()}
@@ -481,8 +475,6 @@ def soliton_certificate(data: AlmostAbelianData, tol: float = 1e-8) -> SolitonCe
     P = alpha Id + sym(D) is recovered by the general least-squares fit on
     the full bracket, cross-validating the case analysis.
     """
-    from .nilflow import soliton_decomposition
-
     verdict = skt_verdict(data)
     if not verdict.is_skt:
         raise ValueError("soliton certificates require a pluriclosed structure")
@@ -515,7 +507,7 @@ def soliton_certificate(data: AlmostAbelianData, tol: float = 1e-8) -> SolitonCe
 
     derivation = None
     if kind is not SolitonKind.NONE:
-        fit = soliton_decomposition(p_matrix(data, comps), build_bracket(data), hermitian_frame(data))
+        fit = soliton_decomposition(p_matrix(data, comps), build_bracket(data), hermitian_frame(data).J)
         derivation = fit.derivation
         residual = max(residual, fit.residual)
     return SolitonCertificate(kind, comps.c, derivation, residual, eigen_lambda)

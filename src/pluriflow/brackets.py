@@ -25,6 +25,8 @@ __all__ = [
     "bracket_norm",
     "center",
     "derivation_space",
+    "NilSolitonCertificate",
+    "soliton_decomposition",
     "nullspace",
 ]
 
@@ -244,3 +246,22 @@ def derivation_space(mu: LieBracket, commute_with=None, rtol: float = RANK_RTOL)
         blocks.append(l2)
     ns = nullspace(np.vstack(blocks), rtol)
     return [ns[:, k].reshape(d, d) for k in range(ns.shape[1])]
+
+
+@dataclass
+class NilSolitonCertificate:
+    alpha: float
+    derivation: np.ndarray
+    residual: float
+
+
+def soliton_decomposition(p: np.ndarray, mu: LieBracket, j: np.ndarray) -> NilSolitonCertificate:
+    """Least-squares solve of P = alpha Id + sym(D) over derivations D commuting with j."""
+    d = mu.dim
+    ders = derivation_space(mu, commute_with=j)
+    cols = [np.eye(d).ravel()] + [(0.5 * (dm + dm.T)).ravel() for dm in ders]
+    a = np.array(cols).T
+    coef, *_ = np.linalg.lstsq(a, p.ravel(), rcond=None)
+    resid = float(np.linalg.norm(a @ coef - p.ravel()))
+    dmat = sum((c * dm for c, dm in zip(coef[1:], ders)), np.zeros((d, d)))
+    return NilSolitonCertificate(alpha=float(coef[0]), derivation=dmat, residual=resid)

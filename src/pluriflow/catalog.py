@@ -5,6 +5,8 @@ Entries are embedded in code so the command-line tool is self-contained.
 
 from __future__ import annotations
 
+import ast
+import operator
 import re
 from dataclasses import dataclass
 
@@ -46,14 +48,10 @@ def kodaira_bracket():
 
 
 def _ten_dim(v_tail: float) -> AlmostAbelianData:
-    blk = np.array([[0.0, -1.0], [1.0, 0.0]])
-    j1 = np.zeros((8, 8))
-    for i in range(0, 8, 2):
-        j1[i : i + 2, i : i + 2] = blk
     A = np.diag([-1.0] * 6 + [0.0] * 2)
     v = np.zeros(8)
     v[6] = v[7] = v_tail
-    return AlmostAbelianData(2.0, v, A, j1)
+    return AlmostAbelianData(2.0, v, A, HermitianFrame.pairwise(8).J)
 
 
 def _entries():
@@ -84,15 +82,36 @@ def _entries():
 
 
 _CATALOG = {e.name: e for e in _entries()}
-_SAB_RE = re.compile(r"s_ab\(\s*([^,]+)\s*,\s*([^)]+)\s*\)")
+_SAB_RE = re.compile(r"s_ab\(([^,]+),(.+)\)")
+
+
+_UNARY = {ast.UAdd: operator.pos, ast.USub: operator.neg}
+_BINARY = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul, ast.Div: operator.truediv}
 
 
 def _num(tok: str) -> float:
-    tok = tok.strip().replace(" ", "")
-    ns = {"pi": np.pi}
-    if not re.fullmatch(r"[0-9pi+\-*/.()]+", tok):
+    """Value of an arithmetic token: numbers, pi, unary +-, binary + - * / and parentheses."""
+    tok = tok.strip()
+
+    def value(node):
+        if isinstance(node, ast.Constant) and type(node.value) in (int, float):
+            return node.value
+        if isinstance(node, ast.Name) and node.id == "pi":
+            return np.pi
+        if isinstance(node, ast.UnaryOp) and type(node.op) in _UNARY:
+            return _UNARY[type(node.op)](value(node.operand))
+        if isinstance(node, ast.BinOp) and type(node.op) in _BINARY:
+            return _BINARY[type(node.op)](value(node.left), value(node.right))
         raise ValueError(f"cannot parse numeric token {tok!r}")
-    return float(eval(tok, {"__builtins__": {}}, ns))  # noqa: S307 - charset-restricted arithmetic
+
+    # CPython reports over-deep nesting as MemoryError or RecursionError
+    try:
+        x = float(value(ast.parse(tok, mode="eval").body))
+    except (SyntaxError, ZeroDivisionError, OverflowError, RecursionError, MemoryError) as exc:
+        raise ValueError(f"cannot parse numeric token {tok!r}") from exc
+    if not np.isfinite(x):
+        raise ValueError(f"numeric token {tok!r} is not finite")
+    return x
 
 
 def catalog_names():

@@ -22,7 +22,10 @@ def _load_input(spec: str):
     Returns ('almost_abelian', AlmostAbelianData) or ('nilpotent', (bracket, frame)).
     """
     if spec.startswith("catalog:"):
-        entry = catalog.get_entry(spec[len("catalog:") :])
+        try:
+            entry = catalog.get_entry(spec[len("catalog:") :])
+        except (KeyError, ValueError) as exc:
+            raise SystemExit(f"{spec}: {exc.args[0]}")
         return entry.kind, entry.data
     try:
         with open(spec) as fh:
@@ -206,7 +209,6 @@ def build_parser() -> argparse.ArgumentParser:
     v = sub.add_parser("verify", help="run a randomized verification suite")
     v.add_argument("--suite", choices=["appendix", "identities", "table1"], required=True)
     v.add_argument("--seed", type=int, default=0)
-    v.add_argument("--jobs", type=int, default=1)
     v.set_defaults(fn=cmd_verify)
 
     g = sub.add_parser("catalog", help="list built-in example structures")

@@ -62,6 +62,7 @@ _MIN_FACTOR = 0.2
 _MAX_FACTOR = 10.0
 _BETA = 0.04  # PI stabilization exponent
 _EXPO = 0.2 - 0.75 * _BETA
+_FIXEDPOINT_SUSTAIN = 10  # consecutive accepted steps with |f| below fixedpoint_norm
 
 
 @dataclass
@@ -70,11 +71,9 @@ class IntegratorConfig:
     abs_tol: float = 1e-12
     max_steps: int = 1_000_000
     max_step: float = np.inf
-    first_step: float | None = None
     fixed_step: float | None = None  # disables adaptivity when set
     blowup_norm: float = 1e12
     fixedpoint_norm: float = 0.0  # 0 disables fixed-point detection
-    fixedpoint_sustain: int = 10
     sample_times: np.ndarray | None = None
     conserve_norm: float | None = None  # renormalize |y| to this value each accepted step
 
@@ -180,8 +179,6 @@ def integrate(field_fn, x0, horizon: float, config: IntegratorConfig | None = No
 
     if cfg.fixed_step is not None:
         h = float(cfg.fixed_step)
-    elif cfg.first_step is not None:
-        h = float(cfg.first_step)
     else:
         h = _initial_step(field_fn, y, f, cfg.rel_tol, cfg.abs_tol, cfg.max_step, horizon)
 
@@ -212,7 +209,7 @@ def integrate(field_fn, x0, horizon: float, config: IntegratorConfig | None = No
         else:
             err = 0.0
 
-        if err > 1.0:
+        if not err <= 1.0:  # also rejects a NaN error from a non-finite trial state
             n_rej += 1
             h *= max(_MIN_FACTOR, _SAFETY * err**-0.2)
             rejected_last = True
@@ -266,7 +263,7 @@ def integrate(field_fn, x0, horizon: float, config: IntegratorConfig | None = No
                 fp_count += 1
             else:
                 fp_count = 0
-            if fp_count >= cfg.fixedpoint_sustain:
+            if fp_count >= _FIXEDPOINT_SUSTAIN:
                 events.append((t, FIXED_POINT))
                 break
     else:

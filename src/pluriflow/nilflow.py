@@ -18,11 +18,13 @@ from . import engine
 from .brackets import (
     InnerProductConvention,
     LieBracket,
+    NilSolitonCertificate,
     bracket_inner_product,
     bracket_norm,
     center,
-    derivation_space,
     infinitesimal_action,
+    nullspace,
+    soliton_decomposition,
 )
 from .hermitian import HermitianFrame, bismut_ricci_endomorphism, skt_residual
 
@@ -104,8 +106,7 @@ class NilpotentSplitting:
         jz_defect = np.abs((np.eye(d) - pz) @ frame.J @ zb).max()
         if jz_defect > tol:
             raise ValueError("complex structure does not preserve the center")
-        vb = _orth_complement(zb)
-        return cls(mu, frame, vb, zb)
+        return cls(mu, frame, nullspace(zb.T), zb)
 
     @property
     def dim_v(self) -> int:
@@ -113,13 +114,6 @@ class NilpotentSplitting:
 
     def with_bracket(self, mu: LieBracket) -> "NilpotentSplitting":
         return NilpotentSplitting(mu, self.frame, self.v_basis, self.z_basis)
-
-
-def _orth_complement(basis: np.ndarray) -> np.ndarray:
-    d = basis.shape[0]
-    _, s, vt = np.linalg.svd(basis.T, full_matrices=True)
-    rank = int(np.sum(s > 1e-12))
-    return vt[rank:].T.copy() if rank < d else np.zeros((d, 0))
 
 
 def p_endomorphism_nil(split: NilpotentSplitting, mu: LieBracket | None = None) -> np.ndarray:
@@ -319,25 +313,6 @@ def gradient_equivalence_check(nu: LieBracket, split: NilpotentSplitting, h: flo
     return {"angle": ang, "ratio": float(ratio), "field_norm": float(np.linalg.norm(fld)), "critical": False}
 
 
-@dataclass
-class NilSolitonCertificate:
-    alpha: float
-    derivation: np.ndarray
-    residual: float
-
-
-def soliton_decomposition(p: np.ndarray, mu: LieBracket, frame: HermitianFrame) -> NilSolitonCertificate:
-    """Least-squares solve of P = alpha Id + sym(D) over J-commuting derivations D."""
-    d = mu.dim
-    ders = derivation_space(mu, commute_with=frame.J)
-    cols = [np.eye(d).ravel()] + [(0.5 * (dm + dm.T)).ravel() for dm in ders]
-    a = np.array(cols).T
-    coef, *_ = np.linalg.lstsq(a, p.ravel(), rcond=None)
-    resid = float(np.linalg.norm(a @ coef - p.ravel()))
-    dmat = sum((c * dm for c, dm in zip(coef[1:], ders)), np.zeros((d, d)))
-    return NilSolitonCertificate(alpha=float(coef[0]), derivation=dmat, residual=resid)
-
-
 def soliton_limit_certificate(
     nu: LieBracket,
     frame: HermitianFrame,
@@ -354,7 +329,7 @@ def soliton_limit_certificate(
             p_matrix = p_endomorphism_nil(split, nu)
         else:
             p_matrix = bismut_ricci_endomorphism(nu, frame)
-    return soliton_decomposition(p_matrix, nu, frame)
+    return soliton_decomposition(p_matrix, nu, frame.J)
 
 
 def refine_fixed_point(flow: NilFlow, x0: np.ndarray, iterations: int = 25, tol: float = 1e-13) -> np.ndarray:

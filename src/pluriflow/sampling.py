@@ -37,10 +37,6 @@ def realify(m: np.ndarray) -> np.ndarray:
     return out
 
 
-def pairwise_j(m: int) -> np.ndarray:
-    return realify(1j * np.eye(m // 2))
-
-
 def random_unitary_commuting(rng, m: int) -> np.ndarray:
     """Random real orthogonal matrix commuting with the pairwise J (a realified unitary)."""
     return realify(_random_complex_unitary(rng, m // 2))
@@ -58,7 +54,7 @@ def random_two_step_skt(rng, blocks: int = 2, dim_z: int = 2, mix: float = 0.6):
         raise ValueError("need dim_z >= blocks for mutually orthogonal central values")
     dim_v = 2 * blocks
     d = dim_v + dim_z
-    frame = HermitianFrame(_block_j(dim_v, dim_z))
+    frame = HermitianFrame.pairwise(d)
     zeta = np.linalg.qr(rng.standard_normal((dim_z, blocks)))[0]
     zeta = zeta * (0.5 + rng.random(blocks))
     t = np.zeros((d, d, d))
@@ -76,13 +72,6 @@ def random_two_step_skt(rng, blocks: int = 2, dim_z: int = 2, mix: float = 0.6):
     return mu, frame
 
 
-def _block_j(dim_v: int, dim_z: int) -> np.ndarray:
-    j = np.zeros((dim_v + dim_z, dim_v + dim_z))
-    j[:dim_v, :dim_v] = pairwise_j(dim_v)
-    j[dim_v:, dim_v:] = pairwise_j(dim_z)
-    return j
-
-
 def random_skt_almost_abelian(rng, m: int = 4, allow_zero_a: bool = False) -> AlmostAbelianData:
     """Random pluriclosed (a, v, A, J1): A normal, J-commuting, eigenvalue
     real parts drawn from {0, -a/2}."""
@@ -93,7 +82,7 @@ def random_skt_almost_abelian(rng, m: int = 4, allow_zero_a: bool = False) -> Al
     u = _random_complex_unitary(rng, half)
     A = realify(u @ np.diag(re + 1j * im) @ u.conj().T)
     v = rng.standard_normal(m)
-    return AlmostAbelianData(a, v, A, pairwise_j(m))
+    return AlmostAbelianData(a, v, A, HermitianFrame.pairwise(m).J)
 
 
 def random_generic_almost_abelian(rng, m: int = 4) -> AlmostAbelianData:
@@ -102,7 +91,7 @@ def random_generic_almost_abelian(rng, m: int = 4) -> AlmostAbelianData:
     z = rng.standard_normal((m // 2, m // 2)) + 1j * rng.standard_normal((m // 2, m // 2))
     A = realify(z)
     v = rng.standard_normal(m)
-    return AlmostAbelianData(a, v, A, pairwise_j(m))
+    return AlmostAbelianData(a, v, A, HermitianFrame.pairwise(m).J)
 
 
 def _random_complex_unitary(rng, k: int) -> np.ndarray:

@@ -10,8 +10,9 @@ import numpy as np
 
 from . import almostabelian as aa
 from . import engine, nilflow, normality, sampling
-from .brackets import InnerProductConvention, bracket_inner_product, infinitesimal_action
-from .hermitian import skt_residual
+from .brackets import InnerProductConvention, basis_change_action, bracket_inner_product, infinitesimal_action
+from .catalog import get_entry, s_ab_data
+from .hermitian import HermitianFrame
 
 __all__ = [
     "suite_appendix",
@@ -117,8 +118,6 @@ def suite_identities(seed: int = 0, trials: int = 100) -> dict:
         worst_tr = max(worst_tr, abs(np.trace(p) + 0.5 * n2) / n2)
 
         q, _ = np.linalg.qr(rng.standard_normal((d, d)))
-        from .brackets import basis_change_action
-
         mu_k = basis_change_action(q, mu)
         m_k = nilflow.moment_map(mu_k, "gl")
         worst_eq = max(worst_eq, float(np.abs(m_k - q @ nilflow.moment_map(mu, "gl") @ q.T).max()))
@@ -137,31 +136,21 @@ def suite_identities(seed: int = 0, trials: int = 100) -> dict:
 
 def table_one_representatives() -> dict:
     """One pluriclosed initial condition per asymptotic-regime case (i)-(vi)."""
-    j2 = np.array([[0.0, -1.0], [1.0, 0.0]])
-
-    def blockj(m):
-        j = np.zeros((m, m))
-        for i in range(0, m, 2):
-            j[i : i + 2, i : i + 2] = j2
-        return j
-
+    j2 = HermitianFrame.pairwise(2).J
+    j4 = HermitianFrame.pairwise(4).J
     reps = {}
     # (i): a = 0, A skew with kernel, v in the image (exponential decay of v)
     a_i = np.zeros((4, 4))
     a_i[:2, :2] = 1.0 * j2
-    reps["i"] = aa.AlmostAbelianData(0.0, np.array([0.3, 0.0, 0.0, 0.0]), a_i, blockj(4))
+    reps["i"] = aa.AlmostAbelianData(0.0, np.array([0.3, 0.0, 0.0, 0.0]), a_i, j4)
     # (ii): a != 0, A skew (k = 0)
     reps["ii"] = aa.AlmostAbelianData(1.0, np.array([0.3, 0.0]), (np.pi / 2) * j2, j2)
     # (iii): k = 1, perturbed v
-    from .catalog import s_ab_data
-
     base = s_ab_data(1.0, np.pi / 2)
     reps["iii"] = base.replace(v=np.array([0.2, 0.0, 0.0, 0.0]))
     # (iv): k = 2, A = -a/2 Id on a 4-dim block
-    reps["iv"] = aa.AlmostAbelianData(1.0, np.array([0.5, 0.0, 0.0, 0.0]), -0.5 * np.eye(4), blockj(4))
+    reps["iv"] = aa.AlmostAbelianData(1.0, np.array([0.5, 0.0, 0.0, 0.0]), -0.5 * np.eye(4), j4)
     # (v)/(vi): 10-dim catalog geometry with v outside / inside Im A
-    from .catalog import get_entry
-
     steady = get_entry("steady10").data
     v5 = steady.v.copy()
     v5[0] = 0.3
@@ -186,7 +175,6 @@ def classify_unnormalized_limit(data, horizon: float = 1e3):
     if label is None:
         traj_ext = aa.integrate_reduced_flow(data, aa.UNNORMALIZED, EXTENDED_HORIZON)
         label = _limit_label(traj_ext) or "UNRESOLVED"
-        return label, traj
     return label, traj
 
 

@@ -6,8 +6,8 @@ from pluriflow import almostabelian as aa
 from pluriflow import engine
 from pluriflow.brackets import LieBracket, infinitesimal_action, jacobi_residual
 from pluriflow.catalog import get_entry, s_ab_data
+from pluriflow.hermitian import HermitianFrame
 from pluriflow.sampling import (
-    pairwise_j,
     random_generic_almost_abelian,
     random_skt_almost_abelian,
     random_unitary_commuting,
@@ -31,7 +31,7 @@ def sab():
 
 def test_data_validation():
     with pytest.raises(ValueError):
-        aa.AlmostAbelianData(1.0, np.zeros(4), np.diag([1.0, 2, 3, 4]), aa.standard_j1(4))
+        aa.AlmostAbelianData(1.0, np.zeros(4), np.diag([1.0, 2, 3, 4]), HermitianFrame.antidiagonal(4).J)
     with pytest.raises(ValueError):
         aa.AlmostAbelianData(1.0, np.zeros(3), np.eye(3), np.eye(3))
 
@@ -60,7 +60,7 @@ def test_skt_verdict_catalog(sab, shrink, steady):
 
 def test_skt_verdict_rejects_symmetric_A_with_zero_a():
     # a tr(A) = 0 forces A skew for SKT; a nonzero symmetric A must fail
-    data = aa.AlmostAbelianData(0.0, np.zeros(4), 0.7 * np.eye(4), pairwise_j(4))
+    data = aa.AlmostAbelianData(0.0, np.zeros(4), 0.7 * np.eye(4), HermitianFrame.pairwise(4).J)
     v = aa.skt_verdict(data)
     assert not v.is_skt
     assert v.residual_lemma > 0.1
@@ -89,10 +89,10 @@ def test_p_components_examples(shrink, steady, rng):
     c2 = aa.p_components(steady)
     assert abs(c2.c) < 1e-14 and np.abs(c2.w).max() == 0.0
     # a = 0, A skew: c = -|v|^2/2, w = -A^t v / 4
-    j2 = pairwise_j(2)
+    j2 = HermitianFrame.pairwise(2).J
     A = 1.3 * np.kron(np.eye(2), j2)
     v = rng.standard_normal(4)
-    data = aa.AlmostAbelianData(0.0, v, A, pairwise_j(4))
+    data = aa.AlmostAbelianData(0.0, v, A, HermitianFrame.pairwise(4).J)
     c3 = aa.p_components(data)
     assert abs(c3.c + 0.5 * v @ v) < 1e-12
     assert_allclose(c3.w, -0.25 * A.T @ v)
@@ -161,6 +161,16 @@ def test_normalized_field(sab, rng):
     assert np.abs(dv_n - (dv - c * data.v)).max() < 1e-12
     assert np.abs(da - c * data.a) < 1e-12
     assert np.abs(dA - c * data.A).max() < 1e-12
+
+
+def test_reduced_flow_field_matches_vector_fields(rng):
+    for _ in range(5):
+        data = random_skt_almost_abelian(rng, m=6)
+        k = aa.skt_verdict(data).k
+        x = data.to_state()
+        for mode, vector_field in ((aa.UNNORMALIZED, aa.reduced_vector_field), (aa.A_NORM_FIXED, aa.normalized_vector_field)):
+            want = np.concatenate([np.atleast_1d(f).ravel() for f in vector_field(data, k)])
+            assert np.array_equal(aa.ReducedFlow(data, mode).field(x), want)
 
 
 def test_normalized_field_soliton_fixed_point(steady):
@@ -287,7 +297,7 @@ def test_soliton_alpha_sign_matches_kind(rng):
 
 
 def test_classify_cases(shrink, steady):
-    j2 = pairwise_j(2)
+    j2 = HermitianFrame.pairwise(2).J
     skew = aa.AlmostAbelianData(0.0, np.array([1.0, 0.0]), 2.0 * j2, j2)
     rep = aa.classify(skew)
     assert rep.table_case == "i" and rep.unimodular and rep.predicted_T == "INFINITE"
@@ -310,7 +320,7 @@ def test_classify_invariant_under_scaling_and_unitary(rng):
 
 def test_classify_rejects_nilpotent():
     with pytest.raises(ValueError):
-        aa.classify(aa.AlmostAbelianData(0.0, np.array([1.0, 0.0]), np.zeros((2, 2)), pairwise_j(2)))
+        aa.classify(aa.AlmostAbelianData(0.0, np.array([1.0, 0.0]), np.zeros((2, 2)), HermitianFrame.pairwise(2).J))
 
 
 def test_self_similar_scaling(sab, shrink, steady):
@@ -335,3 +345,11 @@ def test_reduced_flow_requires_skt(rng):
     data = random_generic_almost_abelian(rng, m=4)
     with pytest.raises(ValueError):
         aa.integrate_reduced_flow(data, aa.UNNORMALIZED, 1.0)
+
+
+def test_catalog_parameters_are_arithmetic_only():
+    assert get_entry("s_ab(pi/2, -1)").data.a == np.pi / 2
+    assert get_entry("s_ab((1 + 1) / 4, -(2))").data.a == 0.5
+    for name in ("s_ab(2**3, 1)", "s_ab(ip, 1)"):
+        with pytest.raises(ValueError):
+            get_entry(name)

@@ -54,6 +54,13 @@ def test_check_schema_violation(tmp_path):
     assert "i < j" in out.stderr
 
 
+def test_check_bad_catalog_parameter_exits_cleanly():
+    out = run_cli(["check", "catalog:s_ab(ip, 1)"])
+    assert out.returncode != 0
+    assert "Traceback" not in out.stderr
+    assert len(out.stderr.strip().splitlines()) == 1
+
+
 def test_check_nilpotent_bracket(tmp_path):
     path = tmp_path / "kodaira.json"
     path.write_text(json.dumps({"dim": 4, "entries": [{"i": 1, "j": 2, "k": 3, "c": 1.0}]}))

@@ -51,6 +51,17 @@ def test_step_underflow_on_derivative_singularity():
     assert abs(traj.final_time - 1.0) < 1e-3
 
 
+def test_nan_field_rejected_not_accepted():
+    # a field that turns NaN past y = 0.5 must stop on the last finite state
+    def f(y):
+        return np.array([np.nan if y[0] > 0.5 else 1.0])
+
+    traj = engine.integrate(f, np.array([0.0]), 2.0)
+    assert traj.terminal_event == engine.STEP_UNDERFLOW
+    assert np.all(np.isfinite(traj.states))
+    assert 0.5 - 1e-9 < traj.final_state[0] <= 0.5
+
+
 def test_max_steps_raises():
     cfg = engine.IntegratorConfig(max_steps=5)
     with pytest.raises(RuntimeError):

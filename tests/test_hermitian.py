@@ -109,10 +109,10 @@ def test_dc_zero_for_abelian_and_skt():
 
 def test_dc_nonzero_for_nilpotent_jordan_block():
     # a = 0 with a nonzero nilpotent A cannot be pluriclosed
-    from pluriflow.sampling import pairwise_j, realify
+    from pluriflow.sampling import realify
 
     A = realify(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))
-    data = AlmostAbelianData(0.0, np.zeros(4), A, pairwise_j(4))
+    data = AlmostAbelianData(0.0, np.zeros(4), A, HermitianFrame.pairwise(4).J)
     res = skt_residual(build_bracket(data), hermitian_frame(data))
     assert res > 1e-3
 

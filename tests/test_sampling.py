@@ -2,7 +2,7 @@ import numpy as np
 
 from pluriflow import almostabelian as aa
 from pluriflow.brackets import center, jacobi_residual
-from pluriflow.hermitian import nijenhuis_residual, skt_residual
+from pluriflow.hermitian import HermitianFrame, nijenhuis_residual, skt_residual
 from pluriflow.nilflow import NilpotentSplitting
 from pluriflow.sampling import (
     random_generic_almost_abelian,
@@ -42,3 +42,12 @@ def test_skt_almost_abelian_generator(rng):
 def test_generic_generator_avoids_skt(rng):
     hits = sum(aa.skt_verdict(random_generic_almost_abelian(rng, m=6)).is_skt for _ in range(30))
     assert hits == 0
+
+
+def test_generators_use_the_pairwise_complex_structure(rng):
+    for blocks, dim_z in ((1, 2), (2, 2), (2, 4)):
+        mu, frame = random_two_step_skt(rng, blocks=blocks, dim_z=dim_z)
+        assert np.array_equal(frame.J, HermitianFrame.pairwise(mu.dim).J)
+    for m in (2, 4, 6):
+        for data in (random_skt_almost_abelian(rng, m=m), random_generic_almost_abelian(rng, m=m)):
+            assert np.array_equal(data.J1, HermitianFrame.pairwise(m).J)
