@@ -101,8 +101,8 @@ class LieBracket:
 
     # --- isometric flat coordinates -------------------------------------
     # Coordinates in which the Euclidean norm equals the ORDERED_PAIRS norm
-    # on bracket space; used as the state encoding for ODE integration and
-    # for finite-difference gradients.
+    # on bracket space: the dense counterpart of the j-map state of
+    # nilflow.NilFlow, against which tests compare that state's field.
 
     def to_coords(self) -> np.ndarray:
         iu, ju = np.triu_indices(self.dim, k=1)
@@ -206,9 +206,14 @@ def bracket_norm(mu: LieBracket, convention: InnerProductConvention = DEFAULT_CO
 
 
 def nullspace(m: np.ndarray, rtol: float = RANK_RTOL) -> np.ndarray:
-    """Orthonormal basis (as columns) of the numerical null space of m."""
+    """Orthonormal basis (as columns) of the numerical null space of m.
+
+    A tall or square m has a square V already in its economy SVD, which skips
+    the rows x rows U of the full one.  A wide m has fewer singular values than
+    columns, so only the full SVD completes V to the whole domain.
+    """
     m = np.atleast_2d(np.asarray(m, dtype=float))
-    _, s, vt = np.linalg.svd(m, full_matrices=True)
+    _, s, vt = np.linalg.svd(m, full_matrices=m.shape[0] < m.shape[1])
     if s.size == 0 or s[0] == 0.0:
         return np.eye(m.shape[1])
     rank = int(np.sum(s > rtol * s[0]))
@@ -226,7 +231,7 @@ def derivation_space(mu: LieBracket, commute_with=None, rtol: float = RANK_RTOL)
     """Orthonormal (Frobenius) basis of {D : pi(D) mu = 0, [D, J] = 0 if given}.
 
     Returns a list of (d, d) matrices spanning the solution space of the
-    stacked linear system, computed as an SVD null space.
+    stacked (d^3 + d^2) x d^2 linear system, computed as an SVD null space.
     """
     d = mu.dim
     c = mu.coeffs

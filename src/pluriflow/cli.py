@@ -128,7 +128,10 @@ def cmd_flow(args) -> int:
             sample_times=samples,
             fixedpoint_norm=1e-10 if norm == "unit_norm" else 0.0,
         )
-        traj = nilflow.integrate_nil_flow(mu, frame, args.horizon, norm, cfg)
+        try:
+            traj = nilflow.integrate_nil_flow(mu, frame, args.horizon, norm, cfg)
+        except ValueError as exc:
+            raise SystemExit(f"{args.input}: {exc}")
     cols = traj.diagnostics()
     raw = traj.raw
     text = write_csv(args.out if args.out else sys.stdout, cols)

@@ -4,7 +4,9 @@ The flow mu' = -pi(P_mu) mu is the negative gradient flow (up to time
 reparameterization, after norm normalization) of F(nu) = 16 |P_nu|^2 / |nu|^4,
 the squared norm of the moment map for the block-diagonal J-linear group
 acting on bracket space.  P_mu is the J-invariant part of the Ricci
-endomorphism projected to the complement of the center.
+endomorphism projected to the complement of the center.  NilFlow integrates
+the flow on the j-map of the bracket; the dense formulas on LieBracket stay
+as its oracles.
 """
 
 from __future__ import annotations
@@ -12,10 +14,10 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import subspace_angles
 
 from . import engine
 from .brackets import (
+    RANK_RTOL,
     InnerProductConvention,
     LieBracket,
     NilSolitonCertificate,
@@ -45,6 +47,8 @@ __all__ = [
     "NilSolitonCertificate",
     "refine_fixed_point",
 ]
+
+_SQRT2 = np.sqrt(2.0)
 
 
 def ricci_endomorphism(mu: LieBracket) -> np.ndarray:
@@ -178,26 +182,55 @@ def verify_moment_convention(mu: LieBracket, rng=None, trials: int = 32) -> dict
 
 
 class NilFlow:
-    """Vector field of the (optionally norm-normalized) nilpotent bracket flow.
+    """Vector field of the (optionally norm-normalized) 2-step bracket flow.
 
-    States are the isometric flat coordinates of LieBracket; the splitting
-    (and hence the block structure of P) is frozen at the initial center,
-    which the flow preserves.
+    The flow keeps the splitting n = v (+) z, and P vanishes on z, so a bracket
+    is its j-map: for each centre basis vector z_k the skew matrix j_k on v with
+    <j_k x, y> = <[x, y], z_k>, taken in the splitting's orthonormal V and Z
+    bases.  A state stacks the strict upper triangles of j_1, ..., j_dimz,
+    scaled by sqrt(2), so its Euclidean norm is the ORDERED_PAIRS bracket norm.
+    On it Ric|_v = 1/2 sum_k j_k^2, P is the J_v-invariant part of Ric|_v with
+    J_v = V^t J V, and the field is j_k' = j_k P + P j_k.
     """
 
     def __init__(self, split: NilpotentSplitting, normalized: bool = False):
         self.split = split
-        self.dim = split.bracket.dim
         self.normalized = normalized
+        v = split.v_basis
+        self._j_v = v.T @ split.frame.J @ v
+        self._shape = (split.z_basis.shape[1], split.dim_v, split.dim_v)
+        self._iu, self._ju = np.triu_indices(split.dim_v, k=1)
+
+    def encode(self, mu: LieBracket) -> np.ndarray:
+        """State of a bracket whose derived algebra lies in the splitting's z."""
+        v, z = self.split.v_basis, self.split.z_basis
+        # j[k, a, b] = <j_k v_b, v_a> = <[v_b, v_a], z_k>
+        j = v.T @ (mu.coeffs @ z).transpose(2, 1, 0) @ v
+        return _SQRT2 * j[:, self._iu, self._ju].ravel()
 
     def decode(self, x: np.ndarray) -> LieBracket:
-        return LieBracket.from_coords(self.dim, x)
+        v, z = self.split.v_basis, self.split.z_basis
+        return LieBracket((v @ self.jmaps(x) @ v.T).transpose(2, 1, 0) @ z.T)
+
+    def jmaps(self, x: np.ndarray) -> np.ndarray:
+        """The skew matrices j_k of a state (..., n) as an array (..., dim_z, dim_v, dim_v)."""
+        x = np.asarray(x, dtype=float)
+        vals = x.reshape(*x.shape[:-1], self._shape[0], -1) / _SQRT2
+        j = np.zeros(x.shape[:-1] + self._shape)
+        j[..., self._iu, self._ju] = vals
+        j[..., self._ju, self._iu] = -vals
+        return j
+
+    def p_block(self, j: np.ndarray) -> np.ndarray:
+        """P on v: the J_v-invariant part of Ric|_v = 1/2 sum_k j_k^2 = -1/2 sum_k j_k^t j_k."""
+        s = j.reshape(*j.shape[:-3], -1, j.shape[-1])
+        ric = -0.5 * (np.swapaxes(s, -1, -2) @ s)
+        return 0.5 * (ric - self._j_v @ ric @ self._j_v)
 
     def field(self, x: np.ndarray) -> np.ndarray:
-        mu = self.decode(x)
-        p = p_endomorphism_nil(self.split, mu)
-        rhs = infinitesimal_action(p, mu)
-        out = -rhs.to_coords()
+        j = self.jmaps(x)
+        p = self.p_block(j)
+        out = _SQRT2 * (j @ p + p @ j)[:, self._iu, self._ju].ravel()
         if self.normalized:
             out = engine.normalize_projection(out, x)
         return out
@@ -218,25 +251,27 @@ class NilTrajectory:
         return [self.flow.decode(x) for x in self.raw.states]
 
     def diagnostics(self) -> dict:
-        """Columns: t, mu_norm, F, tr_P, center_drift, skt_residual."""
-        split = self.flow.split
-        z0 = split.z_basis
-        rows = {"t": [], "mu_norm": [], "F": [], "tr_P": [], "center_drift": [], "skt_residual": []}
-        for t, x in zip(self.raw.times, self.raw.states):
-            mu = self.flow.decode(x)
-            nrm = bracket_norm(mu)
-            p = p_endomorphism_nil(split, mu)
-            rows["t"].append(float(t))
-            rows["mu_norm"].append(nrm)
-            rows["F"].append(16.0 * float(np.sum(p * p)) / max(nrm, 1e-300) ** 4)
-            rows["tr_P"].append(float(np.trace(p)))
-            zt = center(mu)
-            drift = (
-                float(np.max(subspace_angles(z0, zt))) if zt.shape[1] == z0.shape[1] else np.pi / 2
-            )
-            rows["center_drift"].append(drift)
-            rows["skt_residual"].append(skt_residual(mu, split.frame) / max(nrm, 1e-300) ** 2)
-        return {k: np.array(v) for k, v in rows.items()}
+        """Columns: t, mu_norm, F, tr_P, center_drift, skt_residual.
+
+        center_drift is 0 while the centre is the initial z, and pi/2 once the
+        stacked j_k lose rank, i.e. a vector of v becomes central.
+        """
+        flow, states = self.flow, self.raw.states
+        j = flow.jmaps(states)
+        p = flow.p_block(j)
+        nrm = np.sqrt(np.einsum("ti,ti->t", states, states))
+        den = np.maximum(nrm, 1e-300)
+        s = np.linalg.svd(j.reshape(len(states), -1, j.shape[-1]), compute_uv=False)
+        full_rank = np.all(s > RANK_RTOL * s[:, :1], axis=1)
+        skt = [skt_residual(flow.decode(x), flow.split.frame) for x in states]
+        return {
+            "t": np.array(self.raw.times, dtype=float),
+            "mu_norm": nrm,
+            "F": 16.0 * np.einsum("tab,tab->t", p, p) / den**4,
+            "tr_P": np.trace(p, axis1=1, axis2=2),
+            "center_drift": np.where(full_rank, 0.0, np.pi / 2),
+            "skt_residual": np.array(skt) / den**2,
+        }
 
 
 def integrate_nil_flow(
@@ -252,14 +287,11 @@ def integrate_nil_flow(
         raise ValueError(f"unknown normalization {normalization!r}")
     normalized = normalization == "unit_norm"
     cfg = config or engine.IntegratorConfig(fixedpoint_norm=1e-10 if normalized else 0.0)
-    x0 = mu0.to_coords()
-    if normalized:
-        n0 = np.linalg.norm(x0)
-        if n0 == 0:
-            raise ValueError("cannot normalize the zero bracket")
-        x0 = x0 / n0
-        cfg = replace(cfg, conserve_norm=1.0)
     flow = NilFlow(split, normalized=normalized)
+    x0 = flow.encode(mu0)
+    if normalized:
+        x0 = x0 / np.linalg.norm(x0)
+        cfg = replace(cfg, conserve_norm=1.0)
     raw = engine.integrate(flow.field, x0, horizon, cfg)
     return NilTrajectory(flow, raw)
 
@@ -267,32 +299,32 @@ def integrate_nil_flow(
 def gradient_equivalence_check(nu: LieBracket, split: NilpotentSplitting, h: float = 1e-6) -> dict:
     """Compare the normalized flow field with -grad F (closed form and finite differences).
 
-    Returns the maximal pairwise angle between the three tangent fields and
-    the measured ratio |grad F| / |field| (16 for the closed forms).
+    The closed form is taken on the dense bracket and encoded; the finite
+    differences run on the j-map state.  Returns the maximal pairwise angle
+    between the three tangent fields and the measured ratio |grad F| / |field|
+    (16 for the closed forms).
     """
-    x = nu.to_coords()
-    nx = np.linalg.norm(x)
-    if abs(nx - 1.0) > 1e-9:
+    if abs(bracket_norm(nu) - 1.0) > 1e-9:
         raise ValueError("gradient check expects a unit-norm bracket")
     flow = NilFlow(split.with_bracket(nu), normalized=True)
+    x = flow.encode(nu)
     fld = flow.field(x)
 
     m = moment_map(nu, "gl_v_j", split)
     grad_closed = 4.0 * (
-        infinitesimal_action(m, nu).to_coords() + float(np.sum(m * m)) * infinitesimal_action(np.eye(nu.dim), nu).to_coords()
+        flow.encode(infinitesimal_action(m, nu))
+        + float(np.sum(m * m)) * flow.encode(infinitesimal_action(np.eye(nu.dim), nu))
     )
     if np.linalg.norm(grad_closed) < 1e-5:
         # critical point: both fields vanish and finite differences see only
         # quadrature noise, so there is no direction to compare
         return {"angle": 0.0, "ratio": 16.0, "field_norm": float(np.linalg.norm(fld)), "critical": True}
 
-    dim = nu.dim
-    grad_fd = np.zeros_like(x)
-
     def f_of(vec):
-        mu = LieBracket.from_coords(dim, vec)
-        return functional_F(split.with_bracket(mu), mu)
+        p = flow.p_block(flow.jmaps(vec))
+        return 16.0 * float(np.sum(p * p)) / float(np.dot(vec, vec)) ** 2
 
+    grad_fd = np.zeros_like(x)
     for i in range(x.size):
         e = np.zeros_like(x)
         e[i] = h
@@ -333,7 +365,10 @@ def soliton_limit_certificate(
 
 
 def refine_fixed_point(flow: NilFlow, x0: np.ndarray, iterations: int = 25, tol: float = 1e-13) -> np.ndarray:
-    """Gauss-Newton polish of a normalized-flow fixed point on the unit sphere."""
+    """Gauss-Newton polish of a normalized-flow fixed point on the unit sphere.
+
+    x0 is a state of flow; the Jacobian is taken by central differences.
+    """
     x = np.array(x0, dtype=float)
     x /= np.linalg.norm(x)
     n = x.size
@@ -349,6 +384,9 @@ def refine_fixed_point(flow: NilFlow, x0: np.ndarray, iterations: int = 25, tol:
             e[i] = h
             jac[:n, i] = (flow.field(x + e) - flow.field(x - e)) / (2 * h)
         jac[n, :] = x
-        dx, *_ = np.linalg.lstsq(jac, -g, rcond=None)
+        # the fixed points form orbits of the J-unitary group on v, so the
+        # Jacobian is singular; in its null directions the difference quotients
+        # hold only rounding noise (~1e-9 at h = 1e-7), which must not be inverted
+        dx, *_ = np.linalg.lstsq(jac, -g, rcond=1e-8)
         x = x + dx
     return x / np.linalg.norm(x)

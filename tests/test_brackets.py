@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,9 +17,11 @@ from pluriflow.brackets import (
     derivation_space,
     infinitesimal_action,
     jacobi_residual,
+    nullspace,
 )
 from pluriflow.catalog import kodaira_bracket, s_ab_data
 from pluriflow.almostabelian import build_bracket
+from pluriflow.sampling import random_two_step_skt
 
 
 def random_bracket(rng, dim):
@@ -183,6 +187,43 @@ def test_derivation_space_contains_grading_derivation():
     coeffs = [np.sum(d * b) for b in basis]
     recon = sum(c * b for c, b in zip(coeffs, basis))
     assert np.abs(recon - d).max() < 1e-9
+
+
+def test_nullspace_wide_matrix(rng):
+    # fewer rows than columns: the economy SVD would miss the complement
+    m = rng.standard_normal((2, 5))
+    ns = nullspace(m)
+    assert ns.shape == (5, 3)
+    assert np.abs(m @ ns).max() < 1e-14
+    assert_allclose(ns.T @ ns, np.eye(3), atol=1e-14)
+    assert nullspace(np.zeros((2, 5))).shape == (5, 5)
+    tall = np.vstack([m, m, m])
+    assert_allclose(nullspace(tall) @ nullspace(tall).T, ns @ ns.T, atol=1e-13)
+
+
+def test_derivation_space_d16_matches_full_svd_oracle():
+    mu, frame = random_two_step_skt(np.random.default_rng(5), blocks=4, dim_z=8)
+    d, j = mu.dim, frame.J
+    tracemalloc.start()
+    try:
+        basis = derivation_space(mu, commute_with=j)
+        peak_mb = tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+    # the full SVD's (d^3 + d^2)^2 U alone is 151 MB at d = 16
+    assert peak_mb < 64
+    # the stacked system, one column per matrix unit E_ab, and its full SVD
+    cols = []
+    for a in range(d):
+        for b in range(d):
+            e = np.zeros((d, d))
+            e[a, b] = 1.0
+            cols.append(np.concatenate([infinitesimal_action(e, mu).coeffs.ravel(), (e @ j - j @ e).ravel()]))
+    _, s, vt = np.linalg.svd(np.array(cols).T, full_matrices=True)
+    oracle = vt[int(np.sum(s > 1e-9 * s[0])) :].T
+    got = np.array([b.ravel() for b in basis]).T
+    assert got.shape == oracle.shape
+    assert np.abs(got @ got.T - oracle @ oracle.T).max() < 1e-10
 
 
 def test_json_round_trip(rng):

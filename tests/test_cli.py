@@ -61,6 +61,22 @@ def test_check_bad_catalog_parameter_exits_cleanly():
     assert len(out.stderr.strip().splitlines()) == 1
 
 
+def test_flow_rejects_bad_nilpotent_input_cleanly(tmp_path):
+    inputs = {
+        # [e1, e2] = e3, [e1, e3] = e4: 3-step, derived algebra outside the centre
+        "three_step.json": ([[1, 2, 3], [1, 3, 4]], 6, "not 2-step"),
+        # [e1, e3] = e2: the pairwise J maps the central e2 to e1
+        "j_moves_centre.json": ([[1, 3, 2]], 4, "does not preserve the center"),
+    }
+    for name, (entries, dim, reason) in inputs.items():
+        path = tmp_path / name
+        path.write_text(json.dumps({"dim": dim, "entries": [{"i": i, "j": j, "k": k, "c": 1} for i, j, k in entries]}))
+        out = run_cli(["flow", str(path)])
+        assert out.returncode == 1
+        lines = out.stderr.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"{path}: ") and reason in lines[0]
+
+
 def test_check_nilpotent_bracket(tmp_path):
     path = tmp_path / "kodaira.json"
     path.write_text(json.dumps({"dim": 4, "entries": [{"i": 1, "j": 2, "k": 3, "c": 1.0}]}))

@@ -10,10 +10,19 @@ from pluriflow.brackets import (
     basis_change_action,
     bracket_inner_product,
     bracket_norm,
+    center,
+    infinitesimal_action,
 )
 from pluriflow.catalog import kodaira_bracket
 from pluriflow.hermitian import HermitianFrame
-from pluriflow.sampling import random_two_step_skt
+from pluriflow.sampling import random_two_step_skt, random_unitary_commuting
+
+
+def rotated_two_step(rng, blocks, dim_z):
+    """A 2-step SKT bracket moved by a random J-commuting orthogonal map, so
+    that neither its centre nor v is spanned by coordinate vectors."""
+    mu, frame = random_two_step_skt(rng, blocks=blocks, dim_z=dim_z)
+    return basis_change_action(random_unitary_commuting(rng, mu.dim), mu), frame
 
 
 def test_ricci_zero_bracket():
@@ -200,3 +209,63 @@ def test_equivariance_of_moment_map(rng):
     lhs = nf.moment_map(moved, "gl")
     rhs = q @ nf.moment_map(mu, "gl") @ q.T
     assert np.abs(lhs - rhs).max() < 1e-12
+
+
+@pytest.mark.parametrize("blocks, dim_z", [(1, 2), (2, 2), (2, 4), (4, 4)])
+def test_jmap_round_trip_and_isometry(rng, blocks, dim_z):
+    mu, frame = rotated_two_step(rng, blocks, dim_z)
+    flow = nf.NilFlow(nf.NilpotentSplitting.from_bracket(mu, frame))
+    x = flow.encode(mu)
+    assert x.size == dim_z * (2 * blocks) * (2 * blocks - 1) // 2
+    assert abs(np.dot(x, x) - bracket_inner_product(mu, mu)) < 1e-12 * np.dot(x, x)
+    assert np.abs(flow.decode(x).coeffs - mu.coeffs).max() < 1e-12 * np.abs(mu.coeffs).max()
+    y = rng.standard_normal(x.size)
+    assert_allclose(flow.encode(flow.decode(y)), y, rtol=0, atol=1e-13)
+    assert abs(bracket_norm(flow.decode(y)) - np.linalg.norm(y)) < 1e-13 * np.linalg.norm(y)
+
+
+@pytest.mark.parametrize("blocks, dim_z", [(1, 2), (2, 2), (2, 4), (4, 4)])
+def test_jmap_field_matches_dense_oracle(rng, blocks, dim_z):
+    mu, frame = rotated_two_step(rng, blocks, dim_z)
+    split = nf.NilpotentSplitting.from_bracket(mu, frame)
+    dense = -infinitesimal_action(nf.p_endomorphism_nil(split, mu), mu).to_coords()
+    # relative to the unnormalized field: a single Heisenberg block is a
+    # soliton, whose normalized field is zero
+    scale = np.linalg.norm(dense)
+    for normalized in (False, True):
+        flow = nf.NilFlow(split, normalized=normalized)
+        x = flow.encode(mu)
+        want = engine.normalize_projection(dense, mu.to_coords()) if normalized else dense
+        got = flow.decode(flow.field(x)).to_coords()
+        assert np.linalg.norm(got - want) <= 1e-13 * scale
+    # P itself, block for block
+    p_v = split.v_basis.T @ nf.p_endomorphism_nil(split, mu) @ split.v_basis
+    assert np.abs(flow.p_block(flow.jmaps(x)) - p_v).max() <= 1e-13 * np.abs(p_v).max()
+
+
+def test_center_drift_agrees_with_dense_center(rng):
+    mu, frame = rotated_two_step(rng, 2, 4)
+    traj = nf.integrate_nil_flow(mu, frame, 50.0, "unit_norm")
+    flow, dim_z = traj.flow, traj.flow.split.z_basis.shape[1]
+    # append a state in which the first vector of v is central as well
+    v1 = flow.split.v_basis[:, 0]
+    k = np.eye(mu.dim) - np.outer(v1, v1)
+    c = flow.decode(traj.raw.final_state).coeffs
+    x_open = flow.encode(LieBracket(np.einsum("ai,bj,abk->ijk", k, k, c)))
+    states = np.vstack([traj.raw.states, x_open])
+    rec = nf.NilTrajectory(flow, engine.Trajectory(times=np.arange(len(states), dtype=float), states=states))
+    drift = rec.diagnostics()["center_drift"]
+    dense_ok = [center(flow.decode(x)).shape[1] == dim_z for x in states]
+    assert list(drift == 0.0) == dense_ok
+    assert drift[-1] == np.pi / 2 and np.all(drift[:-1] == 0.0)
+
+
+def test_refine_fixed_point_d12(rng):
+    mu, frame = rotated_two_step(rng, 4, 4)
+    traj = nf.integrate_nil_flow(mu, frame, 1e3, "unit_norm")
+    assert traj.raw.terminal_event == engine.FIXED_POINT
+    x = nf.refine_fixed_point(traj.flow, traj.raw.final_state)
+    assert abs(np.linalg.norm(x) - 1.0) < 1e-15
+    # a root to roundoff: a step that inverts the difference quotients' noise
+    # along the orbit of fixed points leaves |f| near 1e-14 or worse
+    assert np.linalg.norm(traj.flow.field(x)) < 1e-15
