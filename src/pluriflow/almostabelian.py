@@ -26,6 +26,7 @@ import numpy as np
 from . import engine
 from .brackets import LieBracket, soliton_decomposition
 from .hermitian import HermitianFrame, skt_closure_residual
+from .normality import normality_defect
 
 __all__ = [
     "AlmostAbelianData",
@@ -231,7 +232,7 @@ def skt_verdict(
     res_lemma = skt_closure_residual(a, A)
     lemma_ok = res_lemma < tol_lemma * scale**2
 
-    defect = float(np.linalg.norm(A @ A.T - A.T @ A))
+    defect = normality_defect(A)
     spectrum = np.linalg.eigvals(A)
     re = spectrum.real
     re_dev = float(np.minimum(np.abs(re), np.abs(re + a / 2)).max()) if m else 0.0
@@ -438,7 +439,7 @@ class ReducedTrajectory:
             rows["A_norm"].append(float(np.linalg.norm(A)))
             rows["c"].append(_c_scalar(self.k, a, v))
             rows["skt_residual"].append(skt_closure_residual(a, A) / scale2)
-            rows["normality_defect"].append(float(np.linalg.norm(A @ A.T - A.T @ A)) / scale2)
+            rows["normality_defect"].append(normality_defect(A) / scale2)
         return {k: np.array(v) for k, v in rows.items()}
 
 

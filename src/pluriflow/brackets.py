@@ -96,9 +96,6 @@ class LieBracket:
     def is_zero(self, tol: float = 0.0) -> bool:
         return np.abs(self.coeffs).max() <= tol
 
-    def jacobi_verified(self, tol: float = 1e-12) -> bool:
-        return jacobi_residual(self) <= tol
-
     # --- isometric flat coordinates -------------------------------------
     # Coordinates in which the Euclidean norm equals the ORDERED_PAIRS norm
     # on bracket space: the dense counterpart of the j-map state of

@@ -135,17 +135,16 @@ def cmd_flow(args) -> int:
     cols = traj.diagnostics()
     raw = traj.raw
     text = write_csv(args.out if args.out else sys.stdout, cols)
-    t_event, kind_event = raw.events[-1]
-    summary = f"terminal {kind_event} at t={format_float(t_event)}"
+    summary = f"terminal {raw.terminal_event} at t={format_float(raw.final_time)}"
     if raw.blowup is not None:
         summary += f" T_est={format_float(raw.blowup.t_est)}"
-    if kind == "nilpotent" and kind_event == engine.FIXED_POINT:
+    if kind == "nilpotent" and raw.terminal_event == engine.FIXED_POINT:
         nu = traj.flow.decode(raw.final_state)
         cert = nilflow.soliton_limit_certificate(nu, traj.flow.split.frame, split=traj.flow.split)
         summary += f" soliton_residual={format_float(cert.residual)}"
     summary += f" accepted={raw.n_accepted} rejected={raw.n_rejected}"
     print(summary, file=sys.stderr)
-    return 0
+    return 1 if raw.terminal_event == engine.NONFINITE else 0
 
 
 def cmd_verify(args) -> int:

@@ -2,13 +2,13 @@
 
 Dormand-Prince 5(4) embedded pair with PI step-size control, quartic dense
 output, and terminal-event detection (horizon, fixed point, blow-up, step
-underflow).  The engine is dimension-agnostic: clients encode their state as
-a flat real vector and own the decoding.
+underflow, non-finite field).  The engine is dimension-agnostic: clients
+encode their state as a flat real vector and own the decoding.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import minimize_scalar
@@ -24,12 +24,14 @@ __all__ = [
     "FIXED_POINT",
     "BLOWUP",
     "STEP_UNDERFLOW",
+    "NONFINITE",
 ]
 
 HORIZON = "HORIZON"
 FIXED_POINT = "FIXED_POINT"
 BLOWUP = "BLOWUP"
 STEP_UNDERFLOW = "STEP_UNDERFLOW"
+NONFINITE = "NONFINITE"  # the step size collapsed right after a trial with a non-finite error
 
 # Dormand-Prince 5(4) tableau (FSAL, 7 stages).
 _C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
@@ -70,8 +72,6 @@ class IntegratorConfig:
     rel_tol: float = 1e-10
     abs_tol: float = 1e-12
     max_steps: int = 1_000_000
-    max_step: float = np.inf
-    fixed_step: float | None = None  # disables adaptivity when set
     blowup_norm: float = 1e12
     fixedpoint_norm: float = 0.0  # 0 disables fixed-point detection
     sample_times: np.ndarray | None = None
@@ -91,20 +91,15 @@ class BlowupFit:
 
 @dataclass
 class Trajectory:
-    """Time-stamped states plus integration metadata; exactly one terminal event."""
+    """Time-stamped states plus integration metadata; the run ended on
+    terminal_event at final_time."""
 
     times: np.ndarray
     states: np.ndarray
-    events: list = field(default_factory=list)
+    terminal_event: str
     n_accepted: int = 0
     n_rejected: int = 0
     blowup: BlowupFit | None = None
-    step_times: np.ndarray | None = None  # accepted step times (diagnostics)
-    step_norms: np.ndarray | None = None
-
-    @property
-    def terminal_event(self) -> str:
-        return self.events[-1][1]
 
     @property
     def final_state(self) -> np.ndarray:
@@ -127,7 +122,7 @@ def _rms(v):
     return float(np.sqrt(np.mean(v * v)))
 
 
-def _initial_step(field_fn, x0, f0, rel_tol, abs_tol, max_step, horizon):
+def _initial_step(field_fn, x0, f0, rel_tol, abs_tol, horizon):
     scale = abs_tol + rel_tol * np.abs(x0)
     d0, d1 = _rms(x0 / scale), _rms(f0 / scale)
     h0 = 1e-6 if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1
@@ -138,21 +133,32 @@ def _initial_step(field_fn, x0, f0, rel_tol, abs_tol, max_step, horizon):
         h1 = max(1e-6, h0 * 1e-3)
     else:
         h1 = (0.01 / max(d1, d2)) ** 0.2
-    return min(100 * h0, h1, max_step, horizon)
+    return min(100 * h0, h1, horizon)
+
+
+def _dopri_step(field_fn, y, f, h, k):
+    """One Dormand-Prince trial step of size h from y, where f = field_fn(y).
+
+    Fills the stages k (7, n) in place, k[6] being the field at the returned
+    fifth-order end point (FSAL).
+    """
+    k[0] = f
+    for s in range(1, 7):
+        k[s] = field_fn(y + h * (k[:s].T @ _A[s]))
+    y1 = y + h * (k.T @ _B)
+    k[6] = field_fn(y1)
+    return y1
 
 
 def integrate(field_fn, x0, horizon: float, config: IntegratorConfig | None = None) -> Trajectory:
     """Integrate y' = field_fn(y) from t=0 to the horizon or a terminal event."""
     cfg = config or IntegratorConfig()
     y = np.array(x0, dtype=float)
-    n = y.size
     t = 0.0
     f = field_fn(y)
 
-    samples = None
+    samples = None if cfg.sample_times is None else np.sort(np.asarray(cfg.sample_times, dtype=float))
     s_ptr = 0
-    if cfg.sample_times is not None:
-        samples = np.sort(np.asarray(cfg.sample_times, dtype=float))
 
     rec_t, rec_y = [], []
 
@@ -167,52 +173,37 @@ def integrate(field_fn, x0, horizon: float, config: IntegratorConfig | None = No
             record(samples[s_ptr], y)
             s_ptr += 1
 
+    # per-step history for the blow-up fit, whatever the recorded times are
     step_t, step_n = [t], [float(np.linalg.norm(y))]
-    events = []
     n_acc = n_rej = 0
     fp_count = 0
-
-    # immediate fixed point (idempotent re-integration from a terminal state)
-    if cfg.fixedpoint_norm > 0 and np.linalg.norm(f) < cfg.fixedpoint_norm:
-        events.append((t, FIXED_POINT))
-        return _finish(rec_t, rec_y, t, y, events, n_acc, n_rej, step_t, step_n, None)
-
-    if cfg.fixed_step is not None:
-        h = float(cfg.fixed_step)
-    else:
-        h = _initial_step(field_fn, y, f, cfg.rel_tol, cfg.abs_tol, cfg.max_step, horizon)
-
+    blow = None
+    # a start at a fixed point ends at once (idempotent re-integration)
+    event = FIXED_POINT if np.linalg.norm(f) < cfg.fixedpoint_norm else None
+    h = _initial_step(field_fn, y, f, cfg.rel_tol, cfg.abs_tol, horizon) if event is None else 0.0
     facold = 1e-4
     rejected_last = False
-    k = np.empty((7, n))
-    blow = None
+    nonfinite_last = False  # the latest trial was rejected with a non-finite error
+    k = np.empty((7, y.size))
 
-    while t < horizon:
+    while event is None and t < horizon:
         if n_acc + n_rej >= cfg.max_steps:
             raise RuntimeError(f"max_steps={cfg.max_steps} exceeded at t={t:g}")
-        h = min(h, cfg.max_step, horizon - t)
+        h = min(h, horizon - t)
         final_step = h >= horizon - t
         if h < 16 * np.finfo(float).eps * max(abs(t), 1.0):
-            events.append((t, STEP_UNDERFLOW))
+            event = NONFINITE if nonfinite_last else STEP_UNDERFLOW
             break
 
-        k[0] = f
-        for s in range(1, 7):
-            k[s] = field_fn(y + h * (k[:s].T @ _A[s]))
-        y1 = y + h * (k.T @ _B)
-        # FSAL: stage 7 is the field at the proposed end point
-        k[6] = field_fn(y1)
-
-        if cfg.fixed_step is None:
-            scale = cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(y), np.abs(y1))
-            err = _rms(h * (k.T @ _E) / scale)
-        else:
-            err = 0.0
+        y1 = _dopri_step(field_fn, y, f, h, k)
+        scale = cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(y), np.abs(y1))
+        err = _rms(h * (k.T @ _E) / scale)
 
         if not err <= 1.0:  # also rejects a NaN error from a non-finite trial state
             n_rej += 1
             h *= max(_MIN_FACTOR, _SAFETY * err**-0.2)
             rejected_last = True
+            nonfinite_last = not np.isfinite(err)
             continue
 
         # accepted
@@ -228,16 +219,15 @@ def integrate(field_fn, x0, horizon: float, config: IntegratorConfig | None = No
                 y = y * (cfg.conserve_norm / ny)
             f = field_fn(y)
 
-        if cfg.fixed_step is None:
-            if err == 0.0:
-                factor = _MAX_FACTOR
-            else:
-                factor = min(_MAX_FACTOR, _SAFETY * err**-_EXPO * facold**_BETA)
-            if rejected_last:
-                factor = min(factor, 1.0)
-            h = h_old * max(_MIN_FACTOR, factor)
-            facold = max(err, 1e-4)
-            rejected_last = False
+        if err == 0.0:
+            factor = _MAX_FACTOR
+        else:
+            factor = min(_MAX_FACTOR, _SAFETY * err**-_EXPO * facold**_BETA)
+        if rejected_last:
+            factor = min(factor, 1.0)
+        h = h_old * max(_MIN_FACTOR, factor)
+        facold = max(err, 1e-4)
+        rejected_last = nonfinite_last = False
 
         ny = float(np.linalg.norm(y))
         step_t.append(t)
@@ -254,37 +244,22 @@ def integrate(field_fn, x0, horizon: float, config: IntegratorConfig | None = No
                 s_ptr += 1
 
         if ny > cfg.blowup_norm:
-            events.append((t, BLOWUP))
+            event = BLOWUP
             blow = estimate_blowup_time(np.array(step_t), np.array(step_n))
-            break
-
-        if cfg.fixedpoint_norm > 0:
-            if np.linalg.norm(f) < cfg.fixedpoint_norm:
-                fp_count += 1
-            else:
-                fp_count = 0
+        elif cfg.fixedpoint_norm > 0:
+            fp_count = fp_count + 1 if np.linalg.norm(f) < cfg.fixedpoint_norm else 0
             if fp_count >= _FIXEDPOINT_SUSTAIN:
-                events.append((t, FIXED_POINT))
-                break
-    else:
-        events.append((t, HORIZON))
+                event = FIXED_POINT
 
-    return _finish(rec_t, rec_y, t, y, events, n_acc, n_rej, step_t, step_n, blow)
-
-
-def _finish(rec_t, rec_y, t, y, events, n_acc, n_rej, step_t, step_n, blow):
     if not rec_t or abs(rec_t[-1] - t) > 1e-14 * max(1.0, abs(t)):
-        rec_t.append(t)
-        rec_y.append(np.array(y))
+        record(t, y)
     return Trajectory(
         times=np.array(rec_t),
         states=np.array(rec_y),
-        events=events,
+        terminal_event=event or HORIZON,
         n_accepted=n_acc,
         n_rejected=n_rej,
         blowup=blow,
-        step_times=np.array(step_t),
-        step_norms=np.array(step_n),
     )
 
 

@@ -49,6 +49,10 @@ __all__ = [
 ]
 
 _SQRT2 = np.sqrt(2.0)
+_SPLIT_TOL = 1e-9  # relative 2-step and absolute J-invariance tolerance of the splitting
+_GRAD_FD_STEP = 1e-6  # central-difference step of gradient_equivalence_check
+_REFINE_ITERATIONS = 25
+_REFINE_TOL = 1e-13  # |field| plus sphere defect at which refine_fixed_point stops
 
 
 def ricci_endomorphism(mu: LieBracket) -> np.ndarray:
@@ -96,7 +100,7 @@ class NilpotentSplitting:
     z_basis: np.ndarray  # (d, dim_z)
 
     @classmethod
-    def from_bracket(cls, mu: LieBracket, frame: HermitianFrame, tol: float = 1e-9) -> "NilpotentSplitting":
+    def from_bracket(cls, mu: LieBracket, frame: HermitianFrame) -> "NilpotentSplitting":
         d = mu.dim
         zb = center(mu)
         if zb.shape[1] == d:
@@ -105,10 +109,10 @@ class NilpotentSplitting:
         # 2-step: the derived algebra must land in the center
         img_defect = np.abs(np.einsum("ijk,kl->ijl", mu.coeffs, np.eye(d) - pz)).max()
         scale = max(np.abs(mu.coeffs).max(), 1e-300)
-        if img_defect > tol * scale:
+        if img_defect > _SPLIT_TOL * scale:
             raise ValueError("bracket is not 2-step nilpotent (derived algebra exceeds the center)")
         jz_defect = np.abs((np.eye(d) - pz) @ frame.J @ zb).max()
-        if jz_defect > tol:
+        if jz_defect > _SPLIT_TOL:
             raise ValueError("complex structure does not preserve the center")
         return cls(mu, frame, nullspace(zb.T), zb)
 
@@ -161,23 +165,22 @@ def verify_moment_convention(mu: LieBracket, rng=None, trials: int = 32) -> dict
     """Max residual of <m(mu),A>|mu|^2 = <pi(A)mu,mu> for both pairing conventions.
 
     Pins the bracket-space inner product: the convention shipped as default
-    must drive this residual to roundoff.
+    must drive this residual to roundoff.  Each trial draws one symmetric A
+    from rng and scores both conventions on it.
     """
     rng = np.random.default_rng(0) if rng is None else rng
     d = mu.dim
     ric = ricci_endomorphism(mu)
-    out = {}
-    for conv in InnerProductConvention:
-        n2 = bracket_inner_product(mu, mu, conv)
-        m = (4.0 / n2) * ric
-        worst = 0.0
-        for _ in range(trials):
-            a = rng.standard_normal((d, d))
-            a = 0.5 * (a + a.T)
-            lhs = float(np.sum(m * a)) * n2
-            rhs = bracket_inner_product(infinitesimal_action(a, mu), mu, conv)
-            worst = max(worst, abs(lhs - rhs) / max(1.0, abs(rhs)))
-        out[conv] = worst
+    n2 = {conv: bracket_inner_product(mu, mu, conv) for conv in InnerProductConvention}
+    out = dict.fromkeys(InnerProductConvention, 0.0)
+    for _ in range(trials):
+        a = rng.standard_normal((d, d))
+        a = 0.5 * (a + a.T)
+        pa = infinitesimal_action(a, mu)
+        for conv in InnerProductConvention:
+            lhs = float(np.sum((4.0 / n2[conv]) * ric * a)) * n2[conv]
+            rhs = bracket_inner_product(pa, mu, conv)
+            out[conv] = max(out[conv], abs(lhs - rhs) / max(1.0, abs(rhs)))
     return out
 
 
@@ -296,7 +299,7 @@ def integrate_nil_flow(
     return NilTrajectory(flow, raw)
 
 
-def gradient_equivalence_check(nu: LieBracket, split: NilpotentSplitting, h: float = 1e-6) -> dict:
+def gradient_equivalence_check(nu: LieBracket, split: NilpotentSplitting) -> dict:
     """Compare the normalized flow field with -grad F (closed form and finite differences).
 
     The closed form is taken on the dense bracket and encoded; the finite
@@ -327,8 +330,8 @@ def gradient_equivalence_check(nu: LieBracket, split: NilpotentSplitting, h: flo
     grad_fd = np.zeros_like(x)
     for i in range(x.size):
         e = np.zeros_like(x)
-        e[i] = h
-        grad_fd[i] = (f_of(x + e) - f_of(x - e)) / (2 * h)
+        e[i] = _GRAD_FD_STEP
+        grad_fd[i] = (f_of(x + e) - f_of(x - e)) / (2 * _GRAD_FD_STEP)
     # the gradient of a scale-invariant functional is tangent already; project
     # the finite-difference version to kill quadrature noise in the radial direction
     grad_fd = engine.normalize_projection(grad_fd, x)
@@ -346,25 +349,18 @@ def gradient_equivalence_check(nu: LieBracket, split: NilpotentSplitting, h: flo
 
 
 def soliton_limit_certificate(
-    nu: LieBracket,
-    frame: HermitianFrame,
-    split: NilpotentSplitting | None = None,
-    p_matrix: np.ndarray | None = None,
+    nu: LieBracket, frame: HermitianFrame, split: NilpotentSplitting | None = None
 ) -> NilSolitonCertificate:
     """Certificate that nu is an algebraic pluriclosed soliton.
 
-    P defaults to the nilpotent projected-Ricci form when a splitting is
-    given, otherwise to the general Bismut-Ricci pipeline.
+    P is the nilpotent projected-Ricci form when a splitting is given,
+    otherwise the general Bismut-Ricci pipeline.
     """
-    if p_matrix is None:
-        if split is not None:
-            p_matrix = p_endomorphism_nil(split, nu)
-        else:
-            p_matrix = bismut_ricci_endomorphism(nu, frame)
-    return soliton_decomposition(p_matrix, nu, frame.J)
+    p = p_endomorphism_nil(split, nu) if split is not None else bismut_ricci_endomorphism(nu, frame)
+    return soliton_decomposition(p, nu, frame.J)
 
 
-def refine_fixed_point(flow: NilFlow, x0: np.ndarray, iterations: int = 25, tol: float = 1e-13) -> np.ndarray:
+def refine_fixed_point(flow: NilFlow, x0: np.ndarray) -> np.ndarray:
     """Gauss-Newton polish of a normalized-flow fixed point on the unit sphere.
 
     x0 is a state of flow; the Jacobian is taken by central differences.
@@ -372,10 +368,10 @@ def refine_fixed_point(flow: NilFlow, x0: np.ndarray, iterations: int = 25, tol:
     x = np.array(x0, dtype=float)
     x /= np.linalg.norm(x)
     n = x.size
-    for _ in range(iterations):
+    for _ in range(_REFINE_ITERATIONS):
         f = flow.field(x)
         g = np.concatenate([f, [0.5 * (np.dot(x, x) - 1.0)]])
-        if np.linalg.norm(g) < tol:
+        if np.linalg.norm(g) < _REFINE_TOL:
             break
         jac = np.zeros((n + 1, n))
         h = 1e-7

@@ -16,6 +16,8 @@ from .almostabelian import AlmostAbelianData
 from .brackets import LieBracket, basis_change_action
 from .hermitian import HermitianFrame
 
+_METRIC_MIX = 0.6  # spread of the random J-linear metric change on v
+
 __all__ = [
     "realify",
     "random_unitary_commuting",
@@ -42,7 +44,7 @@ def random_unitary_commuting(rng, m: int) -> np.ndarray:
     return realify(_random_complex_unitary(rng, m // 2))
 
 
-def random_two_step_skt(rng, blocks: int = 2, dim_z: int = 2, mix: float = 0.6):
+def random_two_step_skt(rng, blocks: int = 2, dim_z: int = 2):
     """Random 2-step nilpotent pluriclosed Hermitian structure.
 
     Returns (bracket, frame).  v carries `blocks` Heisenberg planes whose
@@ -64,8 +66,8 @@ def random_two_step_skt(rng, blocks: int = 2, dim_z: int = 2, mix: float = 0.6):
         t[j, i, dim_v:] = -zeta[:, b]
     mu = LieBracket(t)
     # metric deformation: random element of the J-linear group on v
-    x = rng.standard_normal((dim_v // 2, dim_v // 2)) * mix
-    x = x + 1j * rng.standard_normal((dim_v // 2, dim_v // 2)) * mix
+    x = rng.standard_normal((dim_v // 2, dim_v // 2)) * _METRIC_MIX
+    x = x + 1j * rng.standard_normal((dim_v // 2, dim_v // 2)) * _METRIC_MIX
     h = np.eye(d)
     h[:dim_v, :dim_v] = realify(expm(x))
     mu = basis_change_action(h, mu)

@@ -6,6 +6,8 @@ import numpy as np
 
 __all__ = ["format_float", "dumps_json", "write_csv"]
 
+_INDENT = 2  # spaces per nesting level of dumps_json
+
 
 def format_float(x: float) -> str:
     if np.isnan(x):
@@ -15,14 +17,14 @@ def format_float(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def dumps_json(obj, indent: int = 2) -> str:
+def dumps_json(obj) -> str:
     """JSON text with stable key order and reproducible float formatting."""
-    return "".join(_emit(obj, indent, 0)) + "\n"
+    return "".join(_emit(obj, 0)) + "\n"
 
 
-def _emit(obj, indent, level):
-    pad = " " * (indent * level)
-    pad_in = " " * (indent * (level + 1))
+def _emit(obj, level):
+    pad = " " * (_INDENT * level)
+    pad_in = " " * (_INDENT * (level + 1))
     if isinstance(obj, dict):
         if not obj:
             yield "{}"
@@ -31,7 +33,7 @@ def _emit(obj, indent, level):
         items = list(obj.items())
         for i, (k, v) in enumerate(items):
             yield f'{pad_in}"{k}": '
-            yield from _emit(v, indent, level + 1)
+            yield from _emit(v, level + 1)
             yield ",\n" if i + 1 < len(items) else "\n"
         yield pad + "}"
     elif isinstance(obj, (list, tuple, np.ndarray)):
@@ -41,12 +43,12 @@ def _emit(obj, indent, level):
             return
         simple = all(isinstance(x, (int, float, bool)) or x is None for x in seq)
         if simple:
-            yield "[" + ", ".join("".join(_emit(x, indent, 0)) for x in seq) + "]"
+            yield "[" + ", ".join("".join(_emit(x, 0)) for x in seq) + "]"
             return
         yield "[\n"
         for i, x in enumerate(seq):
             yield pad_in
-            yield from _emit(x, indent, level + 1)
+            yield from _emit(x, level + 1)
             yield ",\n" if i + 1 < len(seq) else "\n"
         yield pad + "]"
     elif isinstance(obj, bool) or obj is None:

@@ -164,7 +164,7 @@ def test_criterion_5_nil_flow():
         ok &= bool(np.all(np.diff(diag["F"]) <= 1e-12))
         details.append(f"{name}: residual {cert.residual:.1e}, trP {tr_p:.8f}")
 
-    ts, ns = kod_unnorm.raw.step_times, kod_unnorm.raw.step_norms
+    ts, ns = kod_unnorm.raw.times, np.linalg.norm(kod_unnorm.raw.states, axis=1)
     mask = ts >= ts[-1] / 10.0
     prod = ts[mask] * ns[mask] ** 2
     spread = float((prod.max() - prod.min()) / prod[-1])

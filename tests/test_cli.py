@@ -2,7 +2,11 @@ import json
 import subprocess
 import sys
 
+import numpy as np
+
+from pluriflow import almostabelian as aa
 from pluriflow import cli
+from pluriflow.catalog import get_entry
 from pluriflow.serialize import dumps_json, format_float
 
 
@@ -106,6 +110,23 @@ def test_flow_steady_horizon(tmp_path):
     first = rows[1].split(",")
     for row in rows[2:]:
         assert row.split(",")[1:] == first[1:]  # all columns constant
+
+
+def test_flow_nonfinite_field_exits_nonzero(monkeypatch, capsys):
+    # the shrinking soliton's norm grows toward blow-up; past 1.5 times its
+    # initial value the field turns NaN, which must not end like a step collapse
+    field = aa.ReducedFlow.field
+
+    def nan_past_limit(self, x):
+        out = field(self, x)
+        return out if np.linalg.norm(x) < limit else np.full_like(out, np.nan)
+
+    limit = 1.5 * np.linalg.norm(get_entry("shrink10").data.to_state())
+    monkeypatch.setattr(aa.ReducedFlow, "field", nan_past_limit)
+    rc = cli.main(["flow", "catalog:shrink10", "--horizon", "1"])
+    err = capsys.readouterr().err
+    assert rc != 0
+    assert err.startswith("terminal NONFINITE at t=")
 
 
 def test_flow_kodaira_fixed_point():

@@ -16,7 +16,8 @@ def test_zero_field_reaches_horizon():
 def test_times_strictly_increasing_and_single_terminal():
     traj = engine.integrate(lambda y: -y, np.array([1.0]), 3.0)
     assert np.all(np.diff(traj.times) > 0)
-    assert len(traj.events) == 1
+    assert traj.terminal_event == engine.HORIZON
+    assert traj.final_time == 3.0
 
 
 def test_blowup_detection_quadratic():
@@ -57,7 +58,7 @@ def test_nan_field_rejected_not_accepted():
         return np.array([np.nan if y[0] > 0.5 else 1.0])
 
     traj = engine.integrate(f, np.array([0.0]), 2.0)
-    assert traj.terminal_event == engine.STEP_UNDERFLOW
+    assert traj.terminal_event == engine.NONFINITE
     assert np.all(np.isfinite(traj.states))
     assert 0.5 - 1e-9 < traj.final_state[0] <= 0.5
 
@@ -69,12 +70,17 @@ def test_max_steps_raises():
 
 
 def test_convergence_order_is_five():
+    def f(y):
+        return -y
+
     errs = []
     hs = np.array([0.2, 0.1, 0.05, 0.025])
+    k = np.empty((7, 1))
     for h in hs:
-        cfg = engine.IntegratorConfig(fixed_step=float(h))
-        traj = engine.integrate(lambda y: -y, np.array([1.0]), 1.0, cfg)
-        errs.append(abs(traj.final_state[0] - np.exp(-1.0)))
+        y = np.array([1.0])
+        for _ in range(round(1.0 / h)):
+            y = engine._dopri_step(f, y, f(y), h, k)
+        errs.append(abs(y[0] - np.exp(-1.0)))
     slope = np.polyfit(np.log(hs), np.log(errs), 1)[0]
     assert abs(slope - 5.0) < 0.2
 
@@ -113,7 +119,7 @@ def test_norm_conservation_drift():
         raw = np.array([-y[1] + 0.5 * y[0], y[0] + 0.5 * y[1]])
         return engine.normalize_projection(raw, y)
 
-    cfg = engine.IntegratorConfig(conserve_norm=1.0, max_step=0.05)
+    cfg = engine.IntegratorConfig(conserve_norm=1.0)
     traj = engine.integrate(f, np.array([1.0, 0.0]), 300.0, cfg)
     assert traj.n_accepted >= 5000
     assert abs(np.linalg.norm(traj.final_state) - 1.0) < 1e-12

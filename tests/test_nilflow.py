@@ -253,7 +253,8 @@ def test_center_drift_agrees_with_dense_center(rng):
     c = flow.decode(traj.raw.final_state).coeffs
     x_open = flow.encode(LieBracket(np.einsum("ai,bj,abk->ijk", k, k, c)))
     states = np.vstack([traj.raw.states, x_open])
-    rec = nf.NilTrajectory(flow, engine.Trajectory(times=np.arange(len(states), dtype=float), states=states))
+    times = np.arange(len(states), dtype=float)
+    rec = nf.NilTrajectory(flow, engine.Trajectory(times=times, states=states, terminal_event=engine.HORIZON))
     drift = rec.diagnostics()["center_drift"]
     dense_ok = [center(flow.decode(x)).shape[1] == dim_z for x in states]
     assert list(drift == 0.0) == dense_ok
