@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import engine
-from .brackets import LieBracket, soliton_decomposition
+from .brackets import LieBracket, frobenius_norm, frobenius_sq, soliton_decomposition
 from .hermitian import HermitianFrame, skt_closure_residual
 from .normality import normality_defect
 
@@ -276,11 +276,17 @@ def p_components(data: AlmostAbelianData, k: int | None = None) -> PComponents:
     """
     if k is None:
         k = skt_multiplicity_k(data.a, data.A)[0]
-    return PComponents(c=_c_scalar(k, data.a, data.v), w=_w_vector(data.A, data.v))
+    return PComponents(c=_c_scalar(k, data.a, float(data.v @ data.v)), w=_w_vector(data.A, data.v))
 
 
-def _c_scalar(k: int, a: float, v: np.ndarray) -> float:
-    return (k / 4.0 - 0.5) * a**2 - 0.5 * float(v @ v)
+def _s_top(k: int, a: float) -> float:
+    """(k/4 - 1/2) a^2: the top eigenvalue of S, attained on ker A."""
+    return (k / 4.0 - 0.5) * a**2
+
+
+def _c_scalar(k: int, a: float, vv: float) -> float:
+    """c = (k/4 - 1/2) a^2 - |v|^2 / 2, given vv = |v|^2."""
+    return _s_top(k, a) - 0.5 * vv
 
 
 def _w_vector(A: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -316,21 +322,24 @@ def gauge_matrix(data: AlmostAbelianData) -> np.ndarray:
 
 
 def _s_matrix(a: float, A: np.ndarray, k: int) -> np.ndarray:
-    return (
-        (k / 4.0 - 0.5) * a**2 * np.eye(A.shape[0])
-        - 0.5 * A @ A.T
-        + (a / 4.0) * (A + A.T)
-    )
+    """S = (k/4 - 1/2) a^2 Id - A A^t / 2 + (a/4)(A + A^t)."""
+    s = (-0.5 * A).dot(A.T)
+    diag = s.reshape(-1)[:: A.shape[0] + 1]
+    diag += _s_top(k, a)
+    s += (a / 4.0) * (A + A.T)
+    return s
 
 
-def _unnormalized_field(k: int, a: float, v: np.ndarray, A: np.ndarray) -> tuple:
-    c = _c_scalar(k, a, v)
-    dv = c * v + _s_matrix(a, A, k) @ v - 0.5 * float(v @ v) * v
-    return c * a, dv, c * A
+def _v_dot(s: np.ndarray, v: np.ndarray, vv: float, c: float | None = None) -> np.ndarray:
+    """v' = c v + S v - |v|^2 v / 2, given vv = |v|^2; without c (the
+    normalization that freezes a and A) the c v term is dropped."""
+    sv = s.dot(v) if c is None else c * v + s.dot(v)
+    return sv - 0.5 * vv * v
 
 
-def _normalized_dv(s: np.ndarray, v: np.ndarray) -> np.ndarray:
-    return s @ v - 0.5 * float(v @ v) * v
+# ReducedTrajectory.diagnostics works on this many rows at a time, which keeps
+# its temporaries near 0.5 MB at m = 8.
+_DIAG_CHUNK = 256
 
 
 class ReducedFlow:
@@ -354,25 +363,36 @@ class ReducedFlow:
         self._s_frozen = _s_matrix(data0.a, data0.A, self.k) if mode == A_NORM_FIXED else None
 
     def field(self, x: np.ndarray) -> np.ndarray:
-        a, v, A = AlmostAbelianData.state_split(self.m, x)
+        m = self.m
+        v = x[1 : 1 + m]
+        vv = float(v.dot(v))
         if self.mode == A_NORM_FIXED:
-            return np.concatenate([[0.0], _normalized_dv(self._s_frozen, v), np.zeros(self.m * self.m)])
-        da, dv, dA = _unnormalized_field(self.k, a, v, A)
-        return np.concatenate([[da], dv, dA.ravel()])
+            out = np.zeros_like(x)
+            out[1 : 1 + m] = _v_dot(self._s_frozen, v, vv)
+            return out
+        a = float(x[0])
+        c = _c_scalar(self.k, a, vv)
+        out = c * x  # a' = c a and A' = c A; v' is written over its slice
+        out[1 : 1 + m] = _v_dot(_s_matrix(a, x[1 + m :].reshape(m, m), self.k), v, vv, c)
+        return out
 
 
 def reduced_vector_field(data: AlmostAbelianData, k: int | None = None) -> tuple:
     """(a', v', A') of the reduced flow at the given state."""
     if k is None:
         k = skt_multiplicity_k(data.a, data.A)[0]
-    return _unnormalized_field(k, data.a, data.v, data.A)
+    a, v, A = data.a, data.v, data.A
+    vv = float(v @ v)
+    c = _c_scalar(k, a, vv)
+    return c * a, _v_dot(_s_matrix(a, A, k), v, vv, c), c * A
 
 
 def normalized_vector_field(data: AlmostAbelianData, k: int | None = None) -> tuple:
     """(0, v', 0) of the a- and A-preserving normalization of the reduced flow."""
     if k is None:
         k = skt_multiplicity_k(data.a, data.A)[0]
-    return 0.0, _normalized_dv(_s_matrix(data.a, data.A, k), data.v), np.zeros_like(data.A)
+    v = data.v
+    return 0.0, _v_dot(_s_matrix(data.a, data.A, k), v, float(v @ v)), np.zeros_like(data.A)
 
 
 def eigencomponent_dynamics(data: AlmostAbelianData, k: int | None = None, gap_rtol: float = 1e-8):
@@ -429,18 +449,23 @@ class ReducedTrajectory:
         blow-up trajectories.
         """
         m = self.data0.m
-        rows = {n: [] for n in ["t", "a", "v_norm", "A_norm", "c", "skt_residual", "normality_defect"]}
-        for t, x in zip(self.raw.times, self.raw.states):
-            a, v, A = AlmostAbelianData.state_split(m, x)
-            scale2 = max(a * a + float(np.sum(A * A)), 1e-300)
-            rows["t"].append(float(t))
-            rows["a"].append(a)
-            rows["v_norm"].append(float(np.linalg.norm(v)))
-            rows["A_norm"].append(float(np.linalg.norm(A)))
-            rows["c"].append(_c_scalar(self.k, a, v))
-            rows["skt_residual"].append(skt_closure_residual(a, A) / scale2)
-            rows["normality_defect"].append(normality_defect(A) / scale2)
-        return {k: np.array(v) for k, v in rows.items()}
+        states = self.raw.states
+        n = states.shape[0]
+        cols = {"t": np.array(self.raw.times, dtype=float), "a": states[:, 0].copy()}
+        for name in ("v_norm", "A_norm", "c", "skt_residual", "normality_defect"):
+            cols[name] = np.empty(n)
+        for lo in range(0, n, _DIAG_CHUNK):
+            sl = slice(lo, lo + _DIAG_CHUNK)
+            a, v, A = states[sl, 0], states[sl, 1 : 1 + m], states[sl, 1 + m :].reshape(-1, m, m)
+            vv = frobenius_sq(v[:, None, :])
+            # np.sum(A * A) of each matrix: its pairwise order, not the ddot of the norms
+            scale2 = np.maximum(a * a + np.sum((A * A).reshape(len(a), -1), axis=1), 1e-300)
+            cols["v_norm"][sl] = np.sqrt(vv)
+            cols["A_norm"][sl] = frobenius_norm(A)
+            cols["c"][sl] = [_c_scalar(self.k, ai, vvi) for ai, vvi in zip(a.tolist(), vv.tolist())]
+            cols["skt_residual"][sl] = skt_closure_residual(a, A) / scale2
+            cols["normality_defect"][sl] = normality_defect(A) / scale2
+        return cols
 
 
 def integrate_reduced_flow(
@@ -484,7 +509,7 @@ def soliton_certificate(data: AlmostAbelianData, tol: float = 1e-8) -> SolitonCe
     scale = max(1.0, abs(a), float(np.linalg.norm(A)), float(np.linalg.norm(v)))
     comps = p_components(data, k)
     vnorm = float(np.linalg.norm(v))
-    lam_cap = (k / 4.0 - 0.5) * a**2
+    lam_cap = _s_top(k, a)
 
     kind = SolitonKind.NONE
     eigen_lambda = None

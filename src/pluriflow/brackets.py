@@ -28,6 +28,8 @@ __all__ = [
     "NilSolitonCertificate",
     "soliton_decomposition",
     "nullspace",
+    "frobenius_sq",
+    "frobenius_norm",
 ]
 
 # Relative singular-value cutoff for all numerical rank decisions.
@@ -215,6 +217,26 @@ def nullspace(m: np.ndarray, rtol: float = RANK_RTOL) -> np.ndarray:
         return np.eye(m.shape[1])
     rank = int(np.sum(s > rtol * s[0]))
     return vt[rank:].T.copy()
+
+
+def frobenius_sq(x: np.ndarray) -> np.ndarray:
+    """Squared Frobenius norm over the last two axes of a stack (..., m, n).
+
+    Each entry is one dot product of a matrix's entries with themselves, the
+    BLAS ddot that np.linalg.norm takes on a single matrix, so it equals the
+    single-matrix value bit for bit; a sum over axes adds in another order.
+    """
+    x = np.asarray(x, dtype=float)
+    flat = x.reshape(x.shape[:-2] + (1, -1))
+    return (flat @ np.swapaxes(flat, -1, -2))[..., 0, 0]
+
+
+def frobenius_norm(x: np.ndarray):
+    """Frobenius norm over the last two axes, equal bit for bit to
+    np.linalg.norm of each matrix: a float for one matrix, an array for a
+    stack (..., m, n)."""
+    norms = np.sqrt(frobenius_sq(x))
+    return float(norms) if norms.ndim == 0 else norms
 
 
 def center(mu: LieBracket, rtol: float = RANK_RTOL) -> np.ndarray:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
@@ -118,7 +119,10 @@ def cmd_flow(args) -> int:
         cfg = engine.IntegratorConfig(
             rel_tol=args.rel_tol, abs_tol=args.abs_tol, sample_times=samples, blowup_norm=1e6
         )
-        traj = aa.integrate_reduced_flow(data, mode, args.horizon, cfg)
+        try:
+            traj = aa.integrate_reduced_flow(data, mode, args.horizon, cfg)
+        except ValueError as exc:
+            raise SystemExit(f"{args.input}: {exc}")
     else:
         mu, frame = data
         norm = {"unnormalized": "none", "normalized": "unit_norm"}[args.mode]
@@ -188,23 +192,45 @@ def cmd_sweep(args) -> int:
     return 0
 
 
+def _positive(text: str) -> float:
+    """argparse type: a finite number > 0."""
+    try:
+        x = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}")
+    if not (math.isfinite(x) and x > 0):
+        raise argparse.ArgumentTypeError(f"must be finite and positive: {text!r}")
+    return x
+
+
+def _count(text: str) -> int:
+    """argparse type: an integer >= 0."""
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must not be negative: {text!r}")
+    return n
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="pluriflow", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
     c = sub.add_parser("check", help="algebraic SKT/soliton/classification checks")
     c.add_argument("input", help="JSON file or catalog:NAME")
-    c.add_argument("--tol", type=float, default=1e-8)
+    c.add_argument("--tol", type=_positive, default=1e-8)
     c.add_argument("--require-skt", action="store_true", help="exit 2 if the input is not SKT")
     c.set_defaults(fn=cmd_check)
 
     f = sub.add_parser("flow", help="integrate a flow and emit trajectory CSV")
     f.add_argument("input", help="JSON file or catalog:NAME")
     f.add_argument("--mode", choices=["unnormalized", "normalized"], default="unnormalized")
-    f.add_argument("--horizon", type=float, default=100.0)
-    f.add_argument("--samples", type=int, default=0, help="number of dense sample times (0: accepted steps)")
-    f.add_argument("--rel-tol", type=float, default=1e-10)
-    f.add_argument("--abs-tol", type=float, default=1e-12)
+    f.add_argument("--horizon", type=_positive, default=100.0)
+    f.add_argument("--samples", type=_count, default=0, help="number of dense sample times (0: accepted steps)")
+    f.add_argument("--rel-tol", type=_positive, default=1e-10)
+    f.add_argument("--abs-tol", type=_positive, default=1e-12)
     f.add_argument("--out", help="CSV output path (default: stdout)")
     f.set_defaults(fn=cmd_flow)
 

@@ -8,6 +8,7 @@ encode their state as a flat real vector and own the decoding.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,6 +66,7 @@ _MAX_FACTOR = 10.0
 _BETA = 0.04  # PI stabilization exponent
 _EXPO = 0.2 - 0.75 * _BETA
 _FIXEDPOINT_SUSTAIN = 10  # consecutive accepted steps with |f| below fixedpoint_norm
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass
@@ -119,7 +121,14 @@ def normalize_projection(f: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def _rms(v):
-    return float(np.sqrt(np.mean(v * v)))
+    # np.mean's pairwise sum, without its overhead; a dot product would add
+    # in another order and change the error norm's last bits
+    return math.sqrt(float(np.add.reduce(v * v, axis=None)) / v.size)
+
+
+def _norm(v):
+    # np.linalg.norm of a vector, without its overhead: the same ddot and sqrt
+    return math.sqrt(v.dot(v))
 
 
 def _initial_step(field_fn, x0, f0, rel_tol, abs_tol, horizon):
@@ -143,9 +152,10 @@ def _dopri_step(field_fn, y, f, h, k):
     fifth-order end point (FSAL).
     """
     k[0] = f
+    kt = k.T
     for s in range(1, 7):
-        k[s] = field_fn(y + h * (k[:s].T @ _A[s]))
-    y1 = y + h * (k.T @ _B)
+        k[s] = field_fn(y + h * kt[:, :s].dot(_A[s]))
+    y1 = y + h * kt.dot(_B)
     k[6] = field_fn(y1)
     return y1
 
@@ -162,9 +172,9 @@ def integrate(field_fn, x0, horizon: float, config: IntegratorConfig | None = No
 
     rec_t, rec_y = [], []
 
-    def record(tt, yy):
+    def record(tt, yy):  # no state is changed in place once made, so none is copied
         rec_t.append(tt)
-        rec_y.append(np.array(yy))
+        rec_y.append(yy)
 
     if samples is None:
         record(t, y)
@@ -174,47 +184,49 @@ def integrate(field_fn, x0, horizon: float, config: IntegratorConfig | None = No
             s_ptr += 1
 
     # per-step history for the blow-up fit, whatever the recorded times are
-    step_t, step_n = [t], [float(np.linalg.norm(y))]
+    step_t, step_n = [t], [_norm(y)]
     n_acc = n_rej = 0
     fp_count = 0
     blow = None
     # a start at a fixed point ends at once (idempotent re-integration)
-    event = FIXED_POINT if np.linalg.norm(f) < cfg.fixedpoint_norm else None
+    event = FIXED_POINT if _norm(f) < cfg.fixedpoint_norm else None
     h = _initial_step(field_fn, y, f, cfg.rel_tol, cfg.abs_tol, horizon) if event is None else 0.0
     facold = 1e-4
     rejected_last = False
     nonfinite_last = False  # the latest trial was rejected with a non-finite error
-    k = np.empty((7, y.size))
+    k = np.empty((7, y.size))  # dense output reads an accepted step's stages here before the next trial
+    rel_tol, abs_tol = cfg.rel_tol, cfg.abs_tol
 
     while event is None and t < horizon:
         if n_acc + n_rej >= cfg.max_steps:
             raise RuntimeError(f"max_steps={cfg.max_steps} exceeded at t={t:g}")
         h = min(h, horizon - t)
         final_step = h >= horizon - t
-        if h < 16 * np.finfo(float).eps * max(abs(t), 1.0):
+        if h < 16 * _EPS * max(abs(t), 1.0):
             event = NONFINITE if nonfinite_last else STEP_UNDERFLOW
             break
 
         y1 = _dopri_step(field_fn, y, f, h, k)
-        scale = cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(y), np.abs(y1))
-        err = _rms(h * (k.T @ _E) / scale)
+        scale = np.maximum(np.abs(y), np.abs(y1))
+        scale *= rel_tol
+        scale += abs_tol
+        err = _rms(h * k.T.dot(_E) / scale)
 
         if not err <= 1.0:  # also rejects a NaN error from a non-finite trial state
             n_rej += 1
             h *= max(_MIN_FACTOR, _SAFETY * err**-0.2)
             rejected_last = True
-            nonfinite_last = not np.isfinite(err)
+            nonfinite_last = not math.isfinite(err)
             continue
 
         # accepted
         n_acc += 1
         t_old, y_old, h_old = t, y, h
-        k_old = k.copy()
         t = horizon if final_step else t_old + h_old
         y = y1
         f = k[6]
         if cfg.conserve_norm is not None:
-            ny = np.linalg.norm(y)
+            ny = _norm(y)
             if ny > 0:
                 y = y * (cfg.conserve_norm / ny)
             f = field_fn(y)
@@ -229,7 +241,7 @@ def integrate(field_fn, x0, horizon: float, config: IntegratorConfig | None = No
         facold = max(err, 1e-4)
         rejected_last = nonfinite_last = False
 
-        ny = float(np.linalg.norm(y))
+        ny = _norm(y)
         step_t.append(t)
         step_n.append(ny)
 
@@ -238,7 +250,7 @@ def integrate(field_fn, x0, horizon: float, config: IntegratorConfig | None = No
         else:
             while s_ptr < samples.size and samples[s_ptr] <= t + 1e-14 * max(1.0, abs(t)):
                 th = (samples[s_ptr] - t_old) / h_old
-                q = k_old.T @ _P
+                q = k.T @ _P
                 p = np.array([th, th**2, th**3, th**4])
                 record(samples[s_ptr], y_old + h_old * (q @ p))
                 s_ptr += 1
@@ -247,7 +259,7 @@ def integrate(field_fn, x0, horizon: float, config: IntegratorConfig | None = No
             event = BLOWUP
             blow = estimate_blowup_time(np.array(step_t), np.array(step_n))
         elif cfg.fixedpoint_norm > 0:
-            fp_count = fp_count + 1 if np.linalg.norm(f) < cfg.fixedpoint_norm else 0
+            fp_count = fp_count + 1 if _norm(f) < cfg.fixedpoint_norm else 0
             if fp_count >= _FIXEDPOINT_SUSTAIN:
                 event = FIXED_POINT
 

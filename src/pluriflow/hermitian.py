@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .brackets import LieBracket
+from .brackets import LieBracket, frobenius_norm
 
 __all__ = [
     "HermitianFrame",
@@ -125,11 +125,16 @@ def is_skt_general(mu: LieBracket, frame: HermitianFrame, tol: float = 1e-9):
     return r < tol, r
 
 
-def skt_closure_residual(a: float, A: np.ndarray) -> float:
-    """Frobenius norm of sym(aA + A^2 + A^t A); zero iff the matrix SKT criterion holds."""
+def skt_closure_residual(a, A: np.ndarray):
+    """Frobenius norm of sym(aA + A^2 + A^t A); zero iff the matrix SKT criterion holds.
+
+    Also takes a stack: a of shape (...) and A of shape (..., m, m) give an
+    array of shape (...), each entry equal to the single-matrix residual.
+    """
     A = np.asarray(A, dtype=float)
-    m = a * A + A @ A + A.T @ A
-    return float(np.linalg.norm(0.5 * (m + m.T)))
+    At = np.swapaxes(A, -1, -2)
+    m = np.asarray(a, dtype=float)[..., None, None] * A + A @ A + At @ A
+    return frobenius_norm(0.5 * (m + np.swapaxes(m, -1, -2)))
 
 
 def one_one_part(alpha: np.ndarray, frame: HermitianFrame) -> np.ndarray:

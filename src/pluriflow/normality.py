@@ -15,6 +15,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from . import engine
+from .brackets import frobenius_norm
 
 __all__ = [
     "NormalityReport",
@@ -25,9 +26,11 @@ __all__ = [
 ]
 
 
-def normality_defect(e: np.ndarray) -> float:
+def normality_defect(e: np.ndarray):
+    """Frobenius norm of [E, E^t]; a stack (..., m, m) gives an array of shape (...)."""
     e = np.asarray(e, dtype=float)
-    return float(np.linalg.norm(e @ e.T - e.T @ e))
+    et = np.swapaxes(e, -1, -2)
+    return frobenius_norm(e @ et - et @ e)
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 __all__ = ["format_float", "dumps_json", "write_csv"]
@@ -10,11 +12,12 @@ _INDENT = 2  # spaces per nesting level of dumps_json
 
 
 def format_float(x: float) -> str:
-    if np.isnan(x):
+    x = float(x)
+    if math.isfinite(x):
+        return format(x, ".17g")
+    if x != x:
         return "NaN"
-    if np.isinf(x):
-        return "Infinity" if x > 0 else "-Infinity"
-    return format(float(x), ".17g")
+    return "Infinity" if x > 0 else "-Infinity"
 
 
 def dumps_json(obj) -> str:
@@ -66,10 +69,9 @@ def _emit(obj, level):
 def write_csv(path_or_file, columns: dict):
     """Write named columns (equal-length arrays) as CSV with 17-digit floats."""
     names = list(columns)
-    rows = len(next(iter(columns.values()))) if columns else 0
+    floats = [np.asarray(columns[n], dtype=float).tolist() for n in names]
     lines = [",".join(names)]
-    for r in range(rows):
-        lines.append(",".join(format_float(float(columns[n][r])) for n in names))
+    lines += [",".join(map(format_float, row)) for row in zip(*floats)]
     text = "\n".join(lines) + "\n"
     if hasattr(path_or_file, "write"):
         path_or_file.write(text)

@@ -353,3 +353,60 @@ def test_catalog_parameters_are_arithmetic_only():
     for name in ("s_ab(2**3, 1)", "s_ab(ip, 1)"):
         with pytest.raises(ValueError):
             get_entry(name)
+
+
+def _diagnostics_oracle(traj):
+    """ReducedTrajectory.diagnostics as a loop over rows, each formula on one matrix."""
+    from pluriflow.hermitian import skt_closure_residual
+    from pluriflow.normality import normality_defect
+
+    m = traj.data0.m
+    rows = []
+    for t, x in zip(traj.raw.times, traj.raw.states):
+        a, v, A = aa.AlmostAbelianData.state_split(m, x)
+        scale2 = max(a * a + float(np.sum(A * A)), 1e-300)
+        rows.append([
+            float(t), a, float(np.linalg.norm(v)), float(np.linalg.norm(A)),
+            aa._c_scalar(traj.k, a, float(v @ v)),
+            skt_closure_residual(a, A) / scale2, normality_defect(A) / scale2,
+        ])
+    names = ["t", "a", "v_norm", "A_norm", "c", "skt_residual", "normality_defect"]
+    return dict(zip(names, np.array(rows).T))
+
+
+def _assert_diagnostics_match_oracle(traj):
+    got, want = traj.diagnostics(), _diagnostics_oracle(traj)
+    assert list(got) == list(want)
+    for name in want:
+        assert np.array_equal(got[name], want[name]), name
+
+
+def test_diagnostics_match_row_loop_on_blowup(shrink):
+    traj = aa.integrate_reduced_flow(shrink, aa.UNNORMALIZED, 2.0)
+    assert traj.raw.terminal_event == engine.BLOWUP
+    assert len(traj.times) > aa._DIAG_CHUNK  # more than one chunk
+    _assert_diagnostics_match_oracle(traj)
+
+
+def test_diagnostics_match_row_loop_normalized(sab):
+    data = sab.replace(v=np.array([0.3, -0.2, 0.1, 0.4]))
+    traj = aa.integrate_reduced_flow(data, aa.A_NORM_FIXED, 50.0)
+    _assert_diagnostics_match_oracle(traj)
+
+
+def test_diagnostics_match_row_loop_m8(rng):
+    data = random_skt_almost_abelian(rng, m=8)
+    traj = aa.integrate_reduced_flow(data, aa.UNNORMALIZED, 20.0)
+    _assert_diagnostics_match_oracle(traj)
+
+
+def test_diagnostics_one_row(shrink):
+    # at this a, a**2 (the power the field takes in c) and a * a differ in the last bit
+    x = shrink.to_state()
+    x[0] = 0.9827323782383632
+    assert x[0] ** 2 != x[0] * x[0]
+    raw = engine.Trajectory(times=np.array([0.0]), states=x[None, :], terminal_event=engine.HORIZON)
+    traj = aa.ReducedTrajectory(data0=shrink, k=aa.skt_verdict(shrink).k, mode=aa.UNNORMALIZED, raw=raw)
+    cols = traj.diagnostics()
+    assert all(col.shape == (1,) for col in cols.values())
+    _assert_diagnostics_match_oracle(traj)

@@ -1,13 +1,15 @@
+import io
 import json
 import subprocess
 import sys
 
 import numpy as np
+import pytest
 
 from pluriflow import almostabelian as aa
 from pluriflow import cli
 from pluriflow.catalog import get_entry
-from pluriflow.serialize import dumps_json, format_float
+from pluriflow.serialize import dumps_json, format_float, write_csv
 
 
 def run_cli(args, **kw):
@@ -176,3 +178,49 @@ def test_dumps_json_stable():
     assert dumps_json(doc) == dumps_json(doc)
     parsed = json.loads(dumps_json(doc))
     assert parsed == {"b": [1.0, 2.5], "a": {"x": True, "y": None}}
+
+
+def test_write_csv_special_values_and_column_types():
+    cols = {
+        "x": np.array([np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e308, 0.1]),
+        "n": np.array([1, -2, 0, 3, 2**53 + 1, 7, 10**15], dtype=np.int64),
+        "b": np.array([True, False, True, False, True, False, True]),
+    }
+    buf = io.StringIO()
+    text = write_csv(buf, cols)
+    assert buf.getvalue() == text
+    assert text == (
+        "x,n,b\n"
+        "NaN,1,1\n"
+        "Infinity,-2,0\n"
+        "-Infinity,0,1\n"
+        "-0,3,0\n"
+        "4.9406564584124654e-324,9007199254740992,1\n"
+        "1e+308,7,0\n"
+        "0.10000000000000001,1000000000000000,1\n"
+    )
+    assert write_csv(io.StringIO(), {"t": [0.5, 2]}) == "t\n0.5\n2\n"
+    assert write_csv(io.StringIO(), {}) == "\n"
+
+
+def test_flow_rejects_bad_numbers_with_usage_error(capsys):
+    bad = [
+        ["--horizon", "nan"], ["--horizon", "-1"], ["--horizon", "0"], ["--horizon", "inf"],
+        ["--rel-tol", "0"], ["--abs-tol", "-1e-12"], ["--rel-tol", "nan"],
+        ["--samples", "-3"], ["--samples", "2.5"],
+    ]
+    for extra in bad:
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["flow", "catalog:shrink10", *extra])
+        assert exc.value.code == 2, extra
+        err = capsys.readouterr().err
+        assert err.startswith("usage:") and f"argument {extra[0]}" in err, extra
+
+
+def test_flow_rejects_non_pluriclosed_almost_abelian(tmp_path):
+    path = tmp_path / "generic.json"
+    path.write_text(json.dumps({"a": 0.0, "v": [0.0, 0.0], "A": [[1.0, 0.0], [0.0, 1.0]], "J1": "standard"}))
+    out = run_cli(["flow", str(path), "--horizon", "1"])
+    assert out.returncode == 1
+    assert out.stdout == ""
+    assert out.stderr.strip().splitlines() == [f"{path}: initial condition is not pluriclosed"]

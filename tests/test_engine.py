@@ -137,3 +137,22 @@ def test_blowup_fit_on_square_root_profile():
     fit = engine.estimate_blowup_time(ts, norms)
     assert abs(fit.t_est - 0.5) < 1e-6
     assert abs(fit.exponent - 0.5) < 1e-3
+
+
+def test_states_do_not_alias_the_callers_x0():
+    x0 = np.array([1.0, 2.0])
+    traj = engine.integrate(lambda y: -y, x0, 1.0)
+    x0[:] = 7.0
+    assert_allclose(traj.states[0], [1.0, 2.0])
+
+
+def test_dense_output_across_rejected_steps():
+    # y' = -50 y from a large first step: trials get rejected between samples,
+    # and each sample must still come from the stages of its accepted step
+    samples = np.linspace(0.0, 3.0, 31)
+    cfg = engine.IntegratorConfig(rel_tol=1e-9, abs_tol=1e-12, sample_times=samples)
+    traj = engine.integrate(lambda y: -50.0 * y, np.array([1.0, -2.0]), 3.0, cfg)
+    assert traj.n_rejected > 0
+    assert_allclose(traj.times, samples)
+    want = np.exp(-50.0 * samples)[:, None] * np.array([1.0, -2.0])
+    assert np.abs(traj.states - want).max() < 1e-8

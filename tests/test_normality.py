@@ -75,3 +75,15 @@ def test_spectrum_distance_handles_collisions():
     assert spectrum_distance(a, a) < 1e-14
     b = np.diag([1.0, 2.0, 1.0])
     assert spectrum_distance(a, b) < 1e-14
+
+
+def test_normality_defect_stack_matches_single(rng):
+    for m in (2, 5, 8):
+        e = rng.standard_normal((3, 4, m, m))
+        stacked = normality_defect(e)
+        assert stacked.shape == (3, 4)
+        single = [[normality_defect(e[i, j]) for j in range(4)] for i in range(3)]
+        assert isinstance(single[0][0], float)
+        assert np.array_equal(stacked, single)
+        # the single value is the Frobenius norm np.linalg.norm takes
+        assert single[0][0] == float(np.linalg.norm(e[0, 0] @ e[0, 0].T - e[0, 0].T @ e[0, 0]))
