@@ -203,7 +203,9 @@ def skt_multiplicity_k(a: float, A: np.ndarray, rtol: float = 1e-8):
     of -a/2 among the eigenvalues of sym(A) when a != 0 (None otherwise)."""
     A = np.asarray(A, dtype=float)
     s = np.linalg.eigvalsh(0.5 * (A + A.T))
-    scale = max(np.abs(s).max(initial=0.0), abs(a) / 2, 1e-300)
+    # |A| keeps the cutoff above roundoff when a = 0, where A is normal with
+    # imaginary spectrum and sym(A) is roundoff alone
+    scale = max(np.abs(s).max(initial=0.0), abs(a) / 2, np.linalg.norm(A), 1e-300)
     nonzero = int(np.sum(np.abs(s) > rtol * scale))
     if nonzero % 2 != 0:
         # rank of the symmetric part of a J-commuting matrix is even; a stray
@@ -480,8 +482,7 @@ def integrate_reduced_flow(
     approached only in the limit and exact solitons must run to the horizon.
     """
     flow = ReducedFlow(data0, mode)
-    cfg = config or engine.IntegratorConfig(blowup_norm=1e6)
-    raw = engine.integrate(flow.field, data0.to_state(), horizon, cfg)
+    raw = engine.integrate(flow.field, data0.to_state(), horizon, config)
     return ReducedTrajectory(data0=data0, k=flow.k, mode=mode, raw=raw)
 
 

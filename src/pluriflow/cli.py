@@ -16,6 +16,8 @@ from .brackets import LieBracket, jacobi_residual
 from .hermitian import HermitianFrame, is_skt_general
 from .serialize import dumps_json, format_float, write_csv
 
+_CHECK_TOL = 1e-8  # default tolerance of check, and the one sweep runs with
+
 
 def _load_input(spec: str):
     """Resolve an input spec: 'catalog:NAME' or a JSON file path.
@@ -114,28 +116,16 @@ def cmd_check(args) -> int:
 def cmd_flow(args) -> int:
     kind, data = _load_input(args.input)
     samples = np.linspace(0.0, args.horizon, args.samples) if args.samples else None
-    if kind == "almost_abelian":
-        mode = {"unnormalized": aa.UNNORMALIZED, "normalized": aa.A_NORM_FIXED}[args.mode]
-        cfg = engine.IntegratorConfig(
-            rel_tol=args.rel_tol, abs_tol=args.abs_tol, sample_times=samples, blowup_norm=1e6
-        )
-        try:
+    cfg = engine.IntegratorConfig(rel_tol=args.rel_tol, abs_tol=args.abs_tol, sample_times=samples)
+    try:
+        if kind == "almost_abelian":
+            mode = {"unnormalized": aa.UNNORMALIZED, "normalized": aa.A_NORM_FIXED}[args.mode]
             traj = aa.integrate_reduced_flow(data, mode, args.horizon, cfg)
-        except ValueError as exc:
-            raise SystemExit(f"{args.input}: {exc}")
-    else:
-        mu, frame = data
-        norm = {"unnormalized": "none", "normalized": "unit_norm"}[args.mode]
-        cfg = engine.IntegratorConfig(
-            rel_tol=args.rel_tol,
-            abs_tol=args.abs_tol,
-            sample_times=samples,
-            fixedpoint_norm=1e-10 if norm == "unit_norm" else 0.0,
-        )
-        try:
-            traj = nilflow.integrate_nil_flow(mu, frame, args.horizon, norm, cfg)
-        except ValueError as exc:
-            raise SystemExit(f"{args.input}: {exc}")
+        else:
+            norm = {"unnormalized": "none", "normalized": "unit_norm"}[args.mode]
+            traj = nilflow.integrate_nil_flow(*data, args.horizon, norm, cfg)
+    except ValueError as exc:
+        raise SystemExit(f"{args.input}: {exc}")
     cols = traj.diagnostics()
     raw = traj.raw
     text = write_csv(args.out if args.out else sys.stdout, cols)
@@ -174,9 +164,9 @@ def cmd_catalog(args) -> int:
 def _sweep_one(name: str) -> tuple:
     entry = catalog.get_entry(name)
     if entry.kind == "almost_abelian":
-        out = _check_almost_abelian(entry.data, 1e-8)
+        out = _check_almost_abelian(entry.data, _CHECK_TOL)
     else:
-        out = _check_nilpotent(*entry.data, 1e-9)
+        out = _check_nilpotent(*entry.data, _CHECK_TOL)
     return name, out
 
 
@@ -220,7 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     c = sub.add_parser("check", help="algebraic SKT/soliton/classification checks")
     c.add_argument("input", help="JSON file or catalog:NAME")
-    c.add_argument("--tol", type=_positive, default=1e-8)
+    c.add_argument("--tol", type=_positive, default=_CHECK_TOL)
     c.add_argument("--require-skt", action="store_true", help="exit 2 if the input is not SKT")
     c.set_defaults(fn=cmd_check)
 

@@ -1,9 +1,10 @@
 """Adaptive ODE infrastructure shared by all flows.
 
 Dormand-Prince 5(4) embedded pair with PI step-size control, quartic dense
-output, and terminal-event detection (horizon, fixed point, blow-up, step
-underflow, non-finite field).  The engine is dimension-agnostic: clients
-encode their state as a flat real vector and own the decoding.
+output, and terminal-event detection (horizon, fixed point, blow-up with its
+extinction time in closed form, step underflow, non-finite field).  The
+engine is dimension-agnostic: clients encode their state as a flat real
+vector and own the decoding.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 __all__ = [
     "IntegratorConfig",
@@ -20,7 +20,6 @@ __all__ = [
     "BlowupFit",
     "integrate",
     "normalize_projection",
-    "estimate_blowup_time",
     "HORIZON",
     "FIXED_POINT",
     "BLOWUP",
@@ -67,14 +66,17 @@ _BETA = 0.04  # PI stabilization exponent
 _EXPO = 0.2 - 0.75 * _BETA
 _FIXEDPOINT_SUSTAIN = 10  # consecutive accepted steps with |f| below fixedpoint_norm
 _EPS = float(np.finfo(float).eps)
+_MAX_STEPS = 1_000_000  # accepted plus rejected trials before integrate raises
+# |y| at which a run ends on BLOWUP.  A cubic flow's steps underflow not far
+# above it (y' = y^3 from 1 ends at STEP_UNDERFLOW at |y| ~ 2.2e6), and the
+# extinction time is read off the state here in closed form.
+_BLOWUP_NORM = 1e6
 
 
 @dataclass
 class IntegratorConfig:
     rel_tol: float = 1e-10
     abs_tol: float = 1e-12
-    max_steps: int = 1_000_000
-    blowup_norm: float = 1e12
     fixedpoint_norm: float = 0.0  # 0 disables fixed-point detection
     sample_times: np.ndarray | None = None
     conserve_norm: float | None = None  # renormalize |y| to this value each accepted step
@@ -86,9 +88,8 @@ class IntegratorConfig:
 
 @dataclass
 class BlowupFit:
-    t_est: float
-    exponent: float
-    fit_residual: float
+    t_est: float  # extinction time T
+    exponent: float  # p in |y| ~ (T - t)^(-p); both inf for growth no faster than linear
 
 
 @dataclass
@@ -183,8 +184,6 @@ def integrate(field_fn, x0, horizon: float, config: IntegratorConfig | None = No
             record(samples[s_ptr], y)
             s_ptr += 1
 
-    # per-step history for the blow-up fit, whatever the recorded times are
-    step_t, step_n = [t], [_norm(y)]
     n_acc = n_rej = 0
     fp_count = 0
     blow = None
@@ -198,8 +197,8 @@ def integrate(field_fn, x0, horizon: float, config: IntegratorConfig | None = No
     rel_tol, abs_tol = cfg.rel_tol, cfg.abs_tol
 
     while event is None and t < horizon:
-        if n_acc + n_rej >= cfg.max_steps:
-            raise RuntimeError(f"max_steps={cfg.max_steps} exceeded at t={t:g}")
+        if n_acc + n_rej >= _MAX_STEPS:
+            raise RuntimeError(f"max_steps={_MAX_STEPS} exceeded at t={t:g}")
         h = min(h, horizon - t)
         final_step = h >= horizon - t
         if h < 16 * _EPS * max(abs(t), 1.0):
@@ -241,10 +240,6 @@ def integrate(field_fn, x0, horizon: float, config: IntegratorConfig | None = No
         facold = max(err, 1e-4)
         rejected_last = nonfinite_last = False
 
-        ny = _norm(y)
-        step_t.append(t)
-        step_n.append(ny)
-
         if samples is None:
             record(t, y)
         else:
@@ -255,9 +250,9 @@ def integrate(field_fn, x0, horizon: float, config: IntegratorConfig | None = No
                 record(samples[s_ptr], y_old + h_old * (q @ p))
                 s_ptr += 1
 
-        if ny > cfg.blowup_norm:
+        if _norm(y) > _BLOWUP_NORM:
             event = BLOWUP
-            blow = estimate_blowup_time(np.array(step_t), np.array(step_n))
+            blow = _blowup_time(field_fn, t, y, f)
         elif cfg.fixedpoint_norm > 0:
             fp_count = fp_count + 1 if _norm(f) < cfg.fixedpoint_norm else 0
             if fp_count >= _FIXEDPOINT_SUSTAIN:
@@ -275,37 +270,18 @@ def integrate(field_fn, x0, horizon: float, config: IntegratorConfig | None = No
     )
 
 
-def estimate_blowup_time(times: np.ndarray, norms: np.ndarray) -> BlowupFit:
-    """Fit |state| ~ C (T - t)^(-p) over the last decade of growth and report T.
+def _blowup_time(field_fn, t, y, f) -> BlowupFit:
+    """Extinction time from the state y at time t, where f = field_fn(y).
 
-    The exponent and T are found by profile least squares: for each candidate
-    T the model is linear in log(T - t), and T minimizes the fit residual.
+    For a field homogeneous of degree q > 1, a self-similar solution
+    |y| ~ (T - t)^(-1/(q-1)) has T - t = |y|^2 / ((q - 1) <f(y), y>).  One
+    more field call measures q from <f(2y), y> = 2^q <f(y), y>, which is exact
+    for polynomial fields.  <f, y> <= 0 or q <= 1 means no finite-time
+    blow-up: T = inf.
     """
-    times = np.asarray(times, dtype=float)
-    norms = np.asarray(norms, dtype=float)
-    mask = norms >= norms[-1] / 10.0
-    if mask.sum() < 4:
-        mask = np.zeros_like(mask)
-        mask[-min(4, len(norms)) :] = True
-    ts, ns = times[mask], norms[mask]
-    t_end = times[-1]
-    logn = np.log(ns)
-
-    # first-guess distance to blow-up from the terminal logarithmic slope
-    q = (logn[-1] - logn[-2]) / max(ts[-1] - ts[-2], np.finfo(float).tiny)
-    u0 = max(1.0 / max(q, np.finfo(float).tiny), 1e3 * np.finfo(float).eps * max(abs(t_end), 1.0))
-
-    def resid(log_u):
-        u = np.exp(log_u)
-        x = np.log(u + (t_end - ts))
-        a = np.vstack([np.ones_like(x), -x]).T
-        coef, *_ = np.linalg.lstsq(a, logn, rcond=None)
-        return _rms(a @ coef - logn), coef[1]
-
-    grid = np.log(u0) + np.linspace(-14, 7, 64)
-    vals = [resid(g)[0] for g in grid]
-    g0 = grid[int(np.argmin(vals))]
-    res = minimize_scalar(lambda g: resid(g)[0], bracket=(g0 - 1.0, g0, g0 + 1.0))
-    g_best = float(res.x) if res.success else g0
-    r_best, p_best = resid(g_best)
-    return BlowupFit(t_est=t_end + float(np.exp(g_best)), exponent=float(p_best), fit_residual=r_best)
+    g = float(f.dot(y))
+    ratio = float(field_fn(2.0 * y).dot(y)) / g if g > 0 else 0.0
+    q = math.log2(ratio) if ratio > 2.0 else 1.0  # also catches a NaN ratio
+    if q <= 1.0:
+        return BlowupFit(t_est=math.inf, exponent=math.inf)
+    return BlowupFit(t_est=t + float(y.dot(y)) / ((q - 1.0) * g), exponent=1.0 / (q - 1.0))

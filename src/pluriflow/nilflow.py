@@ -52,6 +52,7 @@ _SQRT2 = np.sqrt(2.0)
 _SPLIT_TOL = 1e-9  # relative 2-step and absolute J-invariance tolerance of the splitting
 _GRAD_FD_STEP = 1e-6  # central-difference step of gradient_equivalence_check
 _REFINE_ITERATIONS = 25
+_FIXEDPOINT_NORM = 1e-10  # absolute |field| below which a unit-norm run ends on FIXED_POINT
 _REFINE_TOL = 1e-13  # |field| plus sphere defect at which refine_fixed_point stops
 
 
@@ -289,12 +290,12 @@ def integrate_nil_flow(
     if normalization not in ("none", "unit_norm"):
         raise ValueError(f"unknown normalization {normalization!r}")
     normalized = normalization == "unit_norm"
-    cfg = config or engine.IntegratorConfig(fixedpoint_norm=1e-10 if normalized else 0.0)
+    cfg = config or engine.IntegratorConfig()
     flow = NilFlow(split, normalized=normalized)
     x0 = flow.encode(mu0)
     if normalized:
         x0 = x0 / np.linalg.norm(x0)
-        cfg = replace(cfg, conserve_norm=1.0)
+        cfg = replace(cfg, conserve_norm=1.0, fixedpoint_norm=_FIXEDPOINT_NORM)
     raw = engine.integrate(flow.field, x0, horizon, cfg)
     return NilTrajectory(flow, raw)
 

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from pluriflow import almostabelian as aa
@@ -74,6 +76,19 @@ def test_skt_verdict_generic_and_constructed(rng):
         if not aa.skt_verdict(random_generic_almost_abelian(rng, m=6)).is_skt:
             bad += 1
     assert bad == 25
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), m=st.sampled_from([2, 4, 8, 16]))
+def test_k_counts_eigenvalues_on_sampled_data(seed, m):
+    # when a = 0, sym(A) is roundoff alone and must not count as rank
+    data = random_skt_almost_abelian(np.random.default_rng(seed), m=m, allow_zero_a=True)
+    re = np.linalg.eigvals(data.A).real
+    tol = 1e-7 * max(1.0, abs(data.a), float(np.linalg.norm(data.A)))
+    want = int(np.sum(np.abs(re + data.a / 2) <= tol)) // 2 if data.a != 0.0 else 0
+    assert aa.skt_verdict(data).k == want
+    if data.a == 0.0:
+        assert aa.classify(data).table_case == "i"
 
 
 def test_trace_relation_for_skt(rng):
@@ -215,7 +230,7 @@ def test_s_matrix_bound(rng):
 def test_integrate_blowup(shrink):
     traj = aa.integrate_reduced_flow(shrink, aa.UNNORMALIZED, 1.0)
     assert traj.raw.terminal_event == engine.BLOWUP
-    assert abs(traj.raw.blowup.t_est - 0.5) < 1e-3
+    assert abs(traj.raw.blowup.t_est - 0.5) < 1e-9
     d = traj.diagnostics()
     assert d["skt_residual"].max() < 1e-8
     assert d["normality_defect"].max() < 1e-9

@@ -98,7 +98,7 @@ def test_flow_blowup_summary(tmp_path):
     )
     assert out.returncode == 0
     assert "BLOWUP" in out.stderr
-    assert "T_est=0.5000" in out.stderr
+    assert "T_est=0.500000000" in out.stderr
     header = (tmp_path / "t.csv").read_text().splitlines()[0]
     assert header == "t,a,v_norm,A_norm,c,skt_residual,normality_defect"
 

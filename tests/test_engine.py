@@ -63,10 +63,10 @@ def test_nan_field_rejected_not_accepted():
     assert 0.5 - 1e-9 < traj.final_state[0] <= 0.5
 
 
-def test_max_steps_raises():
-    cfg = engine.IntegratorConfig(max_steps=5)
+def test_max_steps_raises(monkeypatch):
+    monkeypatch.setattr(engine, "_MAX_STEPS", 5)
     with pytest.raises(RuntimeError):
-        engine.integrate(lambda y: np.sin(y) + 1.2, np.array([0.0]), 1e6, cfg)
+        engine.integrate(lambda y: np.sin(y) + 1.2, np.array([0.0]), 1e6)
 
 
 def test_convergence_order_is_five():
@@ -130,13 +130,18 @@ def test_invalid_config_rejected():
         engine.IntegratorConfig(rel_tol=0.0)
 
 
-def test_blowup_fit_on_square_root_profile():
-    # |y| = (T - t)^(-1/2): the exponent the bracket flows produce
-    ts = np.linspace(0.0, 0.49995, 400)
-    norms = (0.5 - ts) ** -0.5
-    fit = engine.estimate_blowup_time(ts, norms)
-    assert abs(fit.t_est - 0.5) < 1e-6
-    assert abs(fit.exponent - 0.5) < 1e-3
+def test_blowup_time_of_cubic_growth():
+    # y' = y^3 from 1: |y| = (1 - 2t)^(-1/2), the exponent the bracket flows produce
+    traj = engine.integrate(lambda y: y**3, np.array([1.0]), 10.0)
+    assert traj.terminal_event == engine.BLOWUP
+    assert abs(traj.blowup.t_est - 0.5) < 1e-9
+    assert traj.blowup.exponent == 0.5
+
+
+def test_linear_growth_has_no_blowup_time():
+    traj = engine.integrate(lambda y: y, np.array([1.0]), 100.0)
+    assert traj.terminal_event == engine.BLOWUP
+    assert traj.blowup.t_est == np.inf
 
 
 def test_states_do_not_alias_the_callers_x0():
