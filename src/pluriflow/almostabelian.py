@@ -440,9 +440,6 @@ class ReducedTrajectory:
     def times(self):
         return self.raw.times
 
-    def data_at(self, idx: int) -> AlmostAbelianData:
-        return self.data0.from_state(self.raw.states[idx])
-
     def diagnostics(self) -> dict:
         """Columns: t, a, v_norm, A_norm, c, skt_residual, normality_defect.
 

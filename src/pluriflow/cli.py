@@ -172,8 +172,10 @@ def _sweep_one(name: str) -> tuple:
 
 def cmd_sweep(args) -> int:
     names = catalog.catalog_names()
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    workers = min(args.jobs, len(names))
+    if workers > 1:
+        # a fork-based pool starts all max_workers processes at its first submit
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = dict(pool.map(_sweep_one, names))
     else:
         results = dict(map(_sweep_one, names))
@@ -193,14 +195,14 @@ def _positive(text: str) -> float:
     return x
 
 
-def _count(text: str) -> int:
-    """argparse type: an integer >= 0."""
+def _count(text: str, low: int = 0) -> int:
+    """argparse type: an integer >= low."""
     try:
         n = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
-    if n < 0:
-        raise argparse.ArgumentTypeError(f"must not be negative: {text!r}")
+    if n < low:
+        raise argparse.ArgumentTypeError(f"must be at least {low}: {text!r}")
     return n
 
 
@@ -233,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.set_defaults(fn=cmd_catalog)
 
     s = sub.add_parser("sweep", help="run checks over the whole catalog")
-    s.add_argument("--jobs", type=int, default=1)
+    s.add_argument("--jobs", type=lambda text: _count(text, 1), default=1, help="worker processes (at most one per catalog entry)")
     s.set_defaults(fn=cmd_sweep)
     return p
 

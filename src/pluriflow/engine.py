@@ -2,9 +2,12 @@
 
 Dormand-Prince 5(4) embedded pair with PI step-size control, quartic dense
 output, and terminal-event detection (horizon, fixed point, blow-up with its
-extinction time in closed form, step underflow, non-finite field).  The
-engine is dimension-agnostic: clients encode their state as a flat real
-vector and own the decoding.
+extinction time in closed form, step underflow, non-finite field).  A trial
+step makes six field calls (first same as last), and a retry after a
+rejected trial starts from the field at the current state.  There is no
+norm-conserving option: a flow keeps a norm through a field tangent to its
+sphere.  The engine is dimension-agnostic: clients encode their state as a
+flat real vector and own the decoding.
 """
 
 from __future__ import annotations
@@ -33,8 +36,8 @@ BLOWUP = "BLOWUP"
 STEP_UNDERFLOW = "STEP_UNDERFLOW"
 NONFINITE = "NONFINITE"  # the step size collapsed right after a trial with a non-finite error
 
-# Dormand-Prince 5(4) tableau (FSAL, 7 stages).
-_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
+# Dormand-Prince 5(4) tableau (FSAL, 7 stages; the fields are autonomous, so
+# the stage times are not needed).  _A[6] holds the fifth-order weights.
 _A = [
     np.array([]),
     np.array([1 / 5]),
@@ -44,7 +47,6 @@ _A = [
     np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
     np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
 ]
-_B = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
 _E = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40])
 # Quartic dense-output polynomial coefficients (Shampine's interpolant).
 _P = np.array(
@@ -79,7 +81,6 @@ class IntegratorConfig:
     abs_tol: float = 1e-12
     fixedpoint_norm: float = 0.0  # 0 disables fixed-point detection
     sample_times: np.ndarray | None = None
-    conserve_norm: float | None = None  # renormalize |y| to this value each accepted step
 
     def __post_init__(self):
         if self.rel_tol <= 0 or self.abs_tol <= 0:
@@ -149,15 +150,15 @@ def _initial_step(field_fn, x0, f0, rel_tol, abs_tol, horizon):
 def _dopri_step(field_fn, y, f, h, k):
     """One Dormand-Prince trial step of size h from y, where f = field_fn(y).
 
-    Fills the stages k (7, n) in place, k[6] being the field at the returned
-    fifth-order end point (FSAL).
+    Fills the stages k (7, n) in place with six field calls.  The last stage
+    is taken at the fifth-order end point, which is returned, so k[6] is the
+    field there (FSAL).
     """
     k[0] = f
     kt = k.T
     for s in range(1, 7):
-        k[s] = field_fn(y + h * kt[:, :s].dot(_A[s]))
-    y1 = y + h * kt.dot(_B)
-    k[6] = field_fn(y1)
+        y1 = y + h * kt[:, :s].dot(_A[s])
+        k[s] = field_fn(y1)
     return y1
 
 
@@ -223,12 +224,7 @@ def integrate(field_fn, x0, horizon: float, config: IntegratorConfig | None = No
         t_old, y_old, h_old = t, y, h
         t = horizon if final_step else t_old + h_old
         y = y1
-        f = k[6]
-        if cfg.conserve_norm is not None:
-            ny = _norm(y)
-            if ny > 0:
-                y = y * (cfg.conserve_norm / ny)
-            f = field_fn(y)
+        f = k[6].copy()  # a rejected next trial overwrites k[6]; its retry starts from f
 
         if err == 0.0:
             factor = _MAX_FACTOR

@@ -295,7 +295,7 @@ def integrate_nil_flow(
     x0 = flow.encode(mu0)
     if normalized:
         x0 = x0 / np.linalg.norm(x0)
-        cfg = replace(cfg, conserve_norm=1.0, fixedpoint_norm=_FIXEDPOINT_NORM)
+        cfg = replace(cfg, fixedpoint_norm=_FIXEDPOINT_NORM)
     raw = engine.integrate(flow.field, x0, horizon, cfg)
     return NilTrajectory(flow, raw)
 

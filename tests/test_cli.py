@@ -8,7 +8,7 @@ import pytest
 
 from pluriflow import almostabelian as aa
 from pluriflow import cli
-from pluriflow.catalog import get_entry
+from pluriflow.catalog import catalog_names, get_entry
 from pluriflow.serialize import dumps_json, format_float, write_csv
 
 
@@ -150,6 +150,40 @@ def test_sweep_order_independent_of_jobs():
     b = run_cli(["sweep", "--jobs", "2"])
     assert a.returncode == 0 and b.returncode == 0
     assert a.stdout == b.stdout
+
+
+def test_sweep_jobs_must_be_a_positive_integer(capsys):
+    for bad in ("0", "-2", "1.5"):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["sweep", "--jobs", bad])
+        assert exc.value.code == 2, bad
+        assert "argument --jobs" in capsys.readouterr().err
+
+
+def test_sweep_pool_is_no_larger_than_the_catalog(monkeypatch, capsys):
+    sizes = []
+
+    class RecordingPool:  # records max_workers and maps in-process: no worker starts
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    n = len(catalog_names())
+    assert cli.main(["sweep", "--jobs", "1"]) == 0
+    serial = capsys.readouterr().out
+    assert sizes == []
+    assert cli.main(["sweep", "--jobs", "100000"]) == 0
+    assert sizes == [n]
+    assert capsys.readouterr().out == serial
 
 
 def test_catalog_listing():

@@ -168,6 +168,16 @@ def test_unit_norm_flow_converges_to_soliton(rng):
     assert d["F"][0] - d["F"][-1] > 0.1  # strict decrease away from fixed points
 
 
+def test_unit_norm_flow_stays_on_the_sphere(rng):
+    # no renormalization: the unit-norm field is tangent to the sphere, and
+    # its integration error keeps the norm and tr P = -|mu|^2/2 to roundoff
+    mu, frame = random_two_step_skt(rng, blocks=3, dim_z=4)
+    traj = nf.integrate_nil_flow(mu, frame, 1e3, "unit_norm")
+    assert traj.raw.terminal_event == engine.FIXED_POINT
+    assert np.abs(np.linalg.norm(traj.raw.states, axis=1) - 1.0).max() <= 1e-10
+    assert np.abs(traj.diagnostics()["tr_P"] + 0.5).max() <= 1e-9
+
+
 def test_gradient_equivalence(rng):
     mu, frame = random_two_step_skt(rng, blocks=2, dim_z=2)
     x = mu.to_coords()
