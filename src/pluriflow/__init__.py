@@ -47,10 +47,8 @@ from .almostabelian import (
     gauge_matrix,
     hermitian_frame,
     integrate_reduced_flow,
-    normalized_vector_field,
     p_components,
     p_matrix,
-    reduced_vector_field,
     self_similar_deviation,
     skt_verdict,
     soliton_certificate,

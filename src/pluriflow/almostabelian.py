@@ -18,7 +18,6 @@ with c = (k/4 - 1/2) a^2 - |v|^2 / 2, S = (k/4 - 1/2) a^2 Id - A A^t / 2
 from __future__ import annotations
 
 import enum
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,8 +43,6 @@ __all__ = [
     "p_matrix",
     "gauge_matrix",
     "ReducedFlow",
-    "reduced_vector_field",
-    "normalized_vector_field",
     "eigencomponent_dynamics",
     "integrate_reduced_flow",
     "ReducedTrajectory",
@@ -158,10 +155,6 @@ class AlmostAbelianData:
                 raise ValueError(f"unknown J1 spec {j1!r}")
             j1 = HermitianFrame.antidiagonal(v.size).J
         return cls(float(obj["a"]), v, A, np.asarray(j1, dtype=float))
-
-    @classmethod
-    def from_json(cls, text: str) -> "AlmostAbelianData":
-        return cls.from_json_dict(json.loads(text))
 
 
 def build_bracket(data: AlmostAbelianData) -> LieBracket:
@@ -377,24 +370,6 @@ class ReducedFlow:
         out = c * x  # a' = c a and A' = c A; v' is written over its slice
         out[1 : 1 + m] = _v_dot(_s_matrix(a, x[1 + m :].reshape(m, m), self.k), v, vv, c)
         return out
-
-
-def reduced_vector_field(data: AlmostAbelianData, k: int | None = None) -> tuple:
-    """(a', v', A') of the reduced flow at the given state."""
-    if k is None:
-        k = skt_multiplicity_k(data.a, data.A)[0]
-    a, v, A = data.a, data.v, data.A
-    vv = float(v @ v)
-    c = _c_scalar(k, a, vv)
-    return c * a, _v_dot(_s_matrix(a, A, k), v, vv, c), c * A
-
-
-def normalized_vector_field(data: AlmostAbelianData, k: int | None = None) -> tuple:
-    """(0, v', 0) of the a- and A-preserving normalization of the reduced flow."""
-    if k is None:
-        k = skt_multiplicity_k(data.a, data.A)[0]
-    v = data.v
-    return 0.0, _v_dot(_s_matrix(data.a, data.A, k), v, float(v @ v)), np.zeros_like(data.A)
 
 
 def eigencomponent_dynamics(data: AlmostAbelianData, k: int | None = None, gap_rtol: float = 1e-8):

@@ -8,7 +8,6 @@ Lie-algebra actions on brackets are written against it.
 from __future__ import annotations
 
 import enum
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -92,12 +91,6 @@ class LieBracket:
     def __call__(self, x, y):
         return bracket_eval(self, x, y)
 
-    def norm(self, convention: InnerProductConvention = DEFAULT_CONVENTION) -> float:
-        return bracket_norm(self, convention)
-
-    def is_zero(self, tol: float = 0.0) -> bool:
-        return np.abs(self.coeffs).max() <= tol
-
     # --- isometric flat coordinates -------------------------------------
     # Coordinates in which the Euclidean norm equals the ORDERED_PAIRS norm
     # on bracket space: the dense counterpart of the j-map state of
@@ -144,10 +137,6 @@ class LieBracket:
                 raise ValueError(f"entry index k={k} out of range")
             entries.append((i - 1, j - 1, k - 1, c))
         return cls.from_entries(dim, entries)
-
-    @classmethod
-    def from_json(cls, text: str) -> "LieBracket":
-        return cls.from_json_dict(json.loads(text))
 
 
 def bracket_eval(mu: LieBracket, x, y) -> np.ndarray:

@@ -6,7 +6,6 @@ import argparse
 import json
 import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -99,16 +98,16 @@ def _check_nilpotent(mu: LieBracket, frame: HermitianFrame, tol: float) -> dict:
     return out
 
 
-def cmd_check(args) -> int:
-    kind, data = _load_input(args.input)
+def _check(kind: str, data, tol: float) -> dict:
     if kind == "almost_abelian":
-        out = _check_almost_abelian(data, args.tol)
-        is_skt = out["skt"]["is_skt"]
-    else:
-        out = _check_nilpotent(*data, args.tol)
-        is_skt = out["skt"]["is_skt"]
+        return _check_almost_abelian(data, tol)
+    return _check_nilpotent(*data, tol)
+
+
+def cmd_check(args) -> int:
+    out = _check(*_load_input(args.input), args.tol)
     sys.stdout.write(dumps_json({"input": args.input, **out}))
-    if args.require_skt and not is_skt:
+    if args.require_skt and not out["skt"]["is_skt"]:
         return 2
     return 0
 
@@ -161,25 +160,11 @@ def cmd_catalog(args) -> int:
     return 0
 
 
-def _sweep_one(name: str) -> tuple:
-    entry = catalog.get_entry(name)
-    if entry.kind == "almost_abelian":
-        out = _check_almost_abelian(entry.data, _CHECK_TOL)
-    else:
-        out = _check_nilpotent(*entry.data, _CHECK_TOL)
-    return name, out
-
-
 def cmd_sweep(args) -> int:
-    names = catalog.catalog_names()
-    workers = min(args.jobs, len(names))
-    if workers > 1:
-        # a fork-based pool starts all max_workers processes at its first submit
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = dict(pool.map(_sweep_one, names))
-    else:
-        results = dict(map(_sweep_one, names))
-    out = {name: results[name] for name in names}  # deterministic order
+    out = {}
+    for name in catalog.catalog_names():
+        entry = catalog.get_entry(name)
+        out[name] = _check(entry.kind, entry.data, _CHECK_TOL)
     sys.stdout.write(dumps_json(out))
     return 0
 
@@ -195,14 +180,14 @@ def _positive(text: str) -> float:
     return x
 
 
-def _count(text: str, low: int = 0) -> int:
-    """argparse type: an integer >= low."""
+def _count(text: str) -> int:
+    """argparse type: an integer >= 0."""
     try:
         n = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
-    if n < low:
-        raise argparse.ArgumentTypeError(f"must be at least {low}: {text!r}")
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0: {text!r}")
     return n
 
 
@@ -235,7 +220,6 @@ def build_parser() -> argparse.ArgumentParser:
     g.set_defaults(fn=cmd_catalog)
 
     s = sub.add_parser("sweep", help="run checks over the whole catalog")
-    s.add_argument("--jobs", type=lambda text: _count(text, 1), default=1, help="worker processes (at most one per catalog entry)")
     s.set_defaults(fn=cmd_sweep)
     return p
 

@@ -28,7 +28,7 @@ from .brackets import (
     nullspace,
     soliton_decomposition,
 )
-from .hermitian import HermitianFrame, bismut_ricci_endomorphism, skt_residual
+from .hermitian import HermitianFrame, skt_residual
 
 __all__ = [
     "NilpotentSplitting",
@@ -120,9 +120,6 @@ class NilpotentSplitting:
     @property
     def dim_v(self) -> int:
         return self.v_basis.shape[1]
-
-    def with_bracket(self, mu: LieBracket) -> "NilpotentSplitting":
-        return NilpotentSplitting(mu, self.frame, self.v_basis, self.z_basis)
 
 
 def p_endomorphism_nil(split: NilpotentSplitting, mu: LieBracket | None = None) -> np.ndarray:
@@ -310,7 +307,7 @@ def gradient_equivalence_check(nu: LieBracket, split: NilpotentSplitting) -> dic
     """
     if abs(bracket_norm(nu) - 1.0) > 1e-9:
         raise ValueError("gradient check expects a unit-norm bracket")
-    flow = NilFlow(split.with_bracket(nu), normalized=True)
+    flow = NilFlow(split, normalized=True)
     x = flow.encode(nu)
     fld = flow.field(x)
 
@@ -350,15 +347,11 @@ def gradient_equivalence_check(nu: LieBracket, split: NilpotentSplitting) -> dic
 
 
 def soliton_limit_certificate(
-    nu: LieBracket, frame: HermitianFrame, split: NilpotentSplitting | None = None
+    nu: LieBracket, frame: HermitianFrame, split: NilpotentSplitting
 ) -> NilSolitonCertificate:
-    """Certificate that nu is an algebraic pluriclosed soliton.
-
-    P is the nilpotent projected-Ricci form when a splitting is given,
-    otherwise the general Bismut-Ricci pipeline.
-    """
-    p = p_endomorphism_nil(split, nu) if split is not None else bismut_ricci_endomorphism(nu, frame)
-    return soliton_decomposition(p, nu, frame.J)
+    """Certificate that nu is an algebraic pluriclosed soliton, with P the
+    nilpotent projected-Ricci form of nu on the splitting."""
+    return soliton_decomposition(p_endomorphism_nil(split, nu), nu, frame.J)
 
 
 def refine_fixed_point(flow: NilFlow, x0: np.ndarray) -> np.ndarray:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ import numpy as np
 __all__ = ["format_float", "dumps_json", "write_csv"]
 
 _INDENT = 2  # spaces per nesting level of dumps_json
+_string = json.JSONEncoder(ensure_ascii=False).encode  # json.dumps(s, ensure_ascii=False), one encoder
 
 
 def format_float(x: float) -> str:
@@ -35,7 +37,7 @@ def _emit(obj, level):
         yield "{\n"
         items = list(obj.items())
         for i, (k, v) in enumerate(items):
-            yield f'{pad_in}"{k}": '
+            yield pad_in + _string(str(k)) + ": "
             yield from _emit(v, level + 1)
             yield ",\n" if i + 1 < len(items) else "\n"
         yield pad + "}"
@@ -61,7 +63,7 @@ def _emit(obj, level):
     elif isinstance(obj, (float, np.floating)):
         yield format_float(float(obj))
     elif isinstance(obj, str):
-        yield '"' + obj.replace("\\", "\\\\").replace('"', '\\"') + '"'
+        yield _string(obj)
     else:
         raise TypeError(f"cannot serialize {type(obj)!r}")
 

@@ -158,13 +158,13 @@ def table_one_representatives() -> dict:
     return reps
 
 
-def classify_unnormalized_limit(data, horizon: float = 1e3):
+def classify_unnormalized_limit(data):
     """(label, trajectory): label in {'ZERO', 'NONZERO', 'BLOWUP'}.
 
-    The finite/infinite proxy is the given horizon; power-law decay toward
+    The finite/infinite proxy is TABLE1_HORIZON; power-law decay toward
     zero is resolved by extending the run far beyond it.
     """
-    traj = aa.integrate_reduced_flow(data, aa.UNNORMALIZED, horizon)
+    traj = aa.integrate_reduced_flow(data, aa.UNNORMALIZED, TABLE1_HORIZON)
     if traj.raw.terminal_event == engine.BLOWUP:
         return "BLOWUP", traj
     label = _limit_label(traj)
@@ -209,7 +209,7 @@ def suite_table1() -> dict:
     ok = True
     for case, data in table_one_representatives().items():
         report = aa.classify(data)
-        limit, traj = classify_unnormalized_limit(data, TABLE1_HORIZON)
+        limit, traj = classify_unnormalized_limit(data)
         t_obs = "FINITE" if traj.raw.terminal_event == engine.BLOWUP else "INFINITE"
 
         ntraj = aa.integrate_reduced_flow(data, aa.A_NORM_FIXED, TABLE1_NORM_HORIZON)

@@ -134,21 +134,25 @@ def test_gauge_matrix_properties(sab, rng):
         assert np.abs(u @ j - j @ u).max() < 1e-12
 
 
+def _field(data, mode=aa.UNNORMALIZED):
+    """(a', v', A') of the reduced flow in the given mode at data."""
+    return aa.AlmostAbelianData.state_split(data.m, aa.ReducedFlow(data, mode).field(data.to_state()))
+
+
 def test_reduced_field_fixed_points_and_scaling(steady, shrink):
-    da, dv, dA = aa.reduced_vector_field(steady)
+    da, dv, dA = _field(steady)
     assert abs(da) == 0.0 and np.abs(dv).max() < 1e-15 and np.abs(dA).max() == 0.0
-    da, dv, dA = aa.reduced_vector_field(shrink)
+    da, dv, dA = _field(shrink)
     assert abs(da - shrink.a**3 / 4.0) < 1e-14
     assert_allclose(dA, (shrink.a**2 / 4.0) * shrink.A)
 
 
 def test_reduced_field_cubic_homogeneity(rng):
     data = random_skt_almost_abelian(rng, m=4)
-    k = aa.skt_verdict(data).k
     s = 1.7
     scaled = data.replace(a=s * data.a, v=s * data.v, A=s * data.A)
-    f1 = np.concatenate([np.atleast_1d(x).ravel() for x in aa.reduced_vector_field(data, k)])
-    f2 = np.concatenate([np.atleast_1d(x).ravel() for x in aa.reduced_vector_field(scaled, k)])
+    f1 = aa.ReducedFlow(data).field(data.to_state())
+    f2 = aa.ReducedFlow(scaled).field(scaled.to_state())
     assert np.abs(f2 - s**3 * f1).max() < 1e-10
 
 
@@ -161,36 +165,26 @@ def test_full_field_matches_reduced_field(rng):
         p = aa.p_matrix(data, aa.p_components(data, k))
         u = aa.gauge_matrix(data)
         full = LieBracket(-infinitesimal_action(p - u, mu).coeffs)
-        da, dv, dA = aa.reduced_vector_field(data, k)
+        da, dv, dA = _field(data)
         derivative = aa.build_bracket(aa.AlmostAbelianData(da, dv, dA, data.J1))
         assert np.abs(full.coeffs - derivative.coeffs).max() < 1e-10
 
 
 def test_normalized_field(sab, rng):
-    assert np.abs(aa.normalized_vector_field(sab)[1]).max() == 0.0  # v = 0
+    assert np.abs(_field(sab, aa.A_NORM_FIXED)[1]).max() == 0.0  # v = 0
     data = random_skt_almost_abelian(rng, m=4)
     k = aa.skt_verdict(data).k
-    _, dv_n, _ = aa.normalized_vector_field(data, k)
-    da, dv, dA = aa.reduced_vector_field(data, k)
+    _, dv_n, _ = _field(data, aa.A_NORM_FIXED)
+    da, dv, dA = _field(data)
     c = aa.p_components(data, k).c
     assert np.abs(dv_n - (dv - c * data.v)).max() < 1e-12
     assert np.abs(da - c * data.a) < 1e-12
     assert np.abs(dA - c * data.A).max() < 1e-12
 
 
-def test_reduced_flow_field_matches_vector_fields(rng):
-    for _ in range(5):
-        data = random_skt_almost_abelian(rng, m=6)
-        k = aa.skt_verdict(data).k
-        x = data.to_state()
-        for mode, vector_field in ((aa.UNNORMALIZED, aa.reduced_vector_field), (aa.A_NORM_FIXED, aa.normalized_vector_field)):
-            want = np.concatenate([np.atleast_1d(f).ravel() for f in vector_field(data, k)])
-            assert np.array_equal(aa.ReducedFlow(data, mode).field(x), want)
-
-
 def test_normalized_field_soliton_fixed_point(steady):
     # v is an eigenvector of S with eigenvalue |v|^2 / 2
-    _, dv, _ = aa.normalized_vector_field(steady)
+    _, dv, _ = _field(steady, aa.A_NORM_FIXED)
     assert np.abs(dv).max() < 1e-14
 
 

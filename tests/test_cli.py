@@ -145,45 +145,15 @@ def test_cli_determinism():
     assert a.stdout == b.stdout
 
 
-def test_sweep_order_independent_of_jobs():
-    a = run_cli(["sweep", "--jobs", "1"])
-    b = run_cli(["sweep", "--jobs", "2"])
-    assert a.returncode == 0 and b.returncode == 0
-    assert a.stdout == b.stdout
-
-
-def test_sweep_jobs_must_be_a_positive_integer(capsys):
-    for bad in ("0", "-2", "1.5"):
-        with pytest.raises(SystemExit) as exc:
-            cli.main(["sweep", "--jobs", bad])
-        assert exc.value.code == 2, bad
-        assert "argument --jobs" in capsys.readouterr().err
-
-
-def test_sweep_pool_is_no_larger_than_the_catalog(monkeypatch, capsys):
-    sizes = []
-
-    class RecordingPool:  # records max_workers and maps in-process: no worker starts
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return map(fn, items)
-
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
-    n = len(catalog_names())
-    assert cli.main(["sweep", "--jobs", "1"]) == 0
-    serial = capsys.readouterr().out
-    assert sizes == []
-    assert cli.main(["sweep", "--jobs", "100000"]) == 0
-    assert sizes == [n]
-    assert capsys.readouterr().out == serial
+def test_sweep_entries_match_check(capsys):
+    assert cli.main(["sweep"]) == 0
+    sweep = json.loads(capsys.readouterr().out)
+    assert list(sweep) == catalog_names()
+    for name in catalog_names():
+        assert cli.main(["check", f"catalog:{name}"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc.pop("input") == f"catalog:{name}"
+        assert dumps_json(doc) == dumps_json(sweep[name]), name
 
 
 def test_catalog_listing():
@@ -212,6 +182,22 @@ def test_dumps_json_stable():
     assert dumps_json(doc) == dumps_json(doc)
     parsed = json.loads(dumps_json(doc))
     assert parsed == {"b": [1.0, 2.5], "a": {"x": True, "y": None}}
+
+
+def test_dumps_json_escapes_strings_and_keys():
+    text = 'a\nb\tc "q" back\\slash \u00e9\u03bc\u2603'
+    doc = {text: [text, {"k": text}], "plain": "x"}
+    out = dumps_json(doc)
+    assert json.loads(out) == doc
+    assert "\u00e9\u03bc\u2603" in out  # non-ASCII text is written as is
+    assert dumps_json({"a": "b"}) == '{\n  "a": "b"\n}\n'
+
+
+def test_check_on_a_path_with_a_tab(tmp_path, capsys):
+    path = tmp_path / "in\tput.json"
+    path.write_text(json.dumps(get_entry("steady10").data.to_json_dict()))
+    assert cli.main(["check", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["input"] == str(path)
 
 
 def test_write_csv_special_values_and_column_types():

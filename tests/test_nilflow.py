@@ -195,13 +195,6 @@ def test_gradient_equivalence_requires_unit_norm(rng):
         nf.gradient_equivalence_check(mu, split)
 
 
-def test_soliton_certificate_abelian():
-    cert = nf.soliton_limit_certificate(LieBracket.zero(4), HermitianFrame.pairwise(4))
-    assert cert.alpha == 0.0
-    assert np.abs(cert.derivation).max() < 1e-12
-    assert cert.residual < 1e-12
-
-
 def test_non_soliton_has_large_residual(rng):
     # a genuinely flowing initial state is not an algebraic soliton
     mu, frame = random_two_step_skt(rng, blocks=2, dim_z=2)
