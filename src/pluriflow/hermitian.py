@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .brackets import LieBracket, frobenius_norm
+from .brackets import LieBracket, bracket_inner_product, frobenius_norm
 
 __all__ = [
     "HermitianFrame",
@@ -120,9 +120,14 @@ def skt_residual(mu: LieBracket, frame: HermitianFrame) -> float:
 
 
 def is_skt_general(mu: LieBracket, frame: HermitianFrame, tol: float = 1e-9):
-    """(is_skt, residual) with residual the max coefficient of d(c)."""
+    """(is_skt, residual) with residual the max coefficient of d(c).
+
+    d(c) is quadratic in the bracket, so the verdict compares residual / |mu|^2
+    (ordered-pair norm) with tol; the zero bracket is pluriclosed.
+    """
     r = skt_residual(mu, frame)
-    return r < tol, r
+    n2 = bracket_inner_product(mu, mu)
+    return (n2 == 0.0 or r / n2 < tol), r
 
 
 def skt_closure_residual(a, A: np.ndarray):

@@ -12,6 +12,7 @@ as its oracles.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import combinations
 
 import numpy as np
 
@@ -28,7 +29,7 @@ from .brackets import (
     nullspace,
     soliton_decomposition,
 )
-from .hermitian import HermitianFrame, skt_residual
+from .hermitian import HermitianFrame
 
 __all__ = [
     "NilpotentSplitting",
@@ -54,6 +55,10 @@ _GRAD_FD_STEP = 1e-6  # central-difference step of gradient_equivalence_check
 _REFINE_ITERATIONS = 25
 _FIXEDPOINT_NORM = 1e-10  # absolute |field| below which a unit-norm run ends on FIXED_POINT
 _REFINE_TOL = 1e-13  # |field| plus sphere defect at which refine_fixed_point stops
+_SKT_TOL = 1e-8  # scale-normalized SKT residual from which integrate_nil_flow refuses x0
+# NilFlow.skt_residual works on this many states at a time, which keeps its
+# pair matrices near 2 MB at d = 14.
+_SKT_CHUNK = 32
 
 
 def ricci_endomorphism(mu: LieBracket) -> np.ndarray:
@@ -236,6 +241,47 @@ class NilFlow:
             out = engine.normalize_projection(out, x)
         return out
 
+    def skt_residual(self, states: np.ndarray) -> np.ndarray:
+        """Max coefficient of d(c) over |x|^2 for each state of a stack (..., n).
+
+        Equal to hermitian.skt_residual of the decoded bracket over its squared
+        norm, and 0 for the zero state.  On a 2-step algebra with J z = z the
+        only non-zero part of the torsion is c(z_k, x, y) = -<[Jx, Jy], z_k>, so
+        t[i,j,k,l] = sum_m C[i,j,m] c[m,k,l] = sum_k A_k[i,j] Ct_k[k,l] in the
+        ambient basis, with A_k = -V j_k V^t and Ct_k = -J^t A_k J.  Take a_k and
+        c_k as the strict upper triangles of A_k and Ct_k, and
+        S = sum_k (a_k c_k^t + c_k a_k^t) on pairs; then the 4-form d(c) has
+        dc[i,j,k,l] = S[ik,jl] - S[ij,kl] - S[il,jk] for i < j < k < l.
+        """
+        states = np.asarray(states, dtype=float)
+        flat = states.reshape(-1, states.shape[-1])
+        d = self.split.frame.dim
+        iu, ju = np.triu_indices(d, k=1)
+        pair = np.zeros((d, d), dtype=np.intp)
+        pair[iu, ju] = np.arange(iu.size)
+
+        def pair_map(w):
+            # column (a, b): the pair entries of W E_ab W^t for the skew unit E_ab
+            wa, wb = w[:, self._iu], w[:, self._ju]
+            return (wa[:, None] * wb[None] - wb[:, None] * wa[None])[iu, ju].T / _SQRT2
+
+        v = self.split.v_basis
+        to_a, to_c = -pair_map(v), pair_map(self.split.frame.J.T @ v)
+        i, j, k, l = np.array(list(combinations(range(d), 4)), dtype=np.intp).T
+        # flat indices into S of (ik, jl), (ij, kl) and (il, jk), all in range
+        plan = np.stack([pair[p] * iu.size + pair[q] for p, q in (((i, k), (j, l)), ((i, j), (k, l)), ((i, l), (j, k)))])
+
+        out = np.empty(len(flat))
+        for lo in range(0, len(flat), _SKT_CHUNK):
+            x = flat[lo : lo + _SKT_CHUNK].reshape(-1, self._shape[0], self._iu.size)
+            a, c = x @ to_a, x @ to_c
+            # S as one product over the stacked (a, c) and (c, a), which beats adding M^t to M = a^t c
+            s = np.concatenate([a, c], axis=1).transpose(0, 2, 1) @ np.concatenate([c, a], axis=1)
+            g = np.take(s.reshape(len(x), -1), plan, axis=1, mode="clip")
+            out[lo : lo + len(x)] = np.abs(g[:, 0] - g[:, 1] - g[:, 2]).max(axis=1)
+        n2 = np.einsum("ti,ti->t", flat, flat)
+        return (out / np.where(n2 > 0.0, n2, 1.0)).reshape(states.shape[:-1])
+
 
 @dataclass
 class NilTrajectory:
@@ -264,14 +310,13 @@ class NilTrajectory:
         den = np.maximum(nrm, 1e-300)
         s = np.linalg.svd(j.reshape(len(states), -1, j.shape[-1]), compute_uv=False)
         full_rank = np.all(s > RANK_RTOL * s[:, :1], axis=1)
-        skt = [skt_residual(flow.decode(x), flow.split.frame) for x in states]
         return {
             "t": np.array(self.raw.times, dtype=float),
             "mu_norm": nrm,
             "F": 16.0 * np.einsum("tab,tab->t", p, p) / den**4,
             "tr_P": np.trace(p, axis1=1, axis2=2),
             "center_drift": np.where(full_rank, 0.0, np.pi / 2),
-            "skt_residual": np.array(skt) / den**2,
+            "skt_residual": flow.skt_residual(states),
         }
 
 
@@ -290,6 +335,8 @@ def integrate_nil_flow(
     cfg = config or engine.IntegratorConfig()
     flow = NilFlow(split, normalized=normalized)
     x0 = flow.encode(mu0)
+    if flow.skt_residual(x0) >= _SKT_TOL:
+        raise ValueError("initial condition is not pluriclosed")
     if normalized:
         x0 = x0 / np.linalg.norm(x0)
         cfg = replace(cfg, fixedpoint_norm=_FIXEDPOINT_NORM)

@@ -8,7 +8,9 @@ import pytest
 
 from pluriflow import almostabelian as aa
 from pluriflow import cli
+from pluriflow.brackets import LieBracket
 from pluriflow.catalog import catalog_names, get_entry
+from pluriflow.sampling import random_two_step_skt
 from pluriflow.serialize import dumps_json, format_float, write_csv
 
 
@@ -240,6 +242,38 @@ def test_flow_rejects_bad_numbers_with_usage_error(capsys):
 def test_flow_rejects_non_pluriclosed_almost_abelian(tmp_path):
     path = tmp_path / "generic.json"
     path.write_text(json.dumps({"a": 0.0, "v": [0.0, 0.0], "A": [[1.0, 0.0], [0.0, 1.0]], "J1": "standard"}))
+    out = run_cli(["flow", str(path), "--horizon", "1"])
+    assert out.returncode == 1
+    assert out.stdout == ""
+    assert out.stderr.strip().splitlines() == [f"{path}: initial condition is not pluriclosed"]
+
+
+# [e1, e3] = [e2, e4] = e5 on R^6 with the pairwise J: 2-step, centre span(e5, e6),
+# J integrable, and max|dc| / |mu|^2 = 1/2, so not pluriclosed at any scale
+_NON_SKT_TWO_STEP = [(1, 3, 5), (2, 4, 5)]
+
+
+def _two_step_json(path, entries, scale=1.0):
+    path.write_text(json.dumps({"dim": 6, "entries": [{"i": i, "j": j, "k": k, "c": scale} for i, j, k in entries]}))
+    return path
+
+
+def test_check_skt_verdict_is_scale_invariant(tmp_path, rng):
+    # dc is quadratic in the bracket: a raw threshold calls a large SKT bracket
+    # non-SKT and a small non-SKT bracket SKT
+    mu, _ = random_two_step_skt(rng, blocks=4, dim_z=6)
+    big = tmp_path / "big_skt.json"
+    big.write_text(json.dumps(LieBracket(1e4 * mu.coeffs).to_json_dict()))
+    small = _two_step_json(tmp_path / "small_non_skt.json", _NON_SKT_TWO_STEP, scale=1e-5)
+    for path, want in ((big, True), (small, False)):
+        skt = json.loads(run_cli(["check", str(path)]).stdout)["skt"]
+        assert skt["is_skt"] is want, path.name
+        # dc_residual stays the raw max coefficient, on the other side of the tolerance
+        assert (skt["dc_residual"] < 1e-8) is not want, path.name
+
+
+def test_flow_rejects_non_pluriclosed_two_step(tmp_path):
+    path = _two_step_json(tmp_path / "generic.json", _NON_SKT_TWO_STEP)
     out = run_cli(["flow", str(path), "--horizon", "1"])
     assert out.returncode == 1
     assert out.stdout == ""

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from pluriflow import engine
+from pluriflow import engine, hermitian
 from pluriflow import nilflow as nf
 from pluriflow.brackets import (
     InnerProductConvention,
@@ -273,3 +273,43 @@ def test_refine_fixed_point_d12(rng):
     # a root to roundoff: a step that inverts the difference quotients' noise
     # along the orbit of fixed points leaves |f| near 1e-14 or worse
     assert np.linalg.norm(traj.flow.field(x)) < 1e-15
+
+
+def _assert_skt_column_matches_oracle(flow, states):
+    # at d = 4, dc = 0 on the 4-forms of v and the dense oracle reads roundoff
+    got = flow.skt_residual(states)
+    want = [hermitian.skt_residual(flow.decode(x), flow.split.frame) / np.dot(x, x) for x in states]
+    assert_allclose(got, want, rtol=1e-14, atol=1e-15)
+
+
+@pytest.mark.parametrize("blocks, dim_z", [(1, 2), (2, 2), (2, 4), (3, 4), (4, 4), (4, 6)])
+def test_jmap_skt_residual_matches_dense_oracle(rng, blocks, dim_z):
+    mu, frame = rotated_two_step(rng, blocks, dim_z)
+    flow = nf.NilFlow(nf.NilpotentSplitting.from_bracket(mu, frame))
+    x0 = flow.encode(mu)
+    # SKT, then perturbed off the SKT set at a scale away from 1
+    states = np.vstack([x0, 3.7 * x0 + rng.standard_normal((40, x0.size))])
+    _assert_skt_column_matches_oracle(flow, states)
+    assert flow.skt_residual(states[1:]).min() > 1e-8 or mu.dim == 4
+    assert flow.skt_residual(x0).shape == () and flow.skt_residual(np.zeros(x0.size)) == 0.0
+
+
+def test_jmap_skt_residual_on_flow_states(rng):
+    mu, frame = rotated_two_step(rng, 3, 4)
+    for normalization in ("unit_norm", "none"):
+        traj = nf.integrate_nil_flow(mu, frame, 50.0, normalization)
+        _assert_skt_column_matches_oracle(traj.flow, traj.raw.states)
+        assert np.array_equal(traj.diagnostics()["skt_residual"], traj.flow.skt_residual(traj.raw.states))
+
+
+def test_diagnostics_build_no_dense_bracket(rng, monkeypatch):
+    mu, frame = rotated_two_step(rng, 2, 4)
+    traj = nf.integrate_nil_flow(mu, frame, 10.0, "unit_norm")
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("diagnostics() must stay on the j-map state")
+
+    monkeypatch.setattr(nf.NilFlow, "decode", forbidden)
+    monkeypatch.setattr(hermitian, "skt_residual", forbidden)
+    assert traj.diagnostics()["skt_residual"].max() < 1e-9
+
