@@ -13,6 +13,9 @@ The gauged bracket flow closes on this parameterization and reduces to
 
 with c = (k/4 - 1/2) a^2 - |v|^2 / 2, S = (k/4 - 1/2) a^2 Id - A A^t / 2
 + (a/4)(A + A^t), and 2k = rank(A + A^t) frozen at the initial condition.
+The pair (a, A) moves only by a common scale, so the flow runs on the state
+(r, v) with r = |(a, A)|: along the fixed direction (a0, A0) / r0 it reads
+(a, A) = (r / r0)(a0, A0) and S = (r / r0)^2 S(a0, A0).
 """
 
 from __future__ import annotations
@@ -124,17 +127,20 @@ class AlmostAbelianData:
             self.J1,
         )
 
-    # --- flat ODE state (a, v, A) ----------------------------------------
-    def to_state(self) -> np.ndarray:
-        return np.concatenate([[self.a], self.v, self.A.ravel()])
+    # --- reduced-flow state (r, v), r = |(a, A)| ---------------------------
+    @property
+    def scale_sq(self) -> float:
+        """|(a, A)|^2 = a^2 + |A|^2."""
+        return self.a * self.a + float(np.sum(self.A * self.A))
 
-    @classmethod
-    def state_split(cls, m: int, x: np.ndarray):
-        return float(x[0]), x[1 : 1 + m], x[1 + m :].reshape(m, m)
+    def to_state(self) -> np.ndarray:
+        return np.concatenate([[np.sqrt(self.scale_sq)], self.v])
 
     def from_state(self, x: np.ndarray) -> "AlmostAbelianData":
-        a, v, A = self.state_split(self.m, x)
-        return AlmostAbelianData(a, v, A, self.J1)
+        """Decode a state (r, v) of the reduced flow started from this data:
+        (a, A) = (r / r0)(a0, A0), which is this data's own pair at r = r0."""
+        lam = x[0] / _direction_norm(self)
+        return AlmostAbelianData(lam * self.a, x[1:], lam * self.A, self.J1)
 
     # --- JSON interchange --------------------------------------------------
     def to_json_dict(self) -> dict:
@@ -325,24 +331,22 @@ def _s_matrix(a: float, A: np.ndarray, k: int) -> np.ndarray:
     return s
 
 
-def _v_dot(s: np.ndarray, v: np.ndarray, vv: float, c: float | None = None) -> np.ndarray:
-    """v' = c v + S v - |v|^2 v / 2, given vv = |v|^2; without c (the
-    normalization that freezes a and A) the c v term is dropped."""
-    sv = s.dot(v) if c is None else c * v + s.dot(v)
-    return sv - 0.5 * vv * v
-
-
-# ReducedTrajectory.diagnostics works on this many rows at a time, which keeps
-# its temporaries near 0.5 MB at m = 8.
-_DIAG_CHUNK = 256
+def _direction_norm(data0: AlmostAbelianData) -> float:
+    """r0 = |(a0, A0)|, the divisor that turns a state's r into the scale of
+    (a0, A0); 1 for the zero pair, whose direction is zero at every r."""
+    return float(np.sqrt(data0.scale_sq)) or 1.0
 
 
 class ReducedFlow:
-    """Reduced gauged bracket flow on the (a, v, A) parameters.
+    """Reduced gauged bracket flow on the state (r, v), r = |(a, A)|.
 
-    k is computed from the initial condition and frozen: A evolves by scaling,
-    so eigenvalue multiplicities are constant, and recomputing k each step
-    risks rank flicker near zero eigenvalues.
+    With lam = r / r0 the pair is lam (a0, A0), so c = lam^2 (k/4 - 1/2) a0^2
+    - |v|^2 / 2, r' = c r and v' = c v + lam^2 S0 v - |v|^2 v / 2, where S0 is
+    S at the initial condition.  Under the normalization that freezes (a, A),
+    r' = 0 and v' = S0 v - |v|^2 v / 2.  k is computed from the initial
+    condition and frozen: A evolves by scaling, so eigenvalue multiplicities
+    are constant, and recomputing k each step risks rank flicker near zero
+    eigenvalues.
     """
 
     def __init__(self, data0: AlmostAbelianData, mode: str = UNNORMALIZED):
@@ -354,21 +358,29 @@ class ReducedFlow:
         self.k = verdict.k
         self.data0 = data0
         self.mode = mode
-        self.m = data0.m
-        self._s_frozen = _s_matrix(data0.a, data0.A, self.k) if mode == A_NORM_FIXED else None
+        self._r0 = _direction_norm(data0)
+        self._c_top = _s_top(self.k, data0.a)
+        # S0 acting on the v block of a state; its zero first row and column
+        # leave r out of S0 x
+        m = data0.m
+        self._s0 = np.zeros((m + 1, m + 1))
+        self._s0[1:, 1:] = _s_matrix(data0.a, data0.A, self.k)
 
     def field(self, x: np.ndarray) -> np.ndarray:
-        m = self.m
-        v = x[1 : 1 + m]
+        v = x[1:]
         vv = float(v.dot(v))
+        out = self._s0.dot(x)
         if self.mode == A_NORM_FIXED:
-            out = np.zeros_like(x)
-            out[1 : 1 + m] = _v_dot(self._s_frozen, v, vv)
+            out -= (0.5 * vv) * x
+            out[0] = 0.0
             return out
-        a = float(x[0])
-        c = _c_scalar(self.k, a, vv)
-        out = c * x  # a' = c a and A' = c A; v' is written over its slice
-        out[1 : 1 + m] = _v_dot(_s_matrix(a, x[1 + m :].reshape(m, m), self.k), v, vv, c)
+        r = float(x[0])
+        lam = r / self._r0
+        lam2 = lam * lam
+        c = lam2 * self._c_top - 0.5 * vv
+        out *= lam2
+        out += (c - 0.5 * vv) * x
+        out[0] = c * r
         return out
 
 
@@ -418,28 +430,28 @@ class ReducedTrajectory:
     def diagnostics(self) -> dict:
         """Columns: t, a, v_norm, A_norm, c, skt_residual, normality_defect.
 
-        The residual columns are scale-normalized (quadratic quantities are
-        divided by the squared state scale) so they stay meaningful on
-        blow-up trajectories.
+        Each row is read off its state (r, v) at O(m) cost: with lam = r / r0,
+        a = lam a0, |A| = lam |A0| and c = lam^2 (k/4 - 1/2) a0^2 - |v|^2 / 2,
+        the field's own c.  The residual columns are scale-normalized
+        (quadratic quantities over |(a, A)|^2), so along the fixed direction
+        of (a, A) they are the constants of the initial condition.
         """
-        m = self.data0.m
+        d0 = self.data0
         states = self.raw.states
         n = states.shape[0]
-        cols = {"t": np.array(self.raw.times, dtype=float), "a": states[:, 0].copy()}
-        for name in ("v_norm", "A_norm", "c", "skt_residual", "normality_defect"):
-            cols[name] = np.empty(n)
-        for lo in range(0, n, _DIAG_CHUNK):
-            sl = slice(lo, lo + _DIAG_CHUNK)
-            a, v, A = states[sl, 0], states[sl, 1 : 1 + m], states[sl, 1 + m :].reshape(-1, m, m)
-            vv = frobenius_sq(v[:, None, :])
-            # np.sum(A * A) of each matrix: its pairwise order, not the ddot of the norms
-            scale2 = np.maximum(a * a + np.sum((A * A).reshape(len(a), -1), axis=1), 1e-300)
-            cols["v_norm"][sl] = np.sqrt(vv)
-            cols["A_norm"][sl] = frobenius_norm(A)
-            cols["c"][sl] = [_c_scalar(self.k, ai, vvi) for ai, vvi in zip(a.tolist(), vv.tolist())]
-            cols["skt_residual"][sl] = skt_closure_residual(a, A) / scale2
-            cols["normality_defect"][sl] = normality_defect(A) / scale2
-        return cols
+        lam = states[:, 0] / _direction_norm(d0)
+        lam2 = lam * lam
+        vv = frobenius_sq(states[:, None, 1:])
+        scale2 = max(d0.scale_sq, 1e-300)
+        return {
+            "t": np.array(self.raw.times, dtype=float),
+            "a": lam * d0.a,
+            "v_norm": np.sqrt(vv),
+            "A_norm": lam * frobenius_norm(d0.A),
+            "c": lam2 * _s_top(self.k, d0.a) - 0.5 * vv,
+            "skt_residual": np.full(n, skt_closure_residual(d0.a, d0.A) / scale2),
+            "normality_defect": np.full(n, normality_defect(d0.A) / scale2),
+        }
 
 
 def integrate_reduced_flow(
@@ -559,7 +571,8 @@ def classify(data: AlmostAbelianData, tol: float = 1e-9) -> ClassificationReport
 
 
 def self_similar_deviation(data: AlmostAbelianData, traj: ReducedTrajectory, alpha: float | None = None) -> float:
-    """Max relative deviation of the trajectory from (1 - 2 alpha t)^(-1/2) scaling."""
+    """Max relative deviation of the trajectory from (1 - 2 alpha t)^(-1/2)
+    scaling; |x - sigma x0| on the state (r, v) equals the one on (a, v, A)."""
     if alpha is None:
         alpha = p_components(data).c
     x0 = data.to_state()

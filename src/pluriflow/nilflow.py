@@ -26,6 +26,7 @@ from .brackets import (
     bracket_norm,
     center,
     infinitesimal_action,
+    jacobi_residual,
     nullspace,
     soliton_decomposition,
 )
@@ -56,6 +57,7 @@ _REFINE_ITERATIONS = 25
 _FIXEDPOINT_NORM = 1e-10  # absolute |field| below which a unit-norm run ends on FIXED_POINT
 _REFINE_TOL = 1e-13  # |field| plus sphere defect at which refine_fixed_point stops
 _SKT_TOL = 1e-8  # scale-normalized SKT residual from which integrate_nil_flow refuses x0
+_JACOBI_TOL = 1e-8  # jacobi_residual / |mu|^2 from which integrate_nil_flow refuses mu0 as no Lie bracket
 # NilFlow.skt_residual works on this many states at a time, which keeps its
 # pair matrices near 2 MB at d = 14.
 _SKT_CHUNK = 32
@@ -328,6 +330,8 @@ def integrate_nil_flow(
     config: engine.IntegratorConfig | None = None,
 ) -> NilTrajectory:
     """Integrate the 2-step pluriclosed bracket flow; normalization in {'none', 'unit_norm'}."""
+    if jacobi_residual(mu0) > _JACOBI_TOL * bracket_inner_product(mu0, mu0):
+        raise ValueError("bracket violates the Jacobi identity")
     split = NilpotentSplitting.from_bracket(mu0, frame)
     if normalization not in ("none", "unit_norm"):
         raise ValueError(f"unknown normalization {normalization!r}")

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from . import engine
 from .brackets import frobenius_norm
@@ -35,11 +34,13 @@ def normality_defect(e: np.ndarray):
 
 @dataclass(frozen=True)
 class NormalityReport:
-    frobenius_sq: float
-    eigen_abs_sq_sum: float
-    sym_part_sq: float
-    re_sq_sum: float
-    normality_defect: float
+    """Floats for one matrix; arrays of shape (...) for a stack (..., n, n)."""
+
+    frobenius_sq: float | np.ndarray
+    eigen_abs_sq_sum: float | np.ndarray
+    sym_part_sq: float | np.ndarray
+    re_sq_sum: float | np.ndarray
+    normality_defect: float | np.ndarray
 
     @property
     def frobenius_gap(self) -> float:
@@ -50,22 +51,35 @@ class NormalityReport:
         return self.sym_part_sq - self.re_sq_sum
 
 
+def _sum_last(x: np.ndarray, axes: int):
+    """np.sum of each entry of a stack over its last `axes` axes, in the
+    pairwise order np.sum takes on that entry alone."""
+    s = np.sum(x.reshape(x.shape[: x.ndim - axes] + (-1,)), axis=-1)
+    return float(s) if s.ndim == 0 else s
+
+
 def normality_report(e: np.ndarray) -> NormalityReport:
-    """All quantities entering the two eigenvalue-norm inequalities."""
+    """All quantities entering the two eigenvalue-norm inequalities.
+
+    A stack (..., n, n) gives one report of arrays, each entry equal to the
+    single-matrix value.
+    """
     e = np.asarray(e, dtype=float)
     lam = np.linalg.eigvals(e)
-    s = 0.5 * (e + e.T)
+    s = 0.5 * (e + np.swapaxes(e, -1, -2))
     return NormalityReport(
-        frobenius_sq=float(np.sum(e * e)),
-        eigen_abs_sq_sum=float(np.sum(np.abs(lam) ** 2)),
-        sym_part_sq=float(np.sum(s * s)),
-        re_sq_sum=float(np.sum(lam.real**2)),
+        frobenius_sq=_sum_last(e * e, 2),
+        eigen_abs_sq_sum=_sum_last(np.abs(lam) ** 2, 1),
+        sym_part_sq=_sum_last(s * s, 2),
+        re_sq_sum=_sum_last(lam.real**2, 1),
         normality_defect=normality_defect(e),
     )
 
 
 def spectrum_distance(a: np.ndarray, b: np.ndarray) -> float:
     """Optimal-assignment distance between eigenvalue multisets."""
+    from scipy.optimize import linear_sum_assignment  # kept off the package's import path
+
     la = np.linalg.eigvals(np.asarray(a, dtype=float))
     lb = np.linalg.eigvals(np.asarray(b, dtype=float))
     cost = np.abs(la[:, None] - lb[None, :])

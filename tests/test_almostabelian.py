@@ -135,8 +135,12 @@ def test_gauge_matrix_properties(sab, rng):
 
 
 def _field(data, mode=aa.UNNORMALIZED):
-    """(a', v', A') of the reduced flow in the given mode at data."""
-    return aa.AlmostAbelianData.state_split(data.m, aa.ReducedFlow(data, mode).field(data.to_state()))
+    """(a', v', A') of the reduced flow in the given mode at data, decoded from
+    (r', v'): (a, A) moves along its direction, so (a', A') = (r' / r)(a, A)."""
+    x = data.to_state()
+    f = aa.ReducedFlow(data, mode).field(x)
+    lam_dot = f[0] / x[0]
+    return lam_dot * data.a, f[1:], lam_dot * data.A
 
 
 def test_reduced_field_fixed_points_and_scaling(steady, shrink):
@@ -267,7 +271,8 @@ def test_r_m_over_a4_conserved():
     traj = aa.integrate_reduced_flow(data, aa.UNNORMALIZED, 50.0)
     vals_t = []
     for x in traj.raw.states:
-        a, v, _ = aa.AlmostAbelianData.state_split(data.m, x)
+        decoded = data.from_state(x)
+        a, v = decoded.a, decoded.v
         r_m = 0.5 * float(np.linalg.norm(top.T @ v) ** 2)
         vals_t.append(r_m / a**4)
     vals_t = np.array(vals_t)
@@ -365,14 +370,14 @@ def test_catalog_parameters_are_arithmetic_only():
 
 
 def _diagnostics_oracle(traj):
-    """ReducedTrajectory.diagnostics as a loop over rows, each formula on one matrix."""
+    """ReducedTrajectory.diagnostics as a loop over decoded rows, each formula on one matrix."""
     from pluriflow.hermitian import skt_closure_residual
     from pluriflow.normality import normality_defect
 
-    m = traj.data0.m
     rows = []
     for t, x in zip(traj.raw.times, traj.raw.states):
-        a, v, A = aa.AlmostAbelianData.state_split(m, x)
+        d = traj.data0.from_state(x)
+        a, v, A = d.a, d.v, d.A
         scale2 = max(a * a + float(np.sum(A * A)), 1e-300)
         rows.append([
             float(t), a, float(np.linalg.norm(v)), float(np.linalg.norm(A)),
@@ -384,16 +389,22 @@ def _diagnostics_oracle(traj):
 
 
 def _assert_diagnostics_match_oracle(traj):
+    # t, a and v_norm take the oracle's operations; the other columns take
+    # (a, A) = lam (a0, A0) out of their formulas, which moves the last bits
     got, want = traj.diagnostics(), _diagnostics_oracle(traj)
     assert list(got) == list(want)
-    for name in want:
+    for name in ("t", "a", "v_norm"):
         assert np.array_equal(got[name], want[name]), name
+    for name in ("A_norm", "c"):
+        assert_allclose(got[name], want[name], rtol=1e-14, atol=1e-14, err_msg=name)
+    for name in ("skt_residual", "normality_defect"):
+        assert_allclose(got[name], want[name], rtol=0.0, atol=1e-15, err_msg=name)
 
 
 def test_diagnostics_match_row_loop_on_blowup(shrink):
     traj = aa.integrate_reduced_flow(shrink, aa.UNNORMALIZED, 2.0)
     assert traj.raw.terminal_event == engine.BLOWUP
-    assert len(traj.times) > aa._DIAG_CHUNK  # more than one chunk
+    assert len(traj.times) > 256  # a long run, up to |x| = 1e6
     _assert_diagnostics_match_oracle(traj)
 
 
@@ -410,12 +421,125 @@ def test_diagnostics_match_row_loop_m8(rng):
 
 
 def test_diagnostics_one_row(shrink):
-    # at this a, a**2 (the power the field takes in c) and a * a differ in the last bit
+    # at this r, lam = r / r0 has lam**2 != lam * lam; the c column takes the
+    # field's lam * lam
     x = shrink.to_state()
-    x[0] = 0.9827323782383632
-    assert x[0] ** 2 != x[0] * x[0]
+    x[0] = 0.9827323782383632 * x[0]
+    lam = x[0] / np.sqrt(shrink.scale_sq)
+    assert lam**2 != lam * lam
     raw = engine.Trajectory(times=np.array([0.0]), states=x[None, :], terminal_event=engine.HORIZON)
     traj = aa.ReducedTrajectory(data0=shrink, k=aa.skt_verdict(shrink).k, mode=aa.UNNORMALIZED, raw=raw)
     cols = traj.diagnostics()
     assert all(col.shape == (1,) for col in cols.values())
+    assert cols["c"][0] == lam * lam * aa._s_top(traj.k, shrink.a) - 0.5 * float(x[1:] @ x[1:])
     _assert_diagnostics_match_oracle(traj)
+
+
+# --- oracles for the (r, v) state ---------------------------------------------
+
+
+def _frozen_v_closed_form(s, v0, t):
+    """v(t) of v' = S v - |v|^2 v / 2 for a fixed symmetric S:
+    e^(tS) v0 / sqrt(1 + v0^t (int_0^t e^(2uS) du) v0), through eigh(S).
+
+    Numerator and denominator are divided by e^(tL), L = max(0, top eigenvalue),
+    so neither overflows.
+    """
+    lam, q = np.linalg.eigh(s)
+    w = q.T @ v0
+    top = max(0.0, float(lam.max()))
+    damp = np.exp(-2.0 * t * top)
+    # int_0^t e^(2u lam) du times e^(-2tL), per eigenvalue
+    grow = np.empty_like(lam)
+    for i, l in enumerate(lam):
+        if l > 0:
+            grow[i] = -np.expm1(-2.0 * t * l) / (2.0 * l) * np.exp(2.0 * t * (l - top))
+        elif l < 0:
+            grow[i] = np.expm1(2.0 * t * l) / (2.0 * l) * damp
+        else:
+            grow[i] = t * damp
+    num = q @ (np.exp(t * (lam - top)) * w)
+    return num / np.sqrt(damp + float(np.sum(w * w * grow)))
+
+
+def _frozen_oracle_inputs(rng):
+    sab = get_entry("s_ab(1, pi/2)").data
+    yield sab.replace(v=np.array([0.3, -0.2, 0.1, 0.4]))
+    for m in (4, 8):
+        for _ in range(2):
+            yield random_skt_almost_abelian(rng, m=m)
+
+
+def test_normalized_flow_matches_closed_form(rng):
+    cfg = engine.IntegratorConfig()
+    for data in _frozen_oracle_inputs(rng):
+        s = aa._s_matrix(data.a, data.A, aa.skt_verdict(data).k)
+        traj = aa.integrate_reduced_flow(data, aa.A_NORM_FIXED, 30.0, cfg)
+        assert np.all(traj.raw.states[:, 0] == traj.raw.states[0, 0])  # r frozen
+        for t, x in zip(traj.raw.times, traj.raw.states):
+            want = _frozen_v_closed_form(s, data.v, float(t))
+            err = np.linalg.norm(x[1:] - want)
+            assert err <= 1e-9 * np.linalg.norm(want) + 10 * cfg.abs_tol, (t, err)
+
+
+def _dense_field(data0, mode):
+    """The reduced field on the dense state (a, v, A), m^2 + m + 1 long: the
+    flow's old form, kept as the oracle of the state (r, v)."""
+    k = aa.skt_verdict(data0).k
+    m = data0.m
+    s0 = aa._s_matrix(data0.a, data0.A, k)
+
+    def field(x):
+        a, v, A = float(x[0]), x[1 : 1 + m], x[1 + m :].reshape(m, m)
+        vv = float(v @ v)
+        if mode == aa.A_NORM_FIXED:
+            out = np.zeros_like(x)
+            out[1 : 1 + m] = s0 @ v - 0.5 * vv * v
+            return out
+        c = aa._c_scalar(k, a, vv)
+        out = c * x
+        out[1 : 1 + m] = c * v + aa._s_matrix(a, A, k) @ v - 0.5 * vv * v
+        return out
+
+    return field
+
+
+def _dense_state(data):
+    return np.concatenate([[data.a], data.v, data.A.ravel()])
+
+
+def _dense_oracle_inputs(rng):
+    from pluriflow.verification import table_one_representatives
+
+    yield from table_one_representatives().values()
+    for m in (2, 4, 8):
+        for _ in range(2):
+            yield random_skt_almost_abelian(rng, m=m, allow_zero_a=True)
+
+
+def test_natural_field_matches_dense_field(rng):
+    # at (a, A) = lam (a0, A0), the field (r', v') decodes to the dense (a', v', A')
+    for data in _dense_oracle_inputs(rng):
+        r0 = data.to_state()[0]
+        for mode, lams in ((aa.UNNORMALIZED, (1.0, 0.37, 2.9)), (aa.A_NORM_FIXED, (1.0,))):
+            flow, dense = aa.ReducedFlow(data, mode), _dense_field(data, mode)
+            for lam in lams:
+                v = rng.standard_normal(data.m)
+                f = flow.field(np.concatenate([[lam * r0], v]))
+                lam_dot = f[0] / r0
+                got = np.concatenate([[lam_dot * data.a], f[1:], (lam_dot * data.A).ravel()])
+                want = dense(_dense_state(data.replace(a=lam * data.a, v=v, A=lam * data.A)))
+                assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want), (mode, lam)
+
+
+def test_natural_flow_matches_dense_flow(rng):
+    for data in _dense_oracle_inputs(rng):
+        for mode, horizon in ((aa.UNNORMALIZED, 1e3), (aa.A_NORM_FIXED, 120.0)):
+            nat = aa.integrate_reduced_flow(data, mode, horizon).raw
+            dense = engine.integrate(_dense_field(data, mode), _dense_state(data), horizon)
+            assert nat.terminal_event == dense.terminal_event
+            if nat.blowup is not None:
+                assert abs(nat.blowup.t_est - dense.blowup.t_est) <= 1e-9 * abs(dense.blowup.t_est)
+            if nat.terminal_event == engine.HORIZON:
+                got, want = _dense_state(data.from_state(nat.final_state)), dense.final_state
+                assert np.linalg.norm(got - want) <= 1e-8 * np.linalg.norm(want)

@@ -85,6 +85,17 @@ def test_flow_rejects_bad_nilpotent_input_cleanly(tmp_path):
         assert len(lines) == 1 and lines[0].startswith(f"{path}: ") and reason in lines[0]
 
 
+def test_flow_rejects_non_lie_bracket(tmp_path):
+    # [e1, e2] = e3, [e3, e4] = e1: the Jacobi sum on (e1, e2, e4) is e1, a
+    # quarter of |mu|^2 = 4
+    path = tmp_path / "non_lie.json"
+    path.write_text(json.dumps({"dim": 4, "entries": [{"i": 1, "j": 2, "k": 3, "c": 1}, {"i": 3, "j": 4, "k": 1, "c": 1}]}))
+    out = run_cli(["flow", str(path), "--horizon", "1"])
+    assert out.returncode == 1
+    assert out.stdout == ""
+    assert out.stderr.strip().splitlines() == [f"{path}: bracket violates the Jacobi identity"]
+
+
 def test_check_nilpotent_bracket(tmp_path):
     path = tmp_path / "kodaira.json"
     path.write_text(json.dumps({"dim": 4, "entries": [{"i": 1, "j": 2, "k": 3, "c": 1.0}]}))
