@@ -235,30 +235,61 @@ def center(mu: LieBracket, rtol: float = RANK_RTOL) -> np.ndarray:
     return nullspace(m, rtol)
 
 
+def _commutant_basis(j: np.ndarray) -> np.ndarray:
+    """Frobenius-orthonormal basis (d^2/2, d, d) of {B : BJ = JB} for an
+    orthogonal complex structure J.
+
+    The +1 eigenvectors u_a of the Hermitian iJ form a unitary frame of J, and
+    x_a + i y_a = sqrt(2) u_a give an orthonormal real basis with J x_a = y_a,
+    J y_a = -x_a.  The realified matrix units of that frame, E_ab and iE_ab,
+    act as x_a x_b^t + y_a y_b^t and x_a y_b^t - y_a x_b^t.
+    """
+    d = j.shape[0]
+    eye = np.eye(d)
+    if not np.abs(np.stack([j @ j + eye, j.T @ j - eye])).max() <= 1e-12:
+        raise ValueError("commute_with must be an orthogonal J with J^2 = -Id")
+    u = np.sqrt(2.0) * np.linalg.eigh(1j * j)[1][:, d // 2 :]
+    x, y = u.real, u.imag
+    unit = np.einsum("ia,jb->abij", x, x) + np.einsum("ia,jb->abij", y, y)
+    rot = np.einsum("ia,jb->abij", x, y) - np.einsum("ia,jb->abij", y, x)
+    return np.concatenate([unit, rot]).reshape(-1, d, d) / np.sqrt(2.0)
+
+
+def _action_rows(c: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """The rows i < j of pi(B_n) mu, one column per basis matrix B_n.
+
+    pi(B) mu (i, j, k) = sum_m B[k, m] c[i, j, m] - t[i, j, k] + t[j, i, k]
+    with t[i, j, k] = sum_m B[m, i] c[m, j, k]; both sums are one gemm over
+    the whole basis.  The rows i > j repeat these up to sign, and i = j is 0.
+    """
+    d, n = c.shape[0], basis.shape[0]
+    iu, ju = np.triu_indices(d, k=1)
+    rows = (c[iu, ju] @ basis.transpose(2, 1, 0).reshape(d, d * n)).reshape(-1, d, n)
+    # t as [j, k, i, n]
+    t = (c.reshape(d, d * d).T @ basis.transpose(1, 2, 0).reshape(d, d * n)).reshape(d, d, d, n)
+    rows -= t[ju, :, iu]
+    rows += t[iu, :, ju]
+    return rows.reshape(-1, n)
+
+
 def derivation_space(mu: LieBracket, commute_with=None, rtol: float = RANK_RTOL):
     """Orthonormal (Frobenius) basis of {D : pi(D) mu = 0, [D, J] = 0 if given}.
 
-    Returns a list of (d, d) matrices spanning the solution space of the
-    stacked (d^3 + d^2) x d^2 linear system, computed as an SVD null space.
+    Returns a list of (d, d) matrices.  D is solved for in an orthonormal
+    basis of the matrices that commute with J (an orthogonal complex
+    structure), d^2/2 of them, or of all d^2 matrix units without J; the
+    system keeps the rows i < j of pi(D) mu = 0.  Its null space is that of
+    the R factor of its QR, under the relative RANK_RTOL cutoff, so the rank
+    decision does not depend on the scale of mu.
     """
     d = mu.dim
-    c = mu.coeffs
-    eye = np.eye(d)
-    # pi(E_ab) mu as a linear map of the matrix entries (a, b)
-    l1 = (
-        np.einsum("ka,ijb->ijkab", eye, c)
-        - np.einsum("bi,ajk->ijkab", eye, c)
-        - np.einsum("bj,iak->ijkab", eye, c)
-    ).reshape(d**3, d * d)
-    blocks = [l1]
-    if commute_with is not None:
-        j = np.asarray(commute_with, dtype=float)
-        l2 = (np.einsum("pa,bq->pqab", eye, j) - np.einsum("pa,qb->pqab", j, eye)).reshape(
-            d * d, d * d
-        )
-        blocks.append(l2)
-    ns = nullspace(np.vstack(blocks), rtol)
-    return [ns[:, k].reshape(d, d) for k in range(ns.shape[1])]
+    if commute_with is None:
+        basis = np.eye(d * d).reshape(-1, d, d)
+    else:
+        basis = _commutant_basis(np.asarray(commute_with, dtype=float))
+    r = np.linalg.qr(_action_rows(mu.coeffs, basis), mode="r")
+    ns = nullspace(r, rtol)
+    return list((ns.T @ basis.reshape(len(basis), -1)).reshape(-1, d, d))
 
 
 @dataclass

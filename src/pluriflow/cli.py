@@ -11,7 +11,7 @@ import numpy as np
 
 from . import almostabelian as aa
 from . import catalog, engine, nilflow, verification
-from .brackets import LieBracket, jacobi_residual
+from .brackets import LieBracket, center, jacobi_residual
 from .hermitian import HermitianFrame, is_skt_general
 from .serialize import dumps_json, format_float, write_csv
 
@@ -22,6 +22,9 @@ def _load_input(spec: str):
     """Resolve an input spec: 'catalog:NAME' or a JSON file path.
 
     Returns ('almost_abelian', AlmostAbelianData) or ('nilpotent', (bracket, frame)).
+    A bracket file may name its J as a d x d list under "J" (default: the
+    pairwise J); that J must be orthogonal, square to -Id and preserve the
+    bracket's center.
     """
     if spec.startswith("catalog:"):
         try:
@@ -41,7 +44,12 @@ def _load_input(spec: str):
             return "almost_abelian", aa.AlmostAbelianData.from_json_dict(obj)
         if "dim" in obj and "entries" in obj:
             mu = LieBracket.from_json_dict(obj)
-            frame = HermitianFrame.pairwise(mu.dim)
+            if "J" not in obj:
+                return "nilpotent", (mu, HermitianFrame.pairwise(mu.dim))
+            frame = HermitianFrame(np.array(obj["J"], dtype=float))
+            if frame.dim != mu.dim:
+                raise ValueError(f"J must be {mu.dim} x {mu.dim}, got {frame.dim} x {frame.dim}")
+            nilflow.require_complex_center(center(mu), frame)
             return "nilpotent", (mu, frame)
     except (ValueError, KeyError, TypeError) as exc:
         raise SystemExit(f"{spec}: schema violation: {exc}")

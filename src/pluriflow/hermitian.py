@@ -39,12 +39,13 @@ class HermitianFrame:
 
     def __post_init__(self):
         j = np.asarray(self.J, dtype=float)
-        d = j.shape[0]
+        d = j.shape[0] if j.ndim else 0
         if j.shape != (d, d) or d % 2 != 0:
             raise ValueError("J must be a square matrix of even dimension")
-        if np.abs(j @ j + np.eye(d)).max() > 1e-12:
+        # written as "not <=" so that a NaN entry fails the test
+        if not np.abs(j @ j + np.eye(d)).max() <= 1e-12:
             raise ValueError("J^2 != -Id")
-        if np.abs(j.T @ j - np.eye(d)).max() > 1e-12:
+        if not np.abs(j.T @ j - np.eye(d)).max() <= 1e-12:
             raise ValueError("J is not orthogonal")
         object.__setattr__(self, "J", j)
 

@@ -34,6 +34,7 @@ from .hermitian import HermitianFrame
 
 __all__ = [
     "NilpotentSplitting",
+    "require_complex_center",
     "ricci_endomorphism",
     "ricci_koszul",
     "p_endomorphism_nil",
@@ -98,6 +99,14 @@ def ricci_koszul(mu: LieBracket) -> np.ndarray:
     return ric
 
 
+def require_complex_center(zb: np.ndarray, frame: HermitianFrame) -> None:
+    """Raise ValueError unless J maps the span of the orthonormal columns zb
+    (a center) into itself."""
+    jz = frame.J @ zb
+    if np.abs(jz - zb @ (zb.T @ jz)).max(initial=0.0) > _SPLIT_TOL:
+        raise ValueError("complex structure does not preserve the center")
+
+
 @dataclass(frozen=True)
 class NilpotentSplitting:
     """Orthogonal splitting n = v (+) z of a 2-step nilpotent bracket, z the center."""
@@ -119,9 +128,7 @@ class NilpotentSplitting:
         scale = max(np.abs(mu.coeffs).max(), 1e-300)
         if img_defect > _SPLIT_TOL * scale:
             raise ValueError("bracket is not 2-step nilpotent (derived algebra exceeds the center)")
-        jz_defect = np.abs((np.eye(d) - pz) @ frame.J @ zb).max()
-        if jz_defect > _SPLIT_TOL:
-            raise ValueError("complex structure does not preserve the center")
+        require_complex_center(zb, frame)
         return cls(mu, frame, nullspace(zb.T), zb)
 
     @property

@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import almostabelian as aa
-from . import engine, nilflow, normality, sampling
+from . import engine, nilflow, normality
 from .brackets import DEFAULT_CONVENTION, InnerProductConvention, basis_change_action, bracket_inner_product
 from .catalog import get_entry, s_ab_data
 from .hermitian import HermitianFrame
@@ -117,6 +117,8 @@ def suite_appendix(seed: int = 0, count: int = 10_000) -> dict:
 def suite_identities(seed: int = 0) -> dict:
     """Moment-map identity under the pinned convention, trace identity,
     Koszul cross-check, orthogonal equivariance."""
+    from . import sampling  # sampling loads scipy.linalg, kept off the package's import path
+
     rng = np.random.default_rng(seed)
     worst_mm = worst_tr = worst_koszul = worst_eq = 0.0
     unordered_fails = 0.0

@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.linalg import expm
 
+from pluriflow import brackets
+from pluriflow import almostabelian as aa
 from pluriflow.brackets import (
     InnerProductConvention,
     LieBracket,
@@ -21,7 +23,9 @@ from pluriflow.brackets import (
 )
 from pluriflow.catalog import kodaira_bracket, s_ab_data
 from pluriflow.almostabelian import build_bracket
-from pluriflow.sampling import random_two_step_skt
+from pluriflow.hermitian import HermitianFrame
+from pluriflow.nilflow import NilpotentSplitting, p_endomorphism_nil
+from pluriflow.sampling import random_skt_almost_abelian, random_two_step_skt
 
 
 def random_bracket(rng, dim):
@@ -201,6 +205,69 @@ def test_nullspace_wide_matrix(rng):
     assert_allclose(nullspace(tall) @ nullspace(tall).T, ns @ ns.T, atol=1e-13)
 
 
+def _dense_derivation_space(mu, commute_with=None, rtol=brackets.RANK_RTOL):
+    """The stacked (d^3 + d^2) x d^2 system over all matrix units, its null
+    space by SVD: pi(E_ab) mu for every (i, j, k), and [E_ab, J] if given."""
+    d = mu.dim
+    c = mu.coeffs
+    eye = np.eye(d)
+    l1 = (
+        np.einsum("ka,ijb->ijkab", eye, c)
+        - np.einsum("bi,ajk->ijkab", eye, c)
+        - np.einsum("bj,iak->ijkab", eye, c)
+    ).reshape(d**3, d * d)
+    blocks = [l1]
+    if commute_with is not None:
+        j = np.asarray(commute_with, dtype=float)
+        l2 = (np.einsum("pa,bq->pqab", eye, j) - np.einsum("pa,qb->pqab", j, eye)).reshape(d * d, d * d)
+        blocks.append(l2)
+    ns = nullspace(np.vstack(blocks), rtol)
+    return [ns[:, k].reshape(d, d) for k in range(ns.shape[1])]
+
+
+def _span_projector(basis):
+    m = np.array([b.ravel() for b in basis]).T
+    return m @ m.T
+
+
+def _oracle_inputs():
+    """(bracket, J, P) on the check workload's shapes: v = 0
+    almost-abelian solitons at d = 6..18, 2-step brackets at d = 6..16, and a
+    2-step bracket with J rotated to Q J0 Q^t."""
+    rng = np.random.default_rng(11)
+    for m in range(4, 17, 2):
+        data = random_skt_almost_abelian(rng, m=m).replace(v=np.zeros(m))
+        p = aa.p_matrix(data, aa.p_components(data, aa.skt_verdict(data).k))
+        yield pytest.param(build_bracket(data), aa.hermitian_frame(data).J, p, id=f"soliton_d{m + 2}")
+    two_step = [random_two_step_skt(rng, blocks=b, dim_z=z) for b, z in ((2, 2), (2, 4), (3, 4), (4, 4), (4, 6), (4, 8))]
+    mu, frame = two_step[2]
+    q, _ = np.linalg.qr(rng.standard_normal((mu.dim, mu.dim)))
+    two_step.append((basis_change_action(q, mu), HermitianFrame(q @ frame.J @ q.T)))
+    for k, (mu, frame) in enumerate(two_step):
+        p = p_endomorphism_nil(NilpotentSplitting.from_bracket(mu, frame))
+        yield pytest.param(mu, frame.J, p, id=f"two_step_{k}_d{mu.dim}")
+
+
+@pytest.mark.parametrize("mu, j, p", list(_oracle_inputs()))
+def test_derivation_space_matches_dense_oracle(monkeypatch, mu, j, p):
+    for jj in (j, None):
+        got = derivation_space(mu, commute_with=jj)
+        want = _dense_derivation_space(mu, commute_with=jj)
+        assert len(got) == len(want) > 0
+        assert np.abs(_span_projector(got) - _span_projector(want)).max() < 1e-10
+    for dm in derivation_space(mu, commute_with=j):
+        assert np.abs(dm @ j - j @ dm).max() < 1e-12
+    alpha = brackets.soliton_decomposition(p, mu, j).alpha
+    monkeypatch.setattr(brackets, "derivation_space", _dense_derivation_space)
+    alpha_oracle = brackets.soliton_decomposition(p, mu, j).alpha
+    assert abs(alpha - alpha_oracle) <= 1e-12 * abs(alpha_oracle)
+
+
+def test_derivation_space_rejects_a_j_that_is_no_complex_structure():
+    with pytest.raises(ValueError, match="orthogonal"):
+        derivation_space(LieBracket.zero(4), commute_with=2.0 * HermitianFrame.pairwise(4).J)
+
+
 def test_derivation_space_d16_matches_full_svd_oracle():
     mu, frame = random_two_step_skt(np.random.default_rng(5), blocks=4, dim_z=8)
     d, j = mu.dim, frame.J
@@ -210,8 +277,9 @@ def test_derivation_space_d16_matches_full_svd_oracle():
         peak_mb = tracemalloc.get_traced_memory()[1] / 2**20
     finally:
         tracemalloc.stop()
-    # the full SVD's (d^3 + d^2)^2 U alone is 151 MB at d = 16
-    assert peak_mb < 64
+    # the full SVD's (d^3 + d^2)^2 U alone is 151 MB at d = 16, and the dense
+    # system of _dense_derivation_space peaks at 26 MB
+    assert peak_mb < 16
     # the stacked system, one column per matrix unit E_ab, and its full SVD
     cols = []
     for a in range(d):

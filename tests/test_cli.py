@@ -8,7 +8,7 @@ import pytest
 
 from pluriflow import almostabelian as aa
 from pluriflow import cli
-from pluriflow.brackets import LieBracket
+from pluriflow.brackets import LieBracket, basis_change_action
 from pluriflow.catalog import catalog_names, get_entry
 from pluriflow.sampling import random_two_step_skt
 from pluriflow.serialize import dumps_json, format_float, write_csv
@@ -289,3 +289,79 @@ def test_flow_rejects_non_pluriclosed_two_step(tmp_path):
     assert out.returncode == 1
     assert out.stdout == ""
     assert out.stderr.strip().splitlines() == [f"{path}: initial condition is not pluriclosed"]
+
+
+def _check_doc(path, capsys):
+    assert cli.main(["check", str(path)]) == 0
+    return json.loads(capsys.readouterr().out)
+
+
+def test_check_soliton_fit_is_scale_invariant(tmp_path, capsys):
+    # the d = 8 bracket is no soliton (residual 1.2); at 1e-9 a rank cutoff
+    # against a scale-free block lets D range over 22 dimensions, not 12, and
+    # fits it to a residual of 6e-15
+    mu, _ = random_two_step_skt(np.random.default_rng(3), 2, 4)
+    s = 1e-9
+    docs = []
+    for scale in (1.0, s):
+        path = tmp_path / f"bracket_{scale:g}.json"
+        path.write_text(json.dumps(LieBracket(scale * mu.coeffs).to_json_dict()))
+        docs.append(_check_doc(path, capsys))
+    unit, small = docs
+    assert small["skt"]["is_skt"] is unit["skt"]["is_skt"] is True
+    assert abs(small["soliton"]["alpha"] / s**2 - unit["soliton"]["alpha"]) <= 1e-12 * abs(unit["soliton"]["alpha"])
+    assert unit["soliton"]["residual"] > 1.0
+    assert abs(small["soliton"]["residual"] / s**2 - unit["soliton"]["residual"]) <= 1e-10 * unit["soliton"]["residual"]
+
+
+def test_check_takes_a_rotated_j(tmp_path, capsys):
+    # the bracket conjugated by an orthogonal Q, with J = Q J0 Q^t, is the same
+    # Hermitian Lie algebra in another orthonormal basis
+    rng = np.random.default_rng(4)
+    mu, frame = random_two_step_skt(rng, blocks=3, dim_z=4)
+    q, _ = np.linalg.qr(rng.standard_normal((mu.dim, mu.dim)))
+    plain = tmp_path / "plain.json"
+    plain.write_text(json.dumps(mu.to_json_dict()))
+    rotated = tmp_path / "rotated.json"
+    rotated.write_text(json.dumps({**basis_change_action(q, mu).to_json_dict(), "J": (q @ frame.J @ q.T).tolist()}))
+    want, got = _check_doc(plain, capsys), _check_doc(rotated, capsys)
+    assert got["skt"]["is_skt"] is want["skt"]["is_skt"] is True
+    assert abs(got["tr_P"] - want["tr_P"]) <= 1e-12 * abs(want["tr_P"])
+    assert abs(got["soliton"]["alpha"] - want["soliton"]["alpha"]) <= 1e-10 * abs(want["soliton"]["alpha"])
+
+
+def test_bracket_j_schema_violations(tmp_path):
+    j0 = np.array([[0.0, -1.0], [1.0, 0.0]])
+    swap = np.zeros((4, 4))
+    swap[2, 0] = swap[3, 1] = 1.0
+    swap[0, 2] = swap[1, 3] = -1.0
+    bad = {
+        "shape": (j0, "J must be 4 x 4, got 2 x 2"),
+        "square": (2.0 * np.kron(np.eye(2), j0), "J^2 != -Id"),
+        "orthogonal": (np.kron(np.eye(2), [[1.0, -2.0], [1.0, -1.0]]), "J is not orthogonal"),
+        "nan": (np.full((4, 4), np.nan), "J^2 != -Id"),
+        # J e3 = -e1 leaves the centre span(e3, e4) of the Kodaira bracket
+        "center": (swap, "complex structure does not preserve the center"),
+    }
+    for name, (j, reason) in bad.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({"dim": 4, "entries": [{"i": 1, "j": 2, "k": 3, "c": 1.0}], "J": j.tolist()}))
+        for command in ("check", "flow"):
+            with pytest.raises(SystemExit) as exc:
+                cli.main([command, str(path)])
+            # a str code exits with status 1
+            assert exc.value.code == f"{path}: schema violation: {reason}", (name, command)
+    out = run_cli(["check", str(path)])
+    assert out.returncode == 1
+    assert out.stdout == ""
+    assert out.stderr.strip().splitlines() == [f"{path}: schema violation: complex structure does not preserve the center"]
+    # every J preserves a trivial centre: [e1, e2] = e1 loads, and check notes it is not 2-step
+    path = tmp_path / "affine.json"
+    path.write_text(json.dumps({"dim": 2, "entries": [{"i": 1, "j": 2, "k": 1, "c": 1.0}], "J": j0.tolist()}))
+    assert cli.main(["check", str(path)]) == 0
+
+
+def test_cli_import_loads_no_scipy():
+    code = 'import sys, pluriflow.cli; print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))'
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert out.returncode == 0 and out.stdout.strip() == "[]", out.stdout + out.stderr

@@ -11,6 +11,7 @@ from pluriflow.brackets import (
     bracket_inner_product,
     bracket_norm,
     center,
+    derivation_space,
     infinitesimal_action,
 )
 from pluriflow.catalog import kodaira_bracket
@@ -203,6 +204,26 @@ def test_non_soliton_has_large_residual(rng):
     split = nf.NilpotentSplitting.from_bracket(nu, frame)
     cert = nf.soliton_limit_certificate(nu, frame, split=split)
     assert cert.residual > 1e-3
+
+
+def test_soliton_certificate_is_scale_invariant():
+    # P is quadratic in the bracket, so alpha and the residual scale by s^2
+    # and the derivation space stays put; a rank cutoff taken against a
+    # scale-free block would drop real constraints of a small bracket
+    mu, frame = random_two_step_skt(np.random.default_rng(3), 2, 4)
+
+    def certify(s):
+        nu = LieBracket(s * mu.coeffs)
+        cert = nf.soliton_limit_certificate(nu, frame, nf.NilpotentSplitting.from_bracket(nu, frame))
+        return len(derivation_space(nu, commute_with=frame.J)), cert.alpha / s**2, cert.residual / s**2
+
+    dim, alpha, residual = certify(1.0)
+    assert dim == 12 and residual > 1.0
+    for s in (1e-3, 1e-6, 1e-9):
+        got = certify(s)
+        assert got[0] == dim, s
+        assert abs(got[1] - alpha) <= 1e-12 * abs(alpha), s
+        assert abs(got[2] - residual) <= 1e-10 * residual, s
 
 
 def test_equivariance_of_moment_map(rng):
