@@ -314,7 +314,7 @@ def test_check_soliton_fit_is_scale_invariant(tmp_path, capsys):
     assert abs(small["soliton"]["residual"] / s**2 - unit["soliton"]["residual"]) <= 1e-10 * unit["soliton"]["residual"]
 
 
-def test_check_takes_a_rotated_j(tmp_path, capsys):
+def _rotated_pair(tmp_path):
     # the bracket conjugated by an orthogonal Q, with J = Q J0 Q^t, is the same
     # Hermitian Lie algebra in another orthonormal basis
     rng = np.random.default_rng(4)
@@ -324,10 +324,44 @@ def test_check_takes_a_rotated_j(tmp_path, capsys):
     plain.write_text(json.dumps(mu.to_json_dict()))
     rotated = tmp_path / "rotated.json"
     rotated.write_text(json.dumps({**basis_change_action(q, mu).to_json_dict(), "J": (q @ frame.J @ q.T).tolist()}))
+    return plain, rotated
+
+
+def test_check_takes_a_rotated_j(tmp_path, capsys):
+    plain, rotated = _rotated_pair(tmp_path)
     want, got = _check_doc(plain, capsys), _check_doc(rotated, capsys)
     assert got["skt"]["is_skt"] is want["skt"]["is_skt"] is True
     assert abs(got["tr_P"] - want["tr_P"]) <= 1e-12 * abs(want["tr_P"])
     assert abs(got["soliton"]["alpha"] - want["soliton"]["alpha"]) <= 1e-10 * abs(want["soliton"]["alpha"])
+
+
+def _flow_table(path, capsys, args):
+    assert cli.main(["flow", str(path), *args]) == 0
+    out, err = capsys.readouterr()
+    header, *rows = out.splitlines()
+    return header, np.array([[float(x) for x in row.split(",")] for row in rows]), err.split()
+
+
+def test_flow_takes_a_rotated_j(tmp_path, capsys):
+    # flow runs the rotated bracket through the j-map state, skt_residual and
+    # the certificate under the general J; the basis-invariant columns agree
+    plain, rotated = _rotated_pair(tmp_path)
+    for args, event in ((["--horizon", "1", "--samples", "10"], "HORIZON"),
+                        (["--mode", "normalized", "--horizon", "2000", "--samples", "12"], "FIXED_POINT")):
+        header, want, want_summary = _flow_table(plain, capsys, args)
+        got_header, got, got_summary = _flow_table(rotated, capsys, args)
+        assert got_header == header == "t,mu_norm,F,tr_P,center_drift,skt_residual"
+        assert want_summary[:2] == got_summary[:2] == ["terminal", event], args
+        assert got.shape == want.shape
+        # the sample times agree, but for a fixed point's own time
+        assert np.array_equal(got[:-1, 0], want[:-1, 0])
+        for col in (1, 2, 3):
+            assert np.allclose(got[:, col], want[:, col], rtol=1e-9, atol=0), (args, header.split(",")[col])
+        # both flows stay pluriclosed: the residual is roundoff against |mu|^2
+        assert np.all(got[:, 5] <= 1e-9 * got[:, 1] ** 2)
+        if event == "FIXED_POINT":
+            residual = [float(w.split("=")[1]) for w in got_summary if w.startswith("soliton_residual=")]
+            assert residual and residual[0] < 1e-9
 
 
 def test_bracket_j_schema_violations(tmp_path):

@@ -1,20 +1,20 @@
 """Record the benchmark of two commits side by side, as one BENCH_*.json.
 
-    python3 tools/bench_record.py --parent REV [--change REV] --out BENCH_N.json
-        [--pairs 5] [--seeds 7 271828] [--seconds S]
+    python3 tools/bench_record.py --parent REV --out BENCH_N.json
 
-Each commit is exported with `git archive` into a temporary directory, so the
-record reflects committed files only.  For every seed and every workload of
-BENCHMARK.json, the script runs perfbench/run.py `--trace 0` in alternating
-pairs (parent first in even pairs, change first in odd ones), then one
-`--trace 1` run per commit.  `--seconds` defaults to BENCHMARK.json's
-`run_seconds`, and is the same for both commits.
+The change is HEAD.  Each commit is exported with `git archive` into a
+temporary directory, so the record reflects committed files only.  For seeds 7
+and 271828 and every workload of BENCHMARK.json, the script runs
+perfbench/run.py `--trace 0` in 10 alternating pairs (parent first in even
+pairs, change first in odd ones), then one `--trace 1` run per commit, all for
+BENCHMARK.json's `run_seconds`.
 
 The output keeps, per seed, workload and commit: every run's end-to-end
 metrics (`wall_ref_s`, `setup_s`, `peak_rss_mb`) with their median and
 quartiles, how many pairs the change won, the traced per-layer times of
-`derivation_space` and the nil-flow certificate, the correctness counts and
-the input digests; and once, the commits and each commit's run facts.
+`derivation_space` and the nil-flow certificate, the correctness counts, the
+failed items with their failed gates, and the input digests; and once, the
+commits and each commit's run facts.
 """
 
 from __future__ import annotations
@@ -31,6 +31,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 END_TO_END = ("wall_ref_s", "setup_s", "peak_rss_mb")
+PAIRS = 10
+SEEDS = (7, 271828)
 PER_LAYER = ("brackets.derivation_space_s", "brackets.derivation_space_peak_mb", "nilflow.certificate_s")
 
 
@@ -52,7 +54,15 @@ def run(checkout: Path, workload: str, seed: int, seconds: float, trace: int) ->
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     if proc.returncode != 0:
         raise SystemExit(f"{checkout.name}: {' '.join(cmd)} failed:\n{proc.stderr}")
-    return json.loads((checkout / "perfbench" / "out" / f"{workload}-seed{seed}-trace{trace}" / "result.json").read_text())
+    out = checkout / "perfbench" / "out" / f"{workload}-seed{seed}-trace{trace}"
+    result = json.loads((out / "result.json").read_text())
+    items = [json.loads(line) for line in (out / "items.jsonl").read_text().splitlines()]
+    # one entry per failed item and gate: `failed` counts item runs, and a
+    # run of several passes repeats the same item
+    result["failed_items"] = sorted({
+        f"{r['item']}: {gate}" + (" (excused)" if gate in r["excused"] else "")
+        for r in items if not r["passed"] for gate, ok in r["gates"].items() if not ok})
+    return result
 
 
 def spread(values: list[float]) -> dict:
@@ -60,9 +70,9 @@ def spread(values: list[float]) -> dict:
     return {"median": med, "q1": q1, "q3": q3, "runs": values}
 
 
-def record_workload(checkouts: dict, workload: str, seed: int, pairs: int, seconds: float) -> dict:
+def record_workload(checkouts: dict, workload: str, seed: int, seconds: float) -> dict:
     untraced = {side: [] for side in checkouts}
-    for p in range(pairs):
+    for p in range(PAIRS):
         order = list(checkouts) if p % 2 == 0 else list(checkouts)[::-1]
         for side in order:
             untraced[side].append(run(checkouts[side], workload, seed, seconds, 0))
@@ -78,6 +88,7 @@ def record_workload(checkouts: dict, workload: str, seed: int, pairs: int, secon
             "correct": all(r["correct"] for r in results + [traced]),
             "attempted": results[0]["attempted"],
             "failed": max(r["failed"] for r in results + [traced]),
+            "failed_items": sorted({f for r in results + [traced] for f in r["failed_items"]}),
             "input_digests": sorted({d for r in results + [traced] for d in r["input_digests"]}),
             "facts": results[0]["facts"],
         }
@@ -85,30 +96,24 @@ def record_workload(checkouts: dict, workload: str, seed: int, pairs: int, secon
     for m in END_TO_END:
         out[f"{m}_change_wins"] = sum(
             c["metrics"][m]["value"] < p["metrics"][m]["value"] for p, c in zip(parent, change))
-    out["pairs"] = pairs
+    out["pairs"] = PAIRS
     return out
 
 
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     p.add_argument("--parent", required=True, help="git revision of the baseline")
-    p.add_argument("--change", default="HEAD", help="git revision of the change (default: HEAD)")
     p.add_argument("--out", required=True, help="path of the JSON record to write")
-    p.add_argument("--pairs", type=int, default=5, help="alternating untraced run pairs per workload and seed")
-    p.add_argument("--seeds", type=int, nargs="+", default=[7, 271828])
-    p.add_argument("--seconds", type=float, help="perfbench --seconds (default: BENCHMARK.json run_seconds)")
     args = p.parse_args(argv)
-    if args.pairs < 1:
-        p.error("--pairs must be at least 1")
 
     with tempfile.TemporaryDirectory(prefix="bench_record-") as tmp:
         checkouts = {side: Path(tmp) / side for side in ("parent", "change")}
-        commits = {side: export(rev, checkouts[side]) for side, rev in (("parent", args.parent), ("change", args.change))}
+        commits = {side: export(rev, checkouts[side]) for side, rev in (("parent", args.parent), ("change", "HEAD"))}
         bench = json.loads((checkouts["change"] / "BENCHMARK.json").read_text())
-        seconds = args.seconds if args.seconds is not None else bench["run_seconds"]
+        seconds = bench["run_seconds"]
         workloads = [w["name"] for w in bench["workloads"]]
-        seeds = {str(seed): {w: record_workload(checkouts, w, seed, args.pairs, seconds) for w in workloads}
-                 for seed in args.seeds}
+        seeds = {str(seed): {w: record_workload(checkouts, w, seed, seconds) for w in workloads}
+                 for seed in SEEDS}
     record = {"commits": commits, "seconds": seconds, "end_to_end": list(END_TO_END),
               "per_layer": list(PER_LAYER), "seeds": seeds}
     Path(args.out).write_text(json.dumps(record, indent=2) + "\n")
