@@ -43,13 +43,12 @@ from .almostabelian import (
     SktVerdict,
     build_bracket,
     classify,
-    eigencomponent_dynamics,
+    extinction_time,
     gauge_matrix,
     hermitian_frame,
     integrate_reduced_flow,
     p_components,
     p_matrix,
-    self_similar_deviation,
     skt_verdict,
     soliton_certificate,
 )

@@ -15,12 +15,15 @@ with c = (k/4 - 1/2) a^2 - |v|^2 / 2, S = (k/4 - 1/2) a^2 Id - A A^t / 2
 + (a/4)(A + A^t), and 2k = rank(A + A^t) frozen at the initial condition.
 The pair (a, A) moves only by a common scale, so the flow runs on the state
 (r, v) with r = |(a, A)|: along the fixed direction (a0, A0) / r0 it reads
-(a, A) = (r / r0)(a0, A0) and S = (r / r0)^2 S(a0, A0).
+(a, A) = (r / r0)(a0, A0) and S = (r / r0)^2 S(a0, A0).  integrate_reduced_flow
+evaluates its exact solution (ReducedFlow), with the extinction time in
+closed form, instead of integrating it.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,18 +49,18 @@ __all__ = [
     "p_matrix",
     "gauge_matrix",
     "ReducedFlow",
-    "eigencomponent_dynamics",
     "integrate_reduced_flow",
+    "extinction_time",
     "ReducedTrajectory",
     "soliton_certificate",
     "classify",
-    "self_similar_deviation",
     "UNNORMALIZED",
     "A_NORM_FIXED",
 ]
 
 UNNORMALIZED = "UNNORMALIZED"
 A_NORM_FIXED = "A_NORM_FIXED"
+_EPS = float(np.finfo(float).eps)
 
 
 class SolitonKind(enum.Enum):
@@ -337,16 +340,72 @@ def _direction_norm(data0: AlmostAbelianData) -> float:
     return float(np.sqrt(data0.scale_sq)) or 1.0
 
 
-class ReducedFlow:
-    """Reduced gauged bracket flow on the state (r, v), r = |(a, A)|.
+_TAU_GRID = np.linspace(0.0, 1.0, 129)  # unsampled rows: fractions of a run's span in tau
+_TOP_RTOL = 1e-10  # eigenvalues of S0 this close to c0 (relative) span ker A0
+# 1 / (i + j + 2)! for the Taylor series of _exp_dd; the terms left out are below 1e-21
+_DD_TERMS = np.array([[1.0 / math.factorial(i + j + 2) for j in range(20)] for i in range(20)])
 
-    With lam = r / r0 the pair is lam (a0, A0), so c = lam^2 (k/4 - 1/2) a0^2
-    - |v|^2 / 2, r' = c r and v' = c v + lam^2 S0 v - |v|^2 v / 2, where S0 is
-    S at the initial condition.  Under the normalization that freezes (a, A),
-    r' = 0 and v' = S0 v - |v|^2 v / 2.  k is computed from the initial
-    condition and frozen: A evolves by scaling, so eigenvalue multiplicities
-    are constant, and recomputing k each step risks rank flicker near zero
+
+def _phi1(x):
+    """(e^x - 1) / x, and 1 at x = 0."""
+    return np.where(x == 0.0, 1.0, np.expm1(x) / np.where(x == 0.0, 1.0, x))
+
+
+def _exp_dd(x, y):
+    """exp[0, x, y] = int e^(s x + u y) over s, u >= 0, s + u <= 1: shifted by the
+    top point to 0 >= p >= q, sum p^i q^j / (i + j + 2)! while q >= -1, else
+    (exp[0, p] - exp[p, q]) / -q, which cancels at most two bits."""
+    hi = np.maximum(0.0, np.maximum(x, y))
+    a, b, c = -hi, x - hi, y - hi
+    q = np.minimum(np.minimum(a, b), c)
+    p = np.maximum(np.minimum(a, b), np.minimum(np.maximum(a, b), c))
+    qf = np.minimum(q, -1.0)
+    out = (_phi1(p) - np.exp(p) * _phi1(qf - p)) / -qf
+    near, n = q >= -1.0, np.arange(_DD_TERMS.shape[0])
+    out[near] = ((p[near][:, None] ** n @ _DD_TERMS) * q[near][:, None] ** n).sum(axis=1)
+    return np.exp(hi) * out
+
+
+def _root(g, lo, hi=None):
+    """Where g(tau) = (value, slope), increasing, crosses 0 in [lo, hi], for
+    g(lo) <= 0 < g(hi); an upper end left out doubles from max(1, 2 lo) until
+    g > 0 there.  Newton steps, bisecting where one leaves the bracket."""
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        if hi is None:
+            hi = np.maximum(1.0, 2.0 * lo)
+            for _ in range(1100):  # past the largest double
+                if not (low := ~(g(hi)[0] > 0)).any():
+                    break
+                lo, hi = np.where(low, hi, lo), np.where(low, 2.0 * hi, hi)
+        x = step = hi
+        for _ in range(200):
+            val, slope = g(x)
+            lo, hi = np.where(val > 0, lo, x), np.where(val > 0, x, hi)
+            step = x - val / slope
+            step = np.where((step >= lo) & (step <= hi), step, 0.5 * (lo + hi))
+            if np.all(np.abs(step - x) <= 4.0 * _EPS * x):
+                break
+            x = step
+    return step
+
+
+class ReducedFlow:
+    """The reduced flow on the state (r, v), r = |(a, A)|, and its exact solution.
+
+    With lam = r / r0, c0 = (k/4 - 1/2) a0^2 and S0 = S(a0, A0), the field is
+    r' = c r, v' = c v + lam^2 S0 v - |v|^2 v / 2, c = lam^2 c0 - |v|^2 / 2;
+    freezing (a, A) leaves r' = 0 and v' = S0 v - |v|^2 v / 2.  k is frozen at
+    the initial condition: A evolves by scaling, so eigenvalue multiplicities
+    are constant, and recomputing k would risk rank flicker near zero
     eigenvalues.
+
+    In the time tau, d tau = lam^2 dt, w = v / lam follows that frozen flow: with
+    S0 = Q diag(sigma) Q^t and beta = Q^t v0, w = Q e^(tau sigma) beta /
+    sqrt(D), lam = e^(c0 tau) / sqrt(D) and t = int_0^tau e^(-2 c0 s) D ds,
+    where D = 1 + sum beta_i^2 (e^(2 sigma_i tau) - 1) / (2 sigma_i); frozen,
+    lam = 1 and tau = t.  c0 is the top eigenvalue of S0, on ker A0.  When v0
+    lies in Im A0 (classify's test) its weight there is dropped, and for
+    c0 > 0 the flow dies at T = [1 + v0^t (c0 - S0)^+ v0 / 2] / (2 c0).
     """
 
     def __init__(self, data0: AlmostAbelianData, mode: str = UNNORMALIZED):
@@ -355,63 +414,87 @@ class ReducedFlow:
         verdict = skt_verdict(data0)
         if not verdict.is_skt:
             raise ValueError("initial condition is not pluriclosed")
-        self.k = verdict.k
-        self.data0 = data0
-        self.mode = mode
-        self._r0 = _direction_norm(data0)
-        self._c_top = _s_top(self.k, data0.a)
-        # S0 acting on the v block of a state; its zero first row and column
-        # leave r out of S0 x
-        m = data0.m
-        self._s0 = np.zeros((m + 1, m + 1))
-        self._s0[1:, 1:] = _s_matrix(data0.a, data0.A, self.k)
+        self.k, self.data0, self.mode = verdict.k, data0, mode
+        self.c = _s_top(self.k, data0.a)
+        self._r0, self._x0 = _direction_norm(data0), data0.to_state()
+        self._s0 = _s_matrix(data0.a, data0.A, self.k)
+        self.sigma, self._q = np.linalg.eigh(self._s0)
+        self.top_weight = not _in_image(data0.A, data0.v)
+        self._beta, gap = self._q.T @ data0.v, self.c - self.sigma
+        if not self.top_weight:
+            self._beta[gap <= _TOP_RTOL * max(abs(self.c), np.abs(self.sigma).max(initial=0.0))] = 0.0
+        self._b2 = self._beta**2
+        self._m = max(0.0, self.sigma[self._b2 > 0].max(initial=0.0))  # e^(-2 m tau) D stays in range
+        self.T = math.inf
+        if self.c > 0 and not self.top_weight:
+            self._tail_w = np.divide(self._b2, 4.0 * self.c * gap, out=np.zeros_like(gap), where=self._b2 > 0)
+            self.T = 0.5 / self.c + float(self._tail_w.sum())
+
+    @property
+    def limit(self) -> str:
+        """ZERO, NONZERO or BLOWUP: where lam goes, unnormalized.  D grows like
+        e^(2 s tau), s the top eigenvalue of S0 with weight of v0, and s = c0
+        exactly when v0 leaves Im A0."""
+        if self.c > 0:
+            return "NONZERO" if self.top_weight else "BLOWUP"
+        return "NONZERO" if self.c == 0 and not self.top_weight else "ZERO"
 
     def field(self, x: np.ndarray) -> np.ndarray:
+        """The right-hand side at x = (r, v), which the exact solution solves."""
         v = x[1:]
         vv = float(v.dot(v))
-        out = self._s0.dot(x)
+        lam2 = 1.0 if self.mode == A_NORM_FIXED else (x[0] / self._r0) ** 2
+        c = 0.0 if self.mode == A_NORM_FIXED else lam2 * self.c - 0.5 * vv
+        return np.concatenate([[c * x[0]], lam2 * self._s0.dot(v) + (c - 0.5 * vv) * v])
+
+    def _at(self, tau):
+        """(log lam, w in the eigenbasis of S0, dt/dtau) at the times tau (n,)."""
+        tc, s, m = tau[:, None], self.sigma, self._m
+        grow = np.exp(2.0 * np.minimum(np.maximum(s, 0.0) - m, 0.0) * tc) * tc * _phi1(-2.0 * np.abs(s) * tc)
+        d = np.exp(-2.0 * m * tau) + grow @ self._b2  # e^(-2 m tau) D
+        w = np.exp(np.minimum(s - m, 0.0) * tc) * self._beta / np.sqrt(d)[:, None]
+        log_lam = np.zeros_like(tau) if self.mode == A_NORM_FIXED else (self.c - m) * tau - 0.5 * np.log(d)
+        return log_lam, w, np.exp(-2.0 * log_lam)
+
+    def times(self, tau):
+        """t(tau), through divided differences of exp."""
         if self.mode == A_NORM_FIXED:
-            out -= (0.5 * vv) * x
-            out[0] = 0.0
-            return out
-        r = float(x[0])
-        lam = r / self._r0
-        lam2 = lam * lam
-        c = lam2 * self._c_top - 0.5 * vv
-        out *= lam2
-        out += (c - 0.5 * vv) * x
-        out[0] = c * r
-        return out
+            return tau
+        x = -2.0 * self.c * tau
+        return tau * _phi1(x) + tau * tau * (_exp_dd(x[:, None], 2.0 * (self.sigma - self.c) * tau[:, None]) @ self._b2)
 
+    def _tail(self, tau):
+        """T - t(tau) for finite T, the integral of dt/dtau from tau on."""
+        tc, s, c = tau[:, None], self.sigma, self.c
+        e = np.exp(-2.0 * c * tau)
+        g = 2.0 * c * tc * np.exp(2.0 * (np.maximum(s, 0.0) - c) * tc) * _phi1(-2.0 * np.abs(s) * tc)
+        return 0.5 * e / c + (e[:, None] + g) @ self._tail_w
 
-def eigencomponent_dynamics(data: AlmostAbelianData, k: int | None = None, gap_rtol: float = 1e-8):
-    """Decompose v over eigenspaces of S; return [(lambda_i, r_i, r_i')].
+    def tau_at(self, t):
+        """tau at the times 0 < t < T: Newton on log t(tau), or on
+        log(T - t(tau)) when T is finite, with dt/dtau = lam^-2."""
+        finite = self.T < math.inf
 
-    r_i = |v_i|^2 / 2 evolves by r_i' = 2 lambda_i r_i - |v|^2 r_i under the
-    normalization that freezes a and A.  Components with zero projection are
-    dropped.
-    """
-    if k is None:
-        k = skt_multiplicity_k(data.a, data.A)[0]
-    s = _s_matrix(data.a, data.A, k)
-    vals, vecs = np.linalg.eigh(s)
-    gap = gap_rtol * max(np.abs(vals).max(initial=0.0), 1e-300)
-    clusters = []
-    start = 0
-    for i in range(1, len(vals) + 1):
-        if i == len(vals) or vals[i] - vals[i - 1] > gap:
-            clusters.append((start, i))
-            start = i
-    vnorm2 = float(data.v @ data.v)
-    out = []
-    for lo, hi in clusters:
-        proj = vecs[:, lo:hi] @ (vecs[:, lo:hi].T @ data.v)
-        r = 0.5 * float(proj @ proj)
-        if r <= 1e-28 * max(vnorm2, 1.0):
-            continue
-        lam = float(vals[lo:hi].mean())
-        out.append((lam, r, 2.0 * lam * r - vnorm2 * r))
-    return out
+        def g(tau):
+            u = self._tail(tau) if finite else self.times(tau)
+            return np.log((self.T - t) / u if finite else u / t), self._at(tau)[2] / u
+
+        return t if self.mode == A_NORM_FIXED else _root(g, 0.0 * t)
+
+    def _log_norm(self, tau):
+        """(log(|x| / engine._BLOWUP_NORM), its tau-derivative)."""
+        log_lam, w, _ = self._at(tau)
+        ww = w * w
+        w2 = ww.sum(axis=1)
+        r2 = self._x0[0] ** 2 + w2
+        slope = self.c - 0.5 * w2 + (ww @ self.sigma - 0.5 * w2 * w2) / r2
+        return log_lam + 0.5 * np.log(r2) - math.log(engine._BLOWUP_NORM), slope
+
+    def states(self, tau):
+        """The states (r, v) at the times tau (n,)."""
+        log_lam, w, _ = self._at(tau)
+        lam = np.exp(log_lam)[:, None]
+        return np.hstack([lam * self._x0[0], (lam * w) @ self._q.T])
 
 
 @dataclass
@@ -460,14 +543,44 @@ def integrate_reduced_flow(
     horizon: float = 100.0,
     config: engine.IntegratorConfig | None = None,
 ) -> ReducedTrajectory:
-    """Integrate the reduced flow from an SKT initial condition.
-
-    Fixed-point early termination is left off: the asymptotic regimes are
-    approached only in the limit and exact solitons must run to the horizon.
-    """
+    """The reduced flow from an SKT initial condition, read off its exact
+    solution (ReducedFlow).  An unnormalized run with finite T ends on BLOWUP
+    where |x| reaches engine._BLOWUP_NORM, if that is within the horizon, and
+    any other run on HORIZON.  The rows lie at the fractions _TAU_GRID of its
+    span in tau, or at the config's sample times up to its end, and at its
+    end; the config's tolerances play no part."""
+    if not 0.0 <= horizon < math.inf:
+        raise ValueError(f"horizon must be finite and at least 0, got {horizon!r}")
     flow = ReducedFlow(data0, mode)
-    raw = engine.integrate(flow.field, data0.to_state(), horizon, config)
+    event, t_end = engine.HORIZON, float(horizon)
+    if mode == UNNORMALIZED and flow.T < math.inf:
+        tau_b = _root(flow._log_norm, np.zeros(1))
+        if flow.times(tau_b)[0] <= t_end:
+            event, tau_end, t_end = engine.BLOWUP, tau_b, float(flow.times(tau_b)[0])
+    if event == engine.HORIZON:
+        tau_end = flow.tau_at(np.array([t_end]))
+    if config is None or config.sample_times is None:
+        tau = tau_end * _TAU_GRID
+        times = flow.times(tau)
+        times[-1] = t_end
+    else:
+        times = np.sort(np.asarray(config.sample_times, dtype=float))
+        close = 1e-14 * max(1.0, t_end)
+        times = times[times <= t_end + close]
+        if not times.size or abs(times[-1] - t_end) > close:
+            times = np.append(times, t_end)
+        tau = np.where(times < t_end, 0.0, tau_end)
+        inner = (times > 0.0) & (times < t_end)
+        tau[inner] = flow.tau_at(times[inner])
+    blowup = engine.BlowupFit(flow.T, 0.5) if event == engine.BLOWUP else None
+    raw = engine.Trajectory(times, flow.states(tau), event, blowup=blowup)
     return ReducedTrajectory(data0=data0, k=flow.k, mode=mode, raw=raw)
+
+
+def extinction_time(data: AlmostAbelianData) -> float:
+    """T of the unnormalized reduced flow from data, inf when it is immortal;
+    finite exactly when classify says FINITE."""
+    return ReducedFlow(data).T
 
 
 @dataclass
@@ -568,17 +681,3 @@ def classify(data: AlmostAbelianData, tol: float = 1e-9) -> ClassificationReport
     else:
         case, t_pred, lim, kind = "vi", "FINITE", "BLOWUP", SolitonKind.SHRINKING
     return ClassificationReport(case, k, unimodular, t_pred, lim, kind)
-
-
-def self_similar_deviation(data: AlmostAbelianData, traj: ReducedTrajectory, alpha: float | None = None) -> float:
-    """Max relative deviation of the trajectory from (1 - 2 alpha t)^(-1/2)
-    scaling; |x - sigma x0| on the state (r, v) equals the one on (a, v, A)."""
-    if alpha is None:
-        alpha = p_components(data).c
-    x0 = data.to_state()
-    n0 = np.linalg.norm(x0)
-    worst = 0.0
-    for t, x in zip(traj.raw.times, traj.raw.states):
-        sigma = (1.0 - 2.0 * alpha * float(t)) ** -0.5
-        worst = max(worst, float(np.linalg.norm(x - sigma * x0)) / (sigma * n0))
-    return worst

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -82,6 +83,7 @@ def _check_almost_abelian(data: aa.AlmostAbelianData, tol: float) -> dict:
             "k": report.k,
             "unimodular": report.unimodular,
             "predicted_T": report.predicted_T,
+            "extinction_time": aa.extinction_time(data),
             "predicted_limit": report.predicted_limit,
             "soliton_type_at_limit": report.soliton_type_at_limit.value,
         }
@@ -213,9 +215,9 @@ def build_parser() -> argparse.ArgumentParser:
     f.add_argument("input", help="JSON file or catalog:NAME")
     f.add_argument("--mode", choices=["unnormalized", "normalized"], default="unnormalized")
     f.add_argument("--horizon", type=_positive, default=100.0)
-    f.add_argument("--samples", type=_count, default=0, help="number of dense sample times (0: accepted steps)")
-    f.add_argument("--rel-tol", type=_positive, default=1e-10)
-    f.add_argument("--abs-tol", type=_positive, default=1e-12)
+    f.add_argument("--samples", type=_count, default=0, help="number of sample times (0: accepted steps, or the reduced flow's tau grid)")
+    f.add_argument("--rel-tol", type=_positive, default=1e-10, help="2-step flow only")
+    f.add_argument("--abs-tol", type=_positive, default=1e-12, help="2-step flow only")
     f.add_argument("--out", help="CSV output path (default: stdout)")
     f.set_defaults(fn=cmd_flow)
 
@@ -232,8 +234,13 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()  # parse_args leaves it unchanged, so one serves every call
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     return args.fn(args)
 
 

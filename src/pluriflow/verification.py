@@ -23,9 +23,8 @@ __all__ = [
     "structural_invariants",
 ]
 
-EXTENDED_HORIZON = 1e16  # far horizon for limit classification on power-law decay
 IDENTITY_TRIALS = 100  # random brackets drawn by suite_identities
-TABLE1_HORIZON = 1e3  # finite/infinite extinction-time proxy of suite_table1
+TABLE1_HORIZON = 1e3  # run length of suite_table1's unnormalized flow
 TABLE1_NORM_HORIZON = 120.0  # run length of suite_table1's normalized flow
 # matrices of one size that suite_appendix reports in one call.  It bounds the
 # matrices held at once; beyond 64 a call saves no more time (0.18 s for the
@@ -182,31 +181,9 @@ def table_one_representatives() -> dict:
 
 
 def classify_unnormalized_limit(data):
-    """(label, trajectory): label in {'ZERO', 'NONZERO', 'BLOWUP'}.
-
-    The finite/infinite proxy is TABLE1_HORIZON; power-law decay toward
-    zero is resolved by extending the run far beyond it.
-    """
-    traj = aa.integrate_reduced_flow(data, aa.UNNORMALIZED, TABLE1_HORIZON)
-    if traj.raw.terminal_event == engine.BLOWUP:
-        return "BLOWUP", traj
-    label = _limit_label(traj)
-    if label is None:
-        traj_ext = aa.integrate_reduced_flow(data, aa.UNNORMALIZED, EXTENDED_HORIZON)
-        label = _limit_label(traj_ext) or "UNRESOLVED"
-    return label, traj
-
-
-def _limit_label(traj):
-    # the run is unsampled, so its records are its accepted steps
-    times = traj.raw.times
-    norms = np.array([np.linalg.norm(x) for x in traj.raw.states])
-    if norms[-1] < 1e-6:
-        return "ZERO"
-    tail = norms[times >= times[-1] / 10.0]
-    if tail.size >= 3 and (tail.max() - tail.min()) / max(norms[-1], 1e-300) < 1e-3:
-        return "NONZERO"
-    return None
+    """(label, trajectory): label in {'ZERO', 'NONZERO', 'BLOWUP'}, where
+    lam = r / r0 goes (ReducedFlow.limit); the run goes to TABLE1_HORIZON."""
+    return aa.ReducedFlow(data).limit, aa.integrate_reduced_flow(data, aa.UNNORMALIZED, TABLE1_HORIZON)
 
 
 def structural_invariants(traj: aa.ReducedTrajectory) -> dict:
@@ -227,13 +204,15 @@ def structural_invariants(traj: aa.ReducedTrajectory) -> dict:
 
 
 def suite_table1() -> dict:
-    """Integrate one representative per case and match the predicted regime."""
+    """Run one representative per case and match the predicted regime: the
+    extinction time T is finite as predicted, and the unnormalized run ends
+    on BLOWUP exactly when T is within TABLE1_HORIZON."""
     rows = {}
     ok = True
     for case, data in table_one_representatives().items():
         report = aa.classify(data)
         limit, traj = classify_unnormalized_limit(data)
-        t_obs = "FINITE" if traj.raw.terminal_event == engine.BLOWUP else "INFINITE"
+        T = aa.extinction_time(data)
 
         ntraj = aa.integrate_reduced_flow(data, aa.A_NORM_FIXED, TABLE1_NORM_HORIZON)
         limit_data = data.from_state(ntraj.raw.final_state)
@@ -247,7 +226,8 @@ def suite_table1() -> dict:
         inv = structural_invariants(traj)
         case_ok = (
             report.table_case == case
-            and report.predicted_T == t_obs
+            and report.predicted_T == ("FINITE" if T < np.inf else "INFINITE")
+            and (traj.raw.terminal_event == engine.BLOWUP) == (T <= TABLE1_HORIZON)
             and (report.predicted_limit == limit or report.predicted_limit == "DATA_DEPENDENT" and limit in ("ZERO", "NONZERO"))
             and cert.kind == report.soliton_type_at_limit
             and cert.residual < 1e-6
@@ -259,7 +239,8 @@ def suite_table1() -> dict:
         rows[case] = {
             "ok": bool(case_ok),
             "classified": report.table_case,
-            "T_observed": t_obs,
+            "T": T,
+            "terminal_event": traj.raw.terminal_event,
             "T_predicted": report.predicted_T,
             "limit_observed": limit,
             "limit_predicted": report.predicted_limit,

@@ -122,13 +122,22 @@ def test_criterion_3_table_reproduction():
 # --- criterion 4: self-similar soliton evolution ----------------------------
 
 
+def _self_similar_deviation(data, traj):
+    """Max relative deviation of the rows from (1 - 2 alpha t)^(-1/2) x0, alpha = c."""
+    alpha = aa.p_components(data).c
+    x0 = data.to_state()
+    sigma = (1.0 - 2.0 * alpha * traj.raw.times) ** -0.5
+    dev = np.linalg.norm(traj.raw.states - sigma[:, None] * x0, axis=1) / (sigma * np.linalg.norm(x0))
+    return float(dev.max())
+
+
 def test_criterion_4_self_similar_scaling():
     sab = get_entry("s_ab(1, pi/2)").data
     shrink = get_entry("shrink10").data
     steady = get_entry("steady10").data
-    dev_exp = aa.self_similar_deviation(sab, aa.integrate_reduced_flow(sab, aa.UNNORMALIZED, 100.0))
-    dev_shr = aa.self_similar_deviation(shrink, aa.integrate_reduced_flow(shrink, aa.UNNORMALIZED, 0.45))
-    dev_std = aa.self_similar_deviation(steady, _steady_run())
+    dev_exp = _self_similar_deviation(sab, aa.integrate_reduced_flow(sab, aa.UNNORMALIZED, 100.0))
+    dev_shr = _self_similar_deviation(shrink, aa.integrate_reduced_flow(shrink, aa.UNNORMALIZED, 0.45))
+    dev_std = _self_similar_deviation(steady, _steady_run())
     ok = dev_exp < 1e-6 and dev_shr < 1e-6 and dev_std < 1e-9
     _report(4, ok, f"deviations: expanding {dev_exp:.1e}, shrinking {dev_shr:.1e}, steady {dev_std:.1e}")
 

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -192,21 +194,33 @@ def test_normalized_field_soliton_fixed_point(steady):
     assert np.abs(dv).max() < 1e-14
 
 
-def test_eigencomponent_dynamics(steady, rng):
-    comps = aa.eigencomponent_dynamics(steady)
-    assert len(comps) == 1
-    lam, r, dr = comps[0]
-    assert abs(lam - 1.0) < 1e-12 and abs(r - 1.0) < 1e-12
-    assert abs(dr - 2 * r * (lam - r)) < 1e-12
-    # ratio law: d/dt log(r_i / r_s) = 2 (lambda_i - lambda_s)
+def _eigencomponents(data, states):
+    """Per cluster of equal eigenvalues of S0: (eigenvalue, r_i = |v_i|^2 / 2 along
+    the rows), for the clusters that carry weight of v0."""
+    s = aa._s_matrix(data.a, data.A, aa.skt_verdict(data).k)
+    vals, vecs = np.linalg.eigh(s)
+    out = []
+    for lam in np.unique(np.round(vals, 8)):
+        block = vecs[:, np.abs(vals - lam) < 1e-8]
+        r = 0.5 * np.sum((states[:, 1:] @ block) ** 2, axis=1)
+        if r[0] > 1e-28:
+            out.append((lam, r))
+    return out
+
+
+def test_eigencomponent_dynamics(steady):
+    # under the normalization that freezes (a, A), r_i = |v_i|^2 / 2 obeys
+    # r_i' = 2 lambda_i r_i - |v|^2 r_i: the steady soliton's one component
+    # stays put, and log(r_1 / r_2) grows at the rate 2 (lambda_1 - lambda_2)
+    traj = aa.integrate_reduced_flow(steady, aa.A_NORM_FIXED, 5.0)
+    (lam, r), = _eigencomponents(steady, traj.raw.states)
+    assert abs(lam - 1.0) < 1e-12 and np.abs(r - 1.0).max() < 1e-12
     vmix = steady.v.copy()
     vmix[0] = 0.4
     mixed = steady.replace(v=vmix)
-    comps = aa.eigencomponent_dynamics(mixed)
-    assert len(comps) == 2
-    (l1, r1, d1), (l2, r2, d2) = comps
-    lhs = d1 / r1 - d2 / r2
-    assert abs(lhs - 2 * (l1 - l2)) < 1e-12
+    traj = aa.integrate_reduced_flow(mixed, aa.A_NORM_FIXED, 5.0)
+    (l1, r1), (l2, r2) = _eigencomponents(mixed, traj.raw.states)
+    assert_allclose(np.log(r1 / r2) - np.log(r1[0] / r2[0]), 2 * (l1 - l2) * traj.raw.times, atol=1e-12)
 
 
 def test_s_matrix_bound(rng):
@@ -337,13 +351,22 @@ def test_classify_rejects_nilpotent():
         aa.classify(aa.AlmostAbelianData(0.0, np.array([1.0, 0.0]), np.zeros((2, 2)), HermitianFrame.pairwise(2).J))
 
 
+def _self_similar_deviation(data, traj):
+    """Max relative deviation of the rows from (1 - 2 alpha t)^(-1/2) x0, alpha = c."""
+    alpha = aa.p_components(data).c
+    x0 = data.to_state()
+    sigma = (1.0 - 2.0 * alpha * traj.raw.times) ** -0.5
+    dev = np.linalg.norm(traj.raw.states - sigma[:, None] * x0, axis=1) / (sigma * np.linalg.norm(x0))
+    return float(dev.max())
+
+
 def test_self_similar_scaling(sab, shrink, steady):
     traj = aa.integrate_reduced_flow(shrink, aa.UNNORMALIZED, 0.45)
-    assert aa.self_similar_deviation(shrink, traj) < 1e-6
+    assert _self_similar_deviation(shrink, traj) < 1e-6
     traj = aa.integrate_reduced_flow(steady, aa.UNNORMALIZED, 100.0)
-    assert aa.self_similar_deviation(steady, traj) < 1e-9
+    assert _self_similar_deviation(steady, traj) < 1e-9
     traj = aa.integrate_reduced_flow(sab, aa.UNNORMALIZED, 100.0)
-    assert aa.self_similar_deviation(sab, traj) < 1e-6
+    assert _self_similar_deviation(sab, traj) < 1e-6
 
 
 def test_json_round_trip(steady):
@@ -404,7 +427,7 @@ def _assert_diagnostics_match_oracle(traj):
 def test_diagnostics_match_row_loop_on_blowup(shrink):
     traj = aa.integrate_reduced_flow(shrink, aa.UNNORMALIZED, 2.0)
     assert traj.raw.terminal_event == engine.BLOWUP
-    assert len(traj.times) > 256  # a long run, up to |x| = 1e6
+    assert len(traj.times) == len(aa._TAU_GRID)  # a run up to |x| = 1e6, one row per grid point
     _assert_diagnostics_match_oracle(traj)
 
 
@@ -435,51 +458,53 @@ def test_diagnostics_one_row(shrink):
     _assert_diagnostics_match_oracle(traj)
 
 
-# --- oracles for the (r, v) state ---------------------------------------------
+# --- oracles of the exact solution -------------------------------------------
 
 
-def _frozen_v_closed_form(s, v0, t):
-    """v(t) of v' = S v - |v|^2 v / 2 for a fixed symmetric S:
-    e^(tS) v0 / sqrt(1 + v0^t (int_0^t e^(2uS) du) v0), through eigh(S).
+def _oracle_inputs(rng):
+    from pluriflow.verification import table_one_representatives
 
-    Numerator and denominator are divided by e^(tL), L = max(0, top eigenvalue),
-    so neither overflows.
-    """
-    lam, q = np.linalg.eigh(s)
-    w = q.T @ v0
-    top = max(0.0, float(lam.max()))
-    damp = np.exp(-2.0 * t * top)
-    # int_0^t e^(2u lam) du times e^(-2tL), per eigenvalue
-    grow = np.empty_like(lam)
-    for i, l in enumerate(lam):
-        if l > 0:
-            grow[i] = -np.expm1(-2.0 * t * l) / (2.0 * l) * np.exp(2.0 * t * (l - top))
-        elif l < 0:
-            grow[i] = np.expm1(2.0 * t * l) / (2.0 * l) * damp
-        else:
-            grow[i] = t * damp
-    num = q @ (np.exp(t * (lam - top)) * w)
-    return num / np.sqrt(damp + float(np.sum(w * w * grow)))
-
-
-def _frozen_oracle_inputs(rng):
-    sab = get_entry("s_ab(1, pi/2)").data
-    yield sab.replace(v=np.array([0.3, -0.2, 0.1, 0.4]))
-    for m in (4, 8):
+    yield from table_one_representatives().values()
+    for m in (2, 4, 8):
         for _ in range(2):
-            yield random_skt_almost_abelian(rng, m=m)
+            yield random_skt_almost_abelian(rng, m=m, allow_zero_a=True)
+    # and one random item that dies
+    data = random_skt_almost_abelian(rng, m=8)
+    while aa.classify(data).predicted_T != "FINITE":
+        data = random_skt_almost_abelian(rng, m=8)
+    yield data
+
+
+def _assert_rows_match_oracle(data, mode, horizon):
+    """Integrate the field with the engine at the closed form's row times:
+    each row within 1e-9 max(1, T / (T - t)) relative (T = inf when
+    normalized), the extinction time within 1e-9 T of the engine's T_est."""
+    cfg = engine.IntegratorConfig()
+    exact = aa.integrate_reduced_flow(data, mode, horizon).raw
+    flow = aa.ReducedFlow(data, mode)
+    oracle = engine.integrate(flow.field, data.to_state(), horizon, replace(cfg, sample_times=exact.times))
+    assert oracle.terminal_event == exact.terminal_event
+    T = flow.T if mode == aa.UNNORMALIZED else np.inf
+    if exact.terminal_event == engine.BLOWUP:
+        assert abs(exact.blowup.t_est - oracle.blowup.t_est) <= 1e-9 * T
+    rows = dict(zip(exact.times, exact.states))
+    compared = 0
+    for t, x in zip(oracle.times, oracle.states):
+        if t in rows:
+            bound = 1e-9 * (max(1.0, T / (T - t)) if T < np.inf else 1.0) * np.linalg.norm(x) + 10 * cfg.abs_tol
+            assert np.linalg.norm(rows[t] - x) <= bound, (t, np.linalg.norm(rows[t] - x), bound)
+            compared += 1
+    assert compared >= len(exact.times) - 1  # all but a BLOWUP row past the oracle's last step
 
 
 def test_normalized_flow_matches_closed_form(rng):
-    cfg = engine.IntegratorConfig()
-    for data in _frozen_oracle_inputs(rng):
-        s = aa._s_matrix(data.a, data.A, aa.skt_verdict(data).k)
-        traj = aa.integrate_reduced_flow(data, aa.A_NORM_FIXED, 30.0, cfg)
-        assert np.all(traj.raw.states[:, 0] == traj.raw.states[0, 0])  # r frozen
-        for t, x in zip(traj.raw.times, traj.raw.states):
-            want = _frozen_v_closed_form(s, data.v, float(t))
-            err = np.linalg.norm(x[1:] - want)
-            assert err <= 1e-9 * np.linalg.norm(want) + 10 * cfg.abs_tol, (t, err)
+    for data in _oracle_inputs(rng):
+        _assert_rows_match_oracle(data, aa.A_NORM_FIXED, 120.0)
+
+
+def test_exact_state_matches_engine_oracle(rng):
+    for data in _oracle_inputs(rng):
+        _assert_rows_match_oracle(data, aa.UNNORMALIZED, 1e3)
 
 
 def _dense_field(data0, mode):
@@ -543,3 +568,48 @@ def test_natural_flow_matches_dense_flow(rng):
             if nat.terminal_event == engine.HORIZON:
                 got, want = _dense_state(data.from_state(nat.final_state)), dense.final_state
                 assert np.linalg.norm(got - want) <= 1e-8 * np.linalg.norm(want)
+
+
+def test_extinction_time_matches_classification(shrink, steady, rng):
+    from pluriflow.verification import table_one_representatives
+
+    assert aa.extinction_time(shrink) == 0.5
+    assert aa.extinction_time(steady) == np.inf
+    for case, data in table_one_representatives().items():
+        T = aa.extinction_time(data)
+        assert abs(T - 13 / 24) <= 1e-15 if case == "vi" else T == np.inf, (case, T)
+    for m in (2, 4, 8):
+        for _ in range(30):
+            data = random_skt_almost_abelian(rng, m=m, allow_zero_a=True)
+            assert (aa.extinction_time(data) < np.inf) == (aa.classify(data).predicted_T == "FINITE")
+
+
+def test_limit_labels_follow_the_classification():
+    from pluriflow.verification import table_one_representatives
+
+    want = {"i": "NONZERO", "ii": "ZERO", "iii": "ZERO", "iv": "NONZERO", "v": "NONZERO", "vi": "BLOWUP"}
+    for case, data in table_one_representatives().items():
+        flow = aa.ReducedFlow(data)
+        assert flow.limit == want[case], case
+        assert (flow.limit == "BLOWUP") == (aa.classify(data).predicted_limit == "BLOWUP")
+    # a = 0 with v0 on ker A: D = 1 + |v0|^2 tau and t = tau + |v0|^2 tau^2 / 2,
+    # so lam = D^(-1/2) = (1 + 2 |v0|^2 t)^(-1/4) goes to 0
+    j2 = HermitianFrame.pairwise(2).J
+    data = aa.AlmostAbelianData(0.0, np.array([0.0, 0.0, 0.3, 0.0]), np.kron(np.diag([1.0, 0.0]), j2), HermitianFrame.pairwise(4).J)
+    assert aa.ReducedFlow(data).limit == "ZERO"
+    x = aa.integrate_reduced_flow(data, aa.UNNORMALIZED, 1e4).raw.final_state
+    assert abs(x[0] / data.to_state()[0] / (1.0 + 2 * 0.09 * 1e4) ** -0.25 - 1.0) < 1e-12
+
+
+def test_sampled_rows_near_extinction(shrink):
+    # shrink10 is a shrinking soliton, x(t) = (1 - 2t)^(-1/2) x0 with T = 1/2;
+    # its rows up to 1e-10 before T keep full accuracy, since tau comes from
+    # T - t(tau) as a tail integral
+    horizon = 0.5 - 1e-10
+    samples = np.concatenate([[0.0, 0.1, 0.25], 0.5 - np.logspace(-2, -10, 9)])
+    traj = aa.integrate_reduced_flow(shrink, aa.UNNORMALIZED, horizon, engine.IntegratorConfig(sample_times=samples))
+    assert traj.raw.terminal_event == engine.HORIZON
+    assert np.array_equal(traj.times, samples)
+    want = (1.0 - 2.0 * samples)[:, None] ** -0.5 * shrink.to_state()
+    err = np.linalg.norm(traj.raw.states - want, axis=1) / np.linalg.norm(want, axis=1)
+    assert err.max() < 1e-12, err

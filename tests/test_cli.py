@@ -6,8 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from pluriflow import almostabelian as aa
-from pluriflow import cli
+from pluriflow import cli, nilflow
 from pluriflow.brackets import LieBracket, basis_change_action
 from pluriflow.catalog import catalog_names, get_entry
 from pluriflow.sampling import random_two_step_skt
@@ -105,13 +104,20 @@ def test_check_nilpotent_bracket(tmp_path):
     assert doc["soliton"]["residual"] < 1e-10
 
 
+def test_check_reports_extinction_time():
+    shrink = json.loads(run_cli(["check", "catalog:shrink10"]).stdout)["classification"]
+    steady = json.loads(run_cli(["check", "catalog:steady10"]).stdout)["classification"]
+    assert shrink["extinction_time"] == 0.5 and shrink["predicted_T"] == "FINITE"
+    assert steady["extinction_time"] == float("inf") and steady["predicted_T"] == "INFINITE"
+
+
 def test_flow_blowup_summary(tmp_path):
     out = run_cli(
         ["flow", "catalog:shrink10", "--horizon", "1", "--samples", "6", "--out", str(tmp_path / "t.csv")]
     )
     assert out.returncode == 0
     assert "BLOWUP" in out.stderr
-    assert "T_est=0.500000000" in out.stderr
+    assert " T_est=0.5 " in out.stderr  # the exact extinction time 1/2
     header = (tmp_path / "t.csv").read_text().splitlines()[0]
     assert header == "t,a,v_norm,A_norm,c,skt_residual,normality_defect"
 
@@ -128,17 +134,17 @@ def test_flow_steady_horizon(tmp_path):
 
 
 def test_flow_nonfinite_field_exits_nonzero(monkeypatch, capsys):
-    # the shrinking soliton's norm grows toward blow-up; past 1.5 times its
-    # initial value the field turns NaN, which must not end like a step collapse
-    field = aa.ReducedFlow.field
+    # the unnormalized 2-step flow shrinks the bracket; below 0.9 times its
+    # initial norm the field turns NaN, which must not end like a step collapse
+    field = nilflow.NilFlow.field
 
     def nan_past_limit(self, x):
         out = field(self, x)
-        return out if np.linalg.norm(x) < limit else np.full_like(out, np.nan)
+        return out if np.linalg.norm(x) > limit else np.full_like(out, np.nan)
 
-    limit = 1.5 * np.linalg.norm(get_entry("shrink10").data.to_state())
-    monkeypatch.setattr(aa.ReducedFlow, "field", nan_past_limit)
-    rc = cli.main(["flow", "catalog:shrink10", "--horizon", "1"])
+    limit = 0.9 * np.sqrt(2.0)  # kodaira: one structure constant 1, ordered-pair norm sqrt(2)
+    monkeypatch.setattr(nilflow.NilFlow, "field", nan_past_limit)
+    rc = cli.main(["flow", "catalog:kodaira", "--horizon", "100"])
     err = capsys.readouterr().err
     assert rc != 0
     assert err.startswith("terminal NONFINITE at t=")
