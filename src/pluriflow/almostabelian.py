@@ -555,8 +555,9 @@ def integrate_reduced_flow(
     event, t_end = engine.HORIZON, float(horizon)
     if mode == UNNORMALIZED and flow.T < math.inf:
         tau_b = _root(flow._log_norm, np.zeros(1))
-        if flow.times(tau_b)[0] <= t_end:
-            event, tau_end, t_end = engine.BLOWUP, tau_b, float(flow.times(tau_b)[0])
+        t_b = float(flow.times(tau_b)[0])
+        if t_b <= t_end:
+            event, tau_end, t_end = engine.BLOWUP, tau_b, t_b
     if event == engine.HORIZON:
         tau_end = flow.tau_at(np.array([t_end]))
     if config is None or config.sample_times is None:
