@@ -60,7 +60,6 @@ __all__ = [
 
 UNNORMALIZED = "UNNORMALIZED"
 A_NORM_FIXED = "A_NORM_FIXED"
-_EPS = float(np.finfo(float).eps)
 
 
 class SolitonKind(enum.Enum):
@@ -383,7 +382,7 @@ def _root(g, lo, hi=None):
             lo, hi = np.where(val > 0, lo, x), np.where(val > 0, x, hi)
             step = x - val / slope
             step = np.where((step >= lo) & (step <= hi), step, 0.5 * (lo + hi))
-            if np.all(np.abs(step - x) <= 4.0 * _EPS * x):
+            if np.all(np.abs(step - x) <= 4.0 * engine._EPS * x):
                 break
             x = step
     return step
@@ -549,8 +548,8 @@ def integrate_reduced_flow(
     any other run on HORIZON.  The rows lie at the fractions _TAU_GRID of its
     span in tau, or at the config's sample times up to its end, and at its
     end; the config's tolerances play no part."""
-    if not 0.0 <= horizon < math.inf:
-        raise ValueError(f"horizon must be finite and at least 0, got {horizon!r}")
+    if not 0.0 < horizon < math.inf:
+        raise ValueError(f"horizon must be finite and positive, got {horizon!r}")
     flow = ReducedFlow(data0, mode)
     event, t_end = engine.HORIZON, float(horizon)
     if mode == UNNORMALIZED and flow.T < math.inf:

@@ -201,6 +201,7 @@ def _count(text: str) -> int:
     return n
 
 
+@functools.cache  # parse_args leaves the parser unchanged, so one serves every call
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="pluriflow", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
@@ -234,13 +235,8 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    return build_parser()  # parse_args leaves it unchanged, so one serves every call
-
-
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    args = build_parser().parse_args(argv)
     return args.fn(args)
 
 

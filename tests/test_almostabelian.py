@@ -384,6 +384,12 @@ def test_reduced_flow_requires_skt(rng):
         aa.integrate_reduced_flow(data, aa.UNNORMALIZED, 1.0)
 
 
+def test_reduced_flow_requires_a_finite_positive_horizon(steady):
+    for horizon in (0.0, -1.0, np.inf, np.nan):
+        with pytest.raises(ValueError, match="horizon"):
+            aa.integrate_reduced_flow(steady, aa.UNNORMALIZED, horizon)
+
+
 def test_catalog_parameters_are_arithmetic_only():
     assert get_entry("s_ab(pi/2, -1)").data.a == np.pi / 2
     assert get_entry("s_ab((1 + 1) / 4, -(2))").data.a == 0.5
