@@ -16,8 +16,7 @@ with c = (k/4 - 1/2) a^2 - |v|^2 / 2, S = (k/4 - 1/2) a^2 Id - A A^t / 2
 The pair (a, A) moves only by a common scale, so the flow runs on the state
 (r, v) with r = |(a, A)|: along the fixed direction (a0, A0) / r0 it reads
 (a, A) = (r / r0)(a0, A0) and S = (r / r0)^2 S(a0, A0).  integrate_reduced_flow
-evaluates its exact solution (ReducedFlow), with the extinction time in
-closed form, instead of integrating it.
+reads that flow off its exact solution (ReducedFlow).
 """
 
 from __future__ import annotations
@@ -339,7 +338,10 @@ def _direction_norm(data0: AlmostAbelianData) -> float:
     return float(np.sqrt(data0.scale_sq)) or 1.0
 
 
-_TAU_GRID = np.linspace(0.0, 1.0, 129)  # unsampled rows: fractions of a run's span in tau
+# Unsampled rows: 128 equal steps in tau.  Each row is exact, so their number sets
+# only a CSV's resolution; an engine run recorded ~350 rows (its accepted steps),
+# and `--samples` asks for rows at any other times.
+_TAU_GRID = np.linspace(0.0, 1.0, 129)
 _TOP_RTOL = 1e-10  # eigenvalues of S0 this close to c0 (relative) span ker A0
 # 1 / (i + j + 2)! for the Taylor series of _exp_dd; the terms left out are below 1e-21
 _DD_TERMS = np.array([[1.0 / math.factorial(i + j + 2) for j in range(20)] for i in range(20)])
@@ -365,17 +367,16 @@ def _exp_dd(x, y):
     return np.exp(hi) * out
 
 
-def _root(g, lo, hi=None):
-    """Where g(tau) = (value, slope), increasing, crosses 0 in [lo, hi], for
-    g(lo) <= 0 < g(hi); an upper end left out doubles from max(1, 2 lo) until
-    g > 0 there.  Newton steps, bisecting where one leaves the bracket."""
+def _root(g, lo):
+    """Where g(tau) = (value, slope), increasing, crosses 0 above lo, g(lo) <= 0:
+    the bracket's upper end doubles from max(1, 2 lo) until g > 0 there, then
+    Newton steps, bisecting where one leaves the bracket."""
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        if hi is None:
-            hi = np.maximum(1.0, 2.0 * lo)
-            for _ in range(1100):  # past the largest double
-                if not (low := ~(g(hi)[0] > 0)).any():
-                    break
-                lo, hi = np.where(low, hi, lo), np.where(low, 2.0 * hi, hi)
+        hi = np.maximum(1.0, 2.0 * lo)
+        for _ in range(1100):  # past the largest double
+            if not (low := ~(g(hi)[0] > 0)).any():
+                break
+            lo, hi = np.where(low, hi, lo), np.where(low, 2.0 * hi, hi)
         x = step = hi
         for _ in range(200):
             val, slope = g(x)
@@ -394,17 +395,11 @@ class ReducedFlow:
     With lam = r / r0, c0 = (k/4 - 1/2) a0^2 and S0 = S(a0, A0), the field is
     r' = c r, v' = c v + lam^2 S0 v - |v|^2 v / 2, c = lam^2 c0 - |v|^2 / 2;
     freezing (a, A) leaves r' = 0 and v' = S0 v - |v|^2 v / 2.  k is frozen at
-    the initial condition: A evolves by scaling, so eigenvalue multiplicities
-    are constant, and recomputing k would risk rank flicker near zero
-    eigenvalues.
-
-    In the time tau, d tau = lam^2 dt, w = v / lam follows that frozen flow: with
-    S0 = Q diag(sigma) Q^t and beta = Q^t v0, w = Q e^(tau sigma) beta /
-    sqrt(D), lam = e^(c0 tau) / sqrt(D) and t = int_0^tau e^(-2 c0 s) D ds,
-    where D = 1 + sum beta_i^2 (e^(2 sigma_i tau) - 1) / (2 sigma_i); frozen,
-    lam = 1 and tau = t.  c0 is the top eigenvalue of S0, on ker A0.  When v0
-    lies in Im A0 (classify's test) its weight there is dropped, and for
-    c0 > 0 the flow dies at T = [1 + v0^t (c0 - S0)^+ v0 / 2] / (2 c0).
+    the initial condition, since A only scales.  In the time tau, d tau =
+    lam^2 dt, w = v / lam follows the frozen flow, and with S0 = Q diag(sigma)
+    Q^t, beta = Q^t v0 and D = 1 + sum beta_i^2 (e^(2 sigma_i tau) - 1) /
+    (2 sigma_i), w = Q e^(tau sigma) beta / sqrt(D) and lam = e^(c0 tau) /
+    sqrt(D) (README, "The state of the reduced flow").
     """
 
     def __init__(self, data0: AlmostAbelianData, mode: str = UNNORMALIZED):
@@ -426,14 +421,14 @@ class ReducedFlow:
         self._m = max(0.0, self.sigma[self._b2 > 0].max(initial=0.0))  # e^(-2 m tau) D stays in range
         self.T = math.inf
         if self.c > 0 and not self.top_weight:
-            self._tail_w = np.divide(self._b2, 4.0 * self.c * gap, out=np.zeros_like(gap), where=self._b2 > 0)
-            self.T = 0.5 / self.c + float(self._tail_w.sum())
+            # T = [1 + v0^t (c0 - S0)^+ v0 / 2] / (2 c0), the weight on ker A0 dropped
+            self._tail_w = np.divide(1.0, 4.0 * self.c * gap, out=np.zeros_like(gap), where=self._b2 > 0)
+            self.T = 0.5 / self.c + float(self._b2 @ self._tail_w)
 
     @property
     def limit(self) -> str:
-        """ZERO, NONZERO or BLOWUP: where lam goes, unnormalized.  D grows like
-        e^(2 s tau), s the top eigenvalue of S0 with weight of v0, and s = c0
-        exactly when v0 leaves Im A0."""
+        """ZERO, NONZERO or BLOWUP: where lam = e^(c0 tau) / sqrt(D) goes,
+        unnormalized (README, "The state of the reduced flow")."""
         if self.c > 0:
             return "NONZERO" if self.top_weight else "BLOWUP"
         return "NONZERO" if self.c == 0 and not self.top_weight else "ZERO"
@@ -462,21 +457,17 @@ class ReducedFlow:
         x = -2.0 * self.c * tau
         return tau * _phi1(x) + tau * tau * (_exp_dd(x[:, None], 2.0 * (self.sigma - self.c) * tau[:, None]) @ self._b2)
 
-    def _tail(self, tau):
-        """T - t(tau) for finite T, the integral of dt/dtau from tau on."""
-        tc, s, c = tau[:, None], self.sigma, self.c
-        e = np.exp(-2.0 * c * tau)
-        g = 2.0 * c * tc * np.exp(2.0 * (np.maximum(s, 0.0) - c) * tc) * _phi1(-2.0 * np.abs(s) * tc)
-        return 0.5 * e / c + (e[:, None] + g) @ self._tail_w
-
     def tau_at(self, t):
-        """tau at the times 0 < t < T: Newton on log t(tau), or on
-        log(T - t(tau)) when T is finite, with dt/dtau = lam^-2."""
+        """tau at the times 0 < t < T: Newton on log t(tau), or, when T is
+        finite, on log(T - t(tau)), with dt/dtau = lam^-2.  T - t is the
+        extinction time of the state at tau: [1 + w^t (c0 - S0)^+ w / 2] /
+        (2 c0 lam^2), since the state's (c, S) are lam^2 (c0, S0)."""
         finite = self.T < math.inf
 
         def g(tau):
-            u = self._tail(tau) if finite else self.times(tau)
-            return np.log((self.T - t) / u if finite else u / t), self._at(tau)[2] / u
+            _, w, dt = self._at(tau)
+            u = dt * (0.5 / self.c + (w * w) @ self._tail_w) if finite else self.times(tau)
+            return np.log((self.T - t) / u if finite else u / t), dt / u
 
         return t if self.mode == A_NORM_FIXED else _root(g, 0.0 * t)
 
@@ -543,11 +534,9 @@ def integrate_reduced_flow(
     config: engine.IntegratorConfig | None = None,
 ) -> ReducedTrajectory:
     """The reduced flow from an SKT initial condition, read off its exact
-    solution (ReducedFlow).  An unnormalized run with finite T ends on BLOWUP
-    where |x| reaches engine._BLOWUP_NORM, if that is within the horizon, and
-    any other run on HORIZON.  The rows lie at the fractions _TAU_GRID of its
-    span in tau, or at the config's sample times up to its end, and at its
-    end; the config's tolerances play no part."""
+    solution: BLOWUP where |x| reaches engine._BLOWUP_NORM within the horizon,
+    else HORIZON.  Rows at _TAU_GRID of the run's span in tau, or at the
+    config's sample times, and at its end; the config's tolerances play no part."""
     if not 0.0 < horizon < math.inf:
         raise ValueError(f"horizon must be finite and positive, got {horizon!r}")
     flow = ReducedFlow(data0, mode)

@@ -19,7 +19,6 @@ __all__ = [
     "suite_identities",
     "suite_table1",
     "table_one_representatives",
-    "classify_unnormalized_limit",
     "structural_invariants",
 ]
 
@@ -180,12 +179,6 @@ def table_one_representatives() -> dict:
     return reps
 
 
-def classify_unnormalized_limit(data):
-    """(label, trajectory): label in {'ZERO', 'NONZERO', 'BLOWUP'}, where
-    lam = r / r0 goes (ReducedFlow.limit); the run goes to TABLE1_HORIZON."""
-    return aa.ReducedFlow(data).limit, aa.integrate_reduced_flow(data, aa.UNNORMALIZED, TABLE1_HORIZON)
-
-
 def structural_invariants(traj: aa.ReducedTrajectory) -> dict:
     """Worst-case structural diagnostics along a reduced trajectory."""
     diag = traj.diagnostics()
@@ -204,15 +197,19 @@ def structural_invariants(traj: aa.ReducedTrajectory) -> dict:
 
 
 def suite_table1() -> dict:
-    """Run one representative per case and match the predicted regime: the
-    extinction time T is finite as predicted, and the unnormalized run ends
-    on BLOWUP exactly when T is within TABLE1_HORIZON."""
+    """Run one representative per case and match the predicted regime.  The
+    engine's integration of the reduced field to TABLE1_HORIZON is the
+    observation: it blows up exactly when the case predicts a finite T, at the
+    closed form's T, and ends on the closed-form run's event.  The limit of
+    lam = r / r0 is ReducedFlow.limit."""
     rows = {}
     ok = True
     for case, data in table_one_representatives().items():
         report = aa.classify(data)
-        limit, traj = classify_unnormalized_limit(data)
-        T = aa.extinction_time(data)
+        flow = aa.ReducedFlow(data)
+        traj = aa.integrate_reduced_flow(data, aa.UNNORMALIZED, TABLE1_HORIZON)
+        observed = engine.integrate(flow.field, data.to_state(), TABLE1_HORIZON)
+        T_obs = observed.blowup.t_est if observed.blowup else np.inf
 
         ntraj = aa.integrate_reduced_flow(data, aa.A_NORM_FIXED, TABLE1_NORM_HORIZON)
         limit_data = data.from_state(ntraj.raw.final_state)
@@ -226,9 +223,10 @@ def suite_table1() -> dict:
         inv = structural_invariants(traj)
         case_ok = (
             report.table_case == case
-            and report.predicted_T == ("FINITE" if T < np.inf else "INFINITE")
-            and (traj.raw.terminal_event == engine.BLOWUP) == (T <= TABLE1_HORIZON)
-            and (report.predicted_limit == limit or report.predicted_limit == "DATA_DEPENDENT" and limit in ("ZERO", "NONZERO"))
+            and report.predicted_T == ("FINITE" if T_obs < np.inf else "INFINITE")
+            and (T_obs == flow.T == np.inf or abs(T_obs - flow.T) <= 1e-9 * flow.T < np.inf)
+            and traj.raw.terminal_event == observed.terminal_event
+            and (report.predicted_limit == flow.limit or report.predicted_limit == "DATA_DEPENDENT" and flow.limit in ("ZERO", "NONZERO"))
             and cert.kind == report.soliton_type_at_limit
             and cert.residual < 1e-6
             and inv["skt_residual"] < 1e-8
@@ -239,10 +237,11 @@ def suite_table1() -> dict:
         rows[case] = {
             "ok": bool(case_ok),
             "classified": report.table_case,
-            "T": T,
-            "terminal_event": traj.raw.terminal_event,
+            "T": flow.T,
+            "T_observed": T_obs,
+            "terminal_event": observed.terminal_event,
             "T_predicted": report.predicted_T,
-            "limit_observed": limit,
+            "limit": flow.limit,
             "limit_predicted": report.predicted_limit,
             "soliton_at_limit": cert.kind.value,
             "soliton_residual": cert.residual,

@@ -112,7 +112,7 @@ def test_criterion_3_table_reproduction():
     rep = _table_runs()
     elapsed = time.perf_counter() - t0
     lines = ", ".join(
-        f"{case}:{'ok' if row['ok'] else 'FAIL'}({row['limit_observed']},{row['soliton_at_limit']})"
+        f"{case}:{'ok' if row['ok'] else 'FAIL'}({row['limit']},{row['soliton_at_limit']})"
         for case, row in rep["cases"].items()
     )
     ok = rep["ok"] and elapsed < 60.0

@@ -490,6 +490,8 @@ def _assert_rows_match_oracle(data, mode, horizon):
     flow = aa.ReducedFlow(data, mode)
     oracle = engine.integrate(flow.field, data.to_state(), horizon, replace(cfg, sample_times=exact.times))
     assert oracle.terminal_event == exact.terminal_event
+    if mode == aa.A_NORM_FIXED:
+        assert np.all(exact.states[:, 0] == exact.states[0, 0])  # (a, A) frozen: lam = 1 exactly
     T = flow.T if mode == aa.UNNORMALIZED else np.inf
     if exact.terminal_event == engine.BLOWUP:
         assert abs(exact.blowup.t_est - oracle.blowup.t_est) <= 1e-9 * T
