@@ -612,7 +612,7 @@ def test_limit_labels_follow_the_classification():
 def test_sampled_rows_near_extinction(shrink):
     # shrink10 is a shrinking soliton, x(t) = (1 - 2t)^(-1/2) x0 with T = 1/2;
     # its rows up to 1e-10 before T keep full accuracy, since tau comes from
-    # T - t(tau) as a tail integral
+    # T - t(tau) as the extinction time of the state at tau, not from T - t
     horizon = 0.5 - 1e-10
     samples = np.concatenate([[0.0, 0.1, 0.25], 0.5 - np.logspace(-2, -10, 9)])
     traj = aa.integrate_reduced_flow(shrink, aa.UNNORMALIZED, horizon, engine.IntegratorConfig(sample_times=samples))
