@@ -60,6 +60,12 @@ __all__ = [
 UNNORMALIZED = "UNNORMALIZED"
 A_NORM_FIXED = "A_NORM_FIXED"
 
+_LEMMA_TOL = 1e-9  # closure criterion: |sym(aA + A^2 + A^tA)| below it times scale^2
+_SPECTRAL_TOL = 1e-7  # spectral criterion: normality defect and real-part deviation
+_K_RTOL = 1e-8  # relative cutoff of the rank and multiplicity counts of k
+_IMAGE_RTOL = 1e-8  # relative residual below which v lies in Im A
+_CLASSIFY_TOL = 1e-9  # a = 0, (a, A) = 0 and unimodularity, relative to |A|
+
 
 class SolitonKind(enum.Enum):
     NONE = "NONE"
@@ -84,6 +90,7 @@ class AlmostAbelianData:
     J1: np.ndarray
 
     def __post_init__(self):
+        a = float(self.a)
         v = np.asarray(self.v, dtype=float).ravel()
         A = np.asarray(self.A, dtype=float)
         J1 = np.asarray(self.J1, dtype=float)
@@ -92,14 +99,13 @@ class AlmostAbelianData:
             raise ValueError("A and J1 must be square matrices matching len(v)")
         if m % 2 != 0:
             raise ValueError("middle block dimension must be even")
+        if not (math.isfinite(a) and np.isfinite(v).all() and np.isfinite(A).all()):
+            raise ValueError("a, v and A must be finite")
+        J1 = HermitianFrame(J1).J
         scale = max(1.0, np.abs(A).max())
-        if np.abs(J1 @ J1 + np.eye(m)).max() > 1e-12:
-            raise ValueError("J1^2 != -Id")
-        if np.abs(J1.T @ J1 - np.eye(m)).max() > 1e-12:
-            raise ValueError("J1 is not orthogonal")
         if np.abs(A @ J1 - J1 @ A).max() > 1e-12 * scale:
             raise ValueError("[A, J1] != 0: the complex structure is not integrable")
-        object.__setattr__(self, "a", float(self.a))
+        object.__setattr__(self, "a", a)
         object.__setattr__(self, "v", v)
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "J1", J1)
@@ -111,10 +117,6 @@ class AlmostAbelianData:
     @property
     def dim(self) -> int:
         return self.m + 2
-
-    @property
-    def n(self) -> int:
-        return self.dim // 2
 
     @classmethod
     def with_standard_j1(cls, a, v, A) -> "AlmostAbelianData":
@@ -195,10 +197,9 @@ class SktVerdict:
     normality_defect: float
     spectrum: np.ndarray
     residual_lemma: float
-    residual_spectral: float
 
 
-def skt_multiplicity_k(a: float, A: np.ndarray, rtol: float = 1e-8):
+def skt_multiplicity_k(a: float, A: np.ndarray):
     """(k, cross_check_k): half the rank of A + A^t, and half the multiplicity
     of -a/2 among the eigenvalues of sym(A) when a != 0 (None otherwise)."""
     A = np.asarray(A, dtype=float)
@@ -206,23 +207,19 @@ def skt_multiplicity_k(a: float, A: np.ndarray, rtol: float = 1e-8):
     # |A| keeps the cutoff above roundoff when a = 0, where A is normal with
     # imaginary spectrum and sym(A) is roundoff alone
     scale = max(np.abs(s).max(initial=0.0), abs(a) / 2, np.linalg.norm(A), 1e-300)
-    nonzero = int(np.sum(np.abs(s) > rtol * scale))
+    nonzero = int(np.sum(np.abs(s) > _K_RTOL * scale))
     if nonzero % 2 != 0:
         # rank of the symmetric part of a J-commuting matrix is even; a stray
         # odd count means an eigenvalue sits on the threshold
         nonzero += 1
     k = nonzero // 2
     cross = None
-    if abs(a) > rtol * scale:
-        cross = int(np.sum(np.abs(s + a / 2) < rtol * scale)) // 2
+    if abs(a) > _K_RTOL * scale:
+        cross = int(np.sum(np.abs(s + a / 2) < _K_RTOL * scale)) // 2
     return k, cross
 
 
-def skt_verdict(
-    data: AlmostAbelianData,
-    tol_lemma: float = 1e-9,
-    tol_spectral: float = 1e-7,
-) -> SktVerdict:
+def skt_verdict(data: AlmostAbelianData) -> SktVerdict:
     """Evaluate both pluriclosed criteria; they must agree.
 
     The closure criterion asks sym(aA + A^2 + A^tA) = 0; the spectral one asks
@@ -232,14 +229,13 @@ def skt_verdict(
     m = data.m
     scale = max(1.0, float(np.linalg.norm(A)), abs(a))
     res_lemma = skt_closure_residual(a, A)
-    lemma_ok = res_lemma < tol_lemma * scale**2
+    lemma_ok = res_lemma < _LEMMA_TOL * scale**2
 
     defect = normality_defect(A)
     spectrum = np.linalg.eigvals(A)
     re = spectrum.real
     re_dev = float(np.minimum(np.abs(re), np.abs(re + a / 2)).max()) if m else 0.0
-    res_spectral = max(defect / scale, re_dev)
-    spectral_ok = defect < tol_spectral * scale**2 and re_dev < tol_spectral * scale
+    spectral_ok = defect < _SPECTRAL_TOL * scale**2 and re_dev < _SPECTRAL_TOL * scale
 
     if lemma_ok != spectral_ok:
         raise SktCriteriaDisagreement(
@@ -259,7 +255,6 @@ def skt_verdict(
         normality_defect=defect,
         spectrum=np.sort_complex(spectrum),
         residual_lemma=res_lemma,
-        residual_spectral=res_spectral,
     )
 
 
@@ -531,12 +526,12 @@ def integrate_reduced_flow(
     data0: AlmostAbelianData,
     mode: str = UNNORMALIZED,
     horizon: float = 100.0,
-    config: engine.IntegratorConfig | None = None,
+    sample_times: np.ndarray | None = None,
 ) -> ReducedTrajectory:
     """The reduced flow from an SKT initial condition, read off its exact
     solution: BLOWUP where |x| reaches engine._BLOWUP_NORM within the horizon,
     else HORIZON.  Rows at _TAU_GRID of the run's span in tau, or at the
-    config's sample times, and at its end; the config's tolerances play no part."""
+    sample times, and at its end.  ValueError when a row overflows."""
     if not 0.0 < horizon < math.inf:
         raise ValueError(f"horizon must be finite and positive, got {horizon!r}")
     flow = ReducedFlow(data0, mode)
@@ -548,12 +543,12 @@ def integrate_reduced_flow(
             event, tau_end, t_end = engine.BLOWUP, tau_b, t_b
     if event == engine.HORIZON:
         tau_end = flow.tau_at(np.array([t_end]))
-    if config is None or config.sample_times is None:
+    if sample_times is None:
         tau = tau_end * _TAU_GRID
         times = flow.times(tau)
         times[-1] = t_end
     else:
-        times = np.sort(np.asarray(config.sample_times, dtype=float))
+        times = np.sort(np.asarray(sample_times, dtype=float))
         close = 1e-14 * max(1.0, t_end)
         times = times[times <= t_end + close]
         if not times.size or abs(times[-1] - t_end) > close:
@@ -561,8 +556,11 @@ def integrate_reduced_flow(
         tau = np.where(times < t_end, 0.0, tau_end)
         inner = (times > 0.0) & (times < t_end)
         tau[inner] = flow.tau_at(times[inner])
+    states = flow.states(tau)
+    if not (np.isfinite(times).all() and np.isfinite(states).all()):
+        raise ValueError("the reduced flow overflows: a row is not finite")
     blowup = engine.BlowupFit(flow.T, 0.5) if event == engine.BLOWUP else None
-    raw = engine.Trajectory(times, flow.states(tau), event, blowup=blowup)
+    raw = engine.Trajectory(times, states, event, blowup=blowup)
     return ReducedTrajectory(data0=data0, k=flow.k, mode=mode, raw=raw)
 
 
@@ -636,15 +634,15 @@ class ClassificationReport:
     soliton_type_at_limit: SolitonKind
 
 
-def _in_image(A: np.ndarray, v: np.ndarray, rtol: float = 1e-8) -> bool:
+def _in_image(A: np.ndarray, v: np.ndarray) -> bool:
     nv = np.linalg.norm(v)
     if nv == 0.0:
         return True
     res = v - A @ (np.linalg.pinv(A) @ v)
-    return bool(np.linalg.norm(res) / nv < rtol)
+    return bool(np.linalg.norm(res) / nv < _IMAGE_RTOL)
 
 
-def classify(data: AlmostAbelianData, tol: float = 1e-9) -> ClassificationReport:
+def classify(data: AlmostAbelianData) -> ClassificationReport:
     """Asymptotic regime of the reduced flow by (k, a_0, v_0 vs Im A_0)."""
     verdict = skt_verdict(data)
     if not verdict.is_skt:
@@ -652,12 +650,12 @@ def classify(data: AlmostAbelianData, tol: float = 1e-9) -> ClassificationReport
     k = verdict.k
     a = data.a
     scale = max(1.0, float(np.linalg.norm(data.A)))
-    if abs(a) < tol * scale and np.abs(data.A).max() < tol * scale:
+    if abs(a) < _CLASSIFY_TOL * scale and np.abs(data.A).max() < _CLASSIFY_TOL * scale:
         raise ValueError("nilpotent case (a, A) = (0, 0): use the nilpotent flow module")
-    unimodular = abs(a + float(np.trace(data.A))) < tol * scale
+    unimodular = abs(a + float(np.trace(data.A))) < _CLASSIFY_TOL * scale
 
     if k == 0:
-        if abs(a) < tol * scale:
+        if abs(a) < _CLASSIFY_TOL * scale:
             case, t_pred, lim, kind = "i", "INFINITE", "DATA_DEPENDENT", SolitonKind.KAHLER_RICCI_FLAT
         else:
             case, t_pred, lim, kind = "ii", "INFINITE", "ZERO", SolitonKind.EXPANDING

@@ -64,7 +64,7 @@ class LieBracket:
             raise ValueError(f"structure tensor must be (d, d, d), got {c.shape}")
         skew = np.abs(c + c.transpose(1, 0, 2)).max()
         scale = max(1.0, np.abs(c).max())
-        if skew > 1e-12 * scale:
+        if not skew <= 1e-12 * scale:  # a NaN defect fails too
             raise ValueError(f"structure tensor not antisymmetric (defect {skew:g})")
         # re-symmetrize so antisymmetry holds to the last bit
         object.__setattr__(self, "coeffs", 0.5 * (c - c.transpose(1, 0, 2)))
@@ -193,7 +193,7 @@ def bracket_norm(mu: LieBracket, convention: InnerProductConvention = DEFAULT_CO
     return float(np.sqrt(bracket_inner_product(mu, mu, convention)))
 
 
-def nullspace(m: np.ndarray, rtol: float = RANK_RTOL) -> np.ndarray:
+def nullspace(m: np.ndarray) -> np.ndarray:
     """Orthonormal basis (as columns) of the numerical null space of m.
 
     A tall or square m has a square V already in its economy SVD, which skips
@@ -204,7 +204,7 @@ def nullspace(m: np.ndarray, rtol: float = RANK_RTOL) -> np.ndarray:
     _, s, vt = np.linalg.svd(m, full_matrices=m.shape[0] < m.shape[1])
     if s.size == 0 or s[0] == 0.0:
         return np.eye(m.shape[1])
-    rank = int(np.sum(s > rtol * s[0]))
+    rank = int(np.sum(s > RANK_RTOL * s[0]))
     return vt[rank:].T.copy()
 
 
@@ -228,11 +228,11 @@ def frobenius_norm(x: np.ndarray):
     return float(norms) if norms.ndim == 0 else norms
 
 
-def center(mu: LieBracket, rtol: float = RANK_RTOL) -> np.ndarray:
+def center(mu: LieBracket) -> np.ndarray:
     """Orthonormal basis (columns) of the kernel of x -> mu(x, .)."""
     d = mu.dim
     m = mu.coeffs.transpose(1, 2, 0).reshape(d * d, d)
-    return nullspace(m, rtol)
+    return nullspace(m)
 
 
 def _commutant_basis(j: np.ndarray) -> np.ndarray:
@@ -272,23 +272,20 @@ def _action_rows(c: np.ndarray, basis: np.ndarray) -> np.ndarray:
     return rows.reshape(-1, n)
 
 
-def derivation_space(mu: LieBracket, commute_with=None, rtol: float = RANK_RTOL):
-    """Orthonormal (Frobenius) basis of {D : pi(D) mu = 0, [D, J] = 0 if given}.
+def derivation_space(mu: LieBracket, commute_with: np.ndarray):
+    """Orthonormal (Frobenius) basis of {D : pi(D) mu = 0, [D, J] = 0}.
 
     Returns a list of (d, d) matrices.  D is solved for in an orthonormal
-    basis of the matrices that commute with J (an orthogonal complex
-    structure), d^2/2 of them, or of all d^2 matrix units without J; the
-    system keeps the rows i < j of pi(D) mu = 0.  Its null space is that of
-    the R factor of its QR, under the relative RANK_RTOL cutoff, so the rank
-    decision does not depend on the scale of mu.
+    basis of the d^2/2 matrices that commute with J = commute_with (an
+    orthogonal complex structure); the system keeps the rows i < j of
+    pi(D) mu = 0.  Its null space is that of the R factor of its QR, under
+    the relative RANK_RTOL cutoff, so the rank decision does not depend on
+    the scale of mu.
     """
     d = mu.dim
-    if commute_with is None:
-        basis = np.eye(d * d).reshape(-1, d, d)
-    else:
-        basis = _commutant_basis(np.asarray(commute_with, dtype=float))
+    basis = _commutant_basis(np.asarray(commute_with, dtype=float))
     r = np.linalg.qr(_action_rows(mu.coeffs, basis), mode="r")
-    ns = nullspace(r, rtol)
+    ns = nullspace(r)
     return list((ns.T @ basis.reshape(len(basis), -1)).reshape(-1, d, d))
 
 

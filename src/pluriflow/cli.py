@@ -125,17 +125,20 @@ def cmd_check(args) -> int:
 def cmd_flow(args) -> int:
     kind, data = _load_input(args.input)
     samples = np.linspace(0.0, args.horizon, args.samples) if args.samples else None
-    cfg = engine.IntegratorConfig(rel_tol=args.rel_tol, abs_tol=args.abs_tol, sample_times=samples)
-    try:
-        if kind == "almost_abelian":
-            mode = {"unnormalized": aa.UNNORMALIZED, "normalized": aa.A_NORM_FIXED}[args.mode]
-            traj = aa.integrate_reduced_flow(data, mode, args.horizon, cfg)
-        else:
-            norm = {"unnormalized": "none", "normalized": "unit_norm"}[args.mode]
-            traj = nilflow.integrate_nil_flow(*data, args.horizon, norm, cfg)
-    except ValueError as exc:
-        raise SystemExit(f"{args.input}: {exc}")
-    cols = traj.diagnostics()
+    # a run that overflows ends on NONFINITE or with a ValueError, so numpy's
+    # floating-point warnings would only repeat that on stderr
+    with np.errstate(all="ignore"):
+        try:
+            if kind == "almost_abelian":
+                mode = {"unnormalized": aa.UNNORMALIZED, "normalized": aa.A_NORM_FIXED}[args.mode]
+                traj = aa.integrate_reduced_flow(data, mode, args.horizon, samples)
+            else:
+                norm = {"unnormalized": "none", "normalized": "unit_norm"}[args.mode]
+                cfg = engine.IntegratorConfig(rel_tol=args.rel_tol, abs_tol=args.abs_tol, sample_times=samples)
+                traj = nilflow.integrate_nil_flow(*data, args.horizon, norm, cfg)
+        except ValueError as exc:
+            raise SystemExit(f"{args.input}: {exc}")
+        cols = traj.diagnostics()
     raw = traj.raw
     text = write_csv(args.out if args.out else sys.stdout, cols)
     summary = f"terminal {raw.terminal_event} at t={format_float(raw.final_time)}"

@@ -34,7 +34,7 @@ HORIZON = "HORIZON"
 FIXED_POINT = "FIXED_POINT"
 BLOWUP = "BLOWUP"
 STEP_UNDERFLOW = "STEP_UNDERFLOW"
-NONFINITE = "NONFINITE"  # the step size collapsed right after a trial with a non-finite error
+NONFINITE = "NONFINITE"  # the field at the start, or a trial's error before the step collapsed, was not finite
 
 # Dormand-Prince 5(4) tableau (FSAL, 7 stages; the fields are autonomous, so
 # the stage times are not needed).  _A[6] holds the fifth-order weights.
@@ -188,8 +188,11 @@ def integrate(field_fn, x0, horizon: float, config: IntegratorConfig | None = No
     n_acc = n_rej = 0
     fp_count = 0
     blow = None
-    # a start at a fixed point ends at once (idempotent re-integration)
-    event = FIXED_POINT if _norm(f) < cfg.fixedpoint_norm else None
+    # a start at a fixed point ends at once (idempotent re-integration), and a
+    # start at a non-finite field, where no step size can be chosen, on NONFINITE
+    event = None if np.isfinite(f).all() else NONFINITE
+    if event is None and _norm(f) < cfg.fixedpoint_norm:
+        event = FIXED_POINT
     h = _initial_step(field_fn, y, f, cfg.rel_tol, cfg.abs_tol, horizon) if event is None else 0.0
     facold = 1e-4
     rejected_last = False
@@ -202,8 +205,8 @@ def integrate(field_fn, x0, horizon: float, config: IntegratorConfig | None = No
             raise RuntimeError(f"max_steps={_MAX_STEPS} exceeded at t={t:g}")
         h = min(h, horizon - t)
         final_step = h >= horizon - t
-        if h < 16 * _EPS * max(abs(t), 1.0):
-            event = NONFINITE if nonfinite_last else STEP_UNDERFLOW
+        if not h >= 16 * _EPS * max(abs(t), 1.0):  # a NaN step size ends the run too
+            event = NONFINITE if nonfinite_last or math.isnan(h) else STEP_UNDERFLOW
             break
 
         y1 = _dopri_step(field_fn, y, f, h, k)

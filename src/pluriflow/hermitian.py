@@ -30,6 +30,8 @@ __all__ = [
     "skt_closure_residual",
 ]
 
+_TOL = 1e-9  # the (1,1)-type, static and generalized Kahler decisions
+
 
 @dataclass(frozen=True)
 class HermitianFrame:
@@ -131,16 +133,11 @@ def is_skt_general(mu: LieBracket, frame: HermitianFrame, tol: float = 1e-9):
     return (n2 == 0.0 or r / n2 < tol), r
 
 
-def skt_closure_residual(a, A: np.ndarray):
-    """Frobenius norm of sym(aA + A^2 + A^t A); zero iff the matrix SKT criterion holds.
-
-    Also takes a stack: a of shape (...) and A of shape (..., m, m) give an
-    array of shape (...), each entry equal to the single-matrix residual.
-    """
+def skt_closure_residual(a: float, A: np.ndarray) -> float:
+    """Frobenius norm of sym(aA + A^2 + A^t A); zero iff the matrix SKT criterion holds."""
     A = np.asarray(A, dtype=float)
-    At = np.swapaxes(A, -1, -2)
-    m = np.asarray(a, dtype=float)[..., None, None] * A + A @ A + At @ A
-    return frobenius_norm(0.5 * (m + np.swapaxes(m, -1, -2)))
+    m = a * A + A @ A + A.T @ A
+    return frobenius_norm(0.5 * (m + m.T))
 
 
 def one_one_part(alpha: np.ndarray, frame: HermitianFrame) -> np.ndarray:
@@ -149,11 +146,11 @@ def one_one_part(alpha: np.ndarray, frame: HermitianFrame) -> np.ndarray:
     return 0.5 * (alpha + j.T @ alpha @ j)
 
 
-def endomorphism_from_form(alpha: np.ndarray, frame: HermitianFrame, tol: float = 1e-9) -> np.ndarray:
+def endomorphism_from_form(alpha: np.ndarray, frame: HermitianFrame) -> np.ndarray:
     """Solve omega(P., .) = (1/2) alpha for a (1,1)-form alpha; P commutes with J."""
     alpha = np.asarray(alpha, dtype=float)
     scale = max(1.0, np.abs(alpha).max())
-    if np.abs(alpha - one_one_part(alpha, frame)).max() > tol * scale:
+    if np.abs(alpha - one_one_part(alpha, frame)).max() > _TOL * scale:
         raise ValueError("form is not of type (1,1)")
     return -0.5 * frame.J.T @ alpha
 
@@ -181,21 +178,21 @@ def bismut_ricci_endomorphism(mu: LieBracket, frame: HermitianFrame) -> np.ndarr
     return endomorphism_from_form(rho11, frame)
 
 
-def is_static(mu: LieBracket, frame: HermitianFrame, tol: float = 1e-9):
-    """Return alpha if (rho^B)^(1,1) = alpha * omega within tol, else None."""
+def is_static(mu: LieBracket, frame: HermitianFrame):
+    """Return alpha if (rho^B)^(1,1) = alpha * omega within _TOL, else None."""
     rho11 = one_one_part(bismut_ricci_general(mu, frame), frame)
     w = frame.omega
     alpha = float(np.einsum("ij,ij->", rho11, w) / np.einsum("ij,ij->", w, w))
-    if np.abs(rho11 - alpha * w).max() < tol:
+    if np.abs(rho11 - alpha * w).max() < _TOL:
         return alpha
     return None
 
 
-def generalized_kahler_check(a, v, A, J1, tol: float = 1e-9) -> bool:
+def generalized_kahler_check(a, v, A, J1) -> bool:
     """Compatibility with a generalized Kahler pair: matrix SKT criterion and v = 0."""
     v = np.asarray(v, dtype=float)
     A = np.asarray(A, dtype=float)
     J1 = np.asarray(J1, dtype=float)
     if np.abs(A @ J1 - J1 @ A).max() > 1e-9 * max(1.0, np.abs(A).max()):
         raise ValueError("A must commute with J1 (integrability of both structures)")
-    return skt_closure_residual(a, A) < tol and float(np.linalg.norm(v)) < tol
+    return skt_closure_residual(a, A) < _TOL and float(np.linalg.norm(v)) < _TOL

@@ -23,6 +23,7 @@ __all__ = [
 ]
 
 IDENTITY_TRIALS = 100  # random brackets drawn by suite_identities
+APPENDIX_COUNT = 10_000  # matrices in suite_appendix's sweep
 TABLE1_HORIZON = 1e3  # run length of suite_table1's unnormalized flow
 TABLE1_NORM_HORIZON = 120.0  # run length of suite_table1's normalized flow
 # matrices of one size that suite_appendix reports in one call.  It bounds the
@@ -31,18 +32,17 @@ TABLE1_NORM_HORIZON = 120.0  # run length of suite_table1's normalized flow
 APPENDIX_STACK = 64
 
 
-def _appendix_matrices(rng, count):
+def _appendix_matrices(rng):
     """The matrices of suite_appendix's sweep, in the order it draws them."""
-    for i in range(count):
+    for i in range(APPENDIX_COUNT):
         n = int(rng.integers(2, 11))
         mode = i % 4
         e = rng.standard_normal((n, n))
         if mode == 1:  # exactly normal: orthogonal conjugate of a block-diagonal normal form
             q, _ = np.linalg.qr(rng.standard_normal((n, n)))
             d = np.diag(rng.standard_normal(n))
-            if n >= 2:
-                t = rng.standard_normal()
-                d[0, 1], d[1, 0] = -t, t
+            t = rng.standard_normal()
+            d[0, 1], d[1, 0] = -t, t
             e = q @ d @ q.T
         elif mode == 2:  # normal plus a perturbation far below the tolerance band
             q, _ = np.linalg.qr(rng.standard_normal((n, n)))
@@ -62,11 +62,11 @@ def _stacks_by_size(mats):
     yield from (np.array(group) for group in pending.values() if group)
 
 
-def suite_appendix(seed: int = 0, count: int = 10_000) -> dict:
+def suite_appendix(seed: int = 0) -> dict:
     """Eigenvalue-norm inequality sweep plus normality-flow spot checks."""
     min_gap = 0.0
     agree = True
-    for stack in _stacks_by_size(_appendix_matrices(np.random.default_rng(seed), count)):
+    for stack in _stacks_by_size(_appendix_matrices(np.random.default_rng(seed))):
         rep = normality.normality_report(stack)
         min_gap = min(min_gap, float(rep.frobenius_gap.min()), float(rep.sym_gap.min()))
         agree &= bool(np.all((rep.frobenius_gap < 1e-8) == (rep.normality_defect < 1e-6)))
@@ -102,7 +102,7 @@ def suite_appendix(seed: int = 0, count: int = 10_000) -> dict:
     )
     return {
         "ok": bool(ok),
-        "count": count,
+        "count": APPENDIX_COUNT,
         "min_gap": min_gap,
         "band_agreement": bool(agree),
         "jordan_limit_norm": jordan_norm,

@@ -615,7 +615,7 @@ def test_sampled_rows_near_extinction(shrink):
     # T - t(tau) as the extinction time of the state at tau, not from T - t
     horizon = 0.5 - 1e-10
     samples = np.concatenate([[0.0, 0.1, 0.25], 0.5 - np.logspace(-2, -10, 9)])
-    traj = aa.integrate_reduced_flow(shrink, aa.UNNORMALIZED, horizon, engine.IntegratorConfig(sample_times=samples))
+    traj = aa.integrate_reduced_flow(shrink, aa.UNNORMALIZED, horizon, samples)
     assert traj.raw.terminal_event == engine.HORIZON
     assert np.array_equal(traj.times, samples)
     want = (1.0 - 2.0 * samples)[:, None] ** -0.5 * shrink.to_state()

@@ -265,6 +265,35 @@ def test_flow_rejects_non_pluriclosed_almost_abelian(tmp_path):
     assert out.stderr.strip().splitlines() == [f"{path}: initial condition is not pluriclosed"]
 
 
+_NAN, _INF = float("nan"), float("inf")
+_AA = {"a": 1.0, "v": [0.1, 0.0], "A": [[-0.5, 0.0], [0.0, -0.5]], "J1": [[0.0, -1.0], [1.0, 0.0]]}
+_NONFINITE_INPUTS = {
+    "nan_j1": ({**_AA, "J1": [[0.0, -1.0], [1.0, _NAN]]}, "schema violation: J^2 != -Id"),
+    "nan_A": ({**_AA, "A": [[_NAN, 0.0], [0.0, -0.5]]}, "schema violation: a, v and A must be finite"),
+    "inf_v": ({**_AA, "v": [_INF, 0.2]}, "schema violation: a, v and A must be finite"),
+    "nan_c": ({"dim": 4, "entries": [{"i": 1, "j": 2, "k": 3, "c": _NAN}]}, "schema violation: structure tensor"),
+    # finite input whose field overflows to NaN at the start
+    "big_c": ({"dim": 4, "entries": [{"i": 1, "j": 2, "k": 3, "c": 1e200}]}, "terminal NONFINITE at t=0 "),
+    # finite input whose |v|^2 overflows
+    "big_v": ({**_AA, "v": [1e160, 0.0]}, "the reduced flow overflows: a row is not finite"),
+}
+
+
+@pytest.mark.parametrize(
+    "command, name",
+    [(c, n) for n in ("nan_j1", "nan_A", "inf_v", "nan_c") for c in ("check", "flow")] + [("flow", "big_c"), ("flow", "big_v")],
+)
+def test_nonfinite_and_overflowing_input_exits_1(tmp_path, command, name):
+    obj, message = _NONFINITE_INPUTS[name]
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(obj))
+    out = run_cli([command, str(path)], timeout=30)
+    assert out.returncode == 1, out.stderr
+    assert "Traceback" not in out.stderr
+    lines = out.stderr.strip().splitlines()
+    assert len(lines) == 1 and message in lines[0], lines
+
+
 # [e1, e3] = [e2, e4] = e5 on R^6 with the pairwise J: 2-step, centre span(e5, e6),
 # J integrable, and max|dc| / |mu|^2 = 1/2, so not pluriclosed at any scale
 _NON_SKT_TWO_STEP = [(1, 3, 5), (2, 4, 5)]

@@ -118,6 +118,23 @@ def test_invalid_config_rejected():
         engine.IntegratorConfig(rel_tol=0.0)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_nonfinite_field_at_start_ends_on_nonfinite(value):
+    calls = 0
+
+    def field(y):
+        nonlocal calls
+        calls += 1
+        if calls > 50:
+            raise RuntimeError("the engine keeps retrying a step from a non-finite field")
+        return np.full_like(y, value)
+
+    traj = engine.integrate(field, np.ones(3), 1.0)
+    assert traj.terminal_event == engine.NONFINITE
+    assert traj.final_time == 0.0 and traj.n_accepted == 0
+    assert calls <= 7
+
+
 def test_blowup_time_of_cubic_growth():
     # y' = y^3 from 1: |y| = (1 - 2t)^(-1/2), the exponent the bracket flows produce
     traj = engine.integrate(lambda y: y**3, np.array([1.0]), 10.0)

@@ -16,7 +16,6 @@ from pluriflow.hermitian import (
     is_static,
     nijenhuis_residual,
     one_one_part,
-    skt_closure_residual,
     skt_residual,
     torsion_three_form,
 )
@@ -224,17 +223,3 @@ def test_generalized_kahler_check():
     assert not generalized_kahler_check(steady.a, steady.v, steady.A, steady.J1)
     shrink = ten_dim(0.0)
     assert generalized_kahler_check(shrink.a, shrink.v, shrink.A, shrink.J1)
-
-
-def test_skt_closure_residual_stack_matches_single(rng):
-    for m in (2, 4, 8):
-        a = rng.standard_normal(5)
-        A = rng.standard_normal((5, m, m))
-        stacked = skt_closure_residual(a, A)
-        assert stacked.shape == (5,)
-        single = [skt_closure_residual(float(a[i]), A[i]) for i in range(5)]
-        assert all(isinstance(r, float) for r in single)
-        assert np.array_equal(stacked, single)
-    # SKT data sit at zero in a stack too
-    data = random_skt_almost_abelian(rng, m=4)
-    assert skt_closure_residual(np.array([data.a, data.a]), np.array([data.A, data.A])).max() < 1e-12
