@@ -160,8 +160,13 @@ def basis_change_action(h: np.ndarray, mu: LieBracket) -> LieBracket:
     """Change-of-basis action (h . mu)(x, y) = h mu(h^-1 x, h^-1 y)."""
     h = np.asarray(h, dtype=float)
     hinv = np.linalg.inv(h)
-    new = np.einsum("ia,jb,ijm,km->abk", hinv, hinv, mu.coeffs, h, optimize=True)
-    return LieBracket(new)
+    d = mu.dim
+    # new[a, b, k] = sum hinv[i, a] hinv[j, b] mu[i, j, m] h[k, m], contracted
+    # over i, then j, then m as three matrix products
+    t = mu.coeffs.transpose(1, 2, 0).reshape(d * d, d) @ hinv  # [(j, m), a]
+    t = t.reshape(d, d, d).transpose(2, 1, 0).reshape(d * d, d) @ hinv  # [(a, m), b]
+    t = t.reshape(d, d, d).transpose(0, 2, 1).reshape(d * d, d) @ h.T  # [(a, b), k]
+    return LieBracket(t.reshape(d, d, d))
 
 
 def infinitesimal_action(a: np.ndarray, mu: LieBracket) -> LieBracket:

@@ -114,8 +114,23 @@ def _check(kind: str, data, tol: float) -> dict:
     return _check_nilpotent(*data, tol)
 
 
+def _overflowed(report) -> bool:
+    """Whether a number in a check report is not finite.  An infinite
+    extinction time is not an overflow: the flow then never blows up."""
+    if isinstance(report, dict):
+        return any(_overflowed(v) for k, v in report.items() if not (k == "extinction_time" and v == math.inf))
+    if isinstance(report, list):
+        return any(_overflowed(v) for v in report)
+    return isinstance(report, float) and not math.isfinite(report)
+
+
 def cmd_check(args) -> int:
-    out = _check(*_load_input(args.input), args.tol)
+    # finite input can still overflow; the report below refuses it, so numpy's
+    # floating-point warnings would only repeat that on stderr
+    with np.errstate(all="ignore"):
+        out = _check(*_load_input(args.input), args.tol)
+    if _overflowed(out):
+        raise SystemExit(f"{args.input}: arithmetic overflow")
     sys.stdout.write(dumps_json({"input": args.input, **out}))
     if args.require_skt and not out["skt"]["is_skt"]:
         return 2

@@ -26,47 +26,63 @@ IDENTITY_TRIALS = 100  # random brackets drawn by suite_identities
 APPENDIX_COUNT = 10_000  # matrices in suite_appendix's sweep
 TABLE1_HORIZON = 1e3  # run length of suite_table1's unnormalized flow
 TABLE1_NORM_HORIZON = 120.0  # run length of suite_table1's normalized flow
-# matrices of one size that suite_appendix reports in one call.  It bounds the
-# matrices held at once; beyond 64 a call saves no more time (0.18 s for the
-# 10 000 reports against 0.95 s one by one) and only adds memory.
-APPENDIX_STACK = 64
+# matrices that suite_appendix builds and reports at once: draws of the sweep,
+# and states of the 5x5 flow.  Per chunk and size, the normal matrices take one
+# stacked QR and product, the near-normal ones another, and all of them one
+# normality_report.  A chunk of 1024 saves about 0.05 s a sweep but raises the
+# peak RSS by about 1 MB.
+APPENDIX_CHUNK = 256
 
 
-def _appendix_matrices(rng):
-    """The matrices of suite_appendix's sweep, in the order it draws them."""
-    for i in range(APPENDIX_COUNT):
-        n = int(rng.integers(2, 11))
-        mode = i % 4
-        e = rng.standard_normal((n, n))
-        if mode == 1:  # exactly normal: orthogonal conjugate of a block-diagonal normal form
-            q, _ = np.linalg.qr(rng.standard_normal((n, n)))
-            d = np.diag(rng.standard_normal(n))
-            t = rng.standard_normal()
-            d[0, 1], d[1, 0] = -t, t
-            e = q @ d @ q.T
-        elif mode == 2:  # normal plus a perturbation far below the tolerance band
-            q, _ = np.linalg.qr(rng.standard_normal((n, n)))
-            e = q @ np.diag(rng.standard_normal(n)) @ q.T + 1e-9 * rng.standard_normal((n, n))
-        yield e
+def _conjugates(seeds, diagonals, angles=None):
+    """The stack of q D q^t: q is the Q factor of a seed and D the diagonal
+    matrix of its diagonal, with -t at (0, 1) and t at (1, 0) for its angle t."""
+    q, _ = np.linalg.qr(np.array(seeds))
+    n = q.shape[-1]
+    forms = np.zeros((len(seeds), n, n))
+    forms[:, range(n), range(n)] = diagonals
+    if angles is not None:
+        t = np.array(angles)
+        forms[:, 0, 1], forms[:, 1, 0] = -t, t
+    return q @ forms @ np.swapaxes(q, -1, -2)
 
 
-def _stacks_by_size(mats):
-    """Stacks (k, n, n) of the equal-size matrices of mats, k <= APPENDIX_STACK."""
-    pending = {}
-    for e in mats:
-        group = pending.setdefault(e.shape[0], [])
-        group.append(e)
-        if len(group) == APPENDIX_STACK:
-            yield np.array(group)
-            group.clear()
-    yield from (np.array(group) for group in pending.values() if group)
+def _appendix_stacks(rng):
+    """The matrices of suite_appendix's sweep, as stacks (k, n, n) of one size.
+
+    rng is drawn from matrix by matrix, so the stacks hold the matrices that
+    drawing and building them one at a time gives, bit for bit.  Every fourth
+    matrix from the second on is exactly normal, an orthogonal conjugate of a
+    block-diagonal normal form; every fourth from the third on is normal plus
+    a perturbation far below the tolerance band.
+    """
+    for lo in range(0, APPENDIX_COUNT, APPENDIX_CHUNK):
+        plain, normal, near = {}, {}, {}
+        for i in range(lo, min(lo + APPENDIX_CHUNK, APPENDIX_COUNT)):
+            n = int(rng.integers(2, 11))
+            mode = i % 4
+            e = rng.standard_normal((n, n))  # drawn for every matrix, kept for the plain ones
+            if mode == 1:  # QR seed, diagonal, angle
+                normal.setdefault(n, []).append((rng.standard_normal((n, n)), rng.standard_normal(n), rng.standard_normal()))
+            elif mode == 2:  # QR seed, diagonal, perturbation
+                near.setdefault(n, []).append((rng.standard_normal((n, n)), rng.standard_normal(n), 1e-9 * rng.standard_normal((n, n))))
+            else:
+                plain.setdefault(n, []).append(e)
+        for n in sorted(plain.keys() | normal.keys() | near.keys()):
+            parts = [np.array(plain.get(n, [])).reshape(-1, n, n)]
+            if n in normal:
+                parts.append(_conjugates(*zip(*normal[n])))
+            if n in near:
+                seeds, diagonals, perturbations = zip(*near[n])
+                parts.append(_conjugates(seeds, diagonals) + np.array(perturbations))
+            yield np.concatenate(parts)
 
 
 def suite_appendix(seed: int = 0) -> dict:
     """Eigenvalue-norm inequality sweep plus normality-flow spot checks."""
     min_gap = 0.0
     agree = True
-    for stack in _stacks_by_size(_appendix_matrices(np.random.default_rng(seed))):
+    for stack in _appendix_stacks(np.random.default_rng(seed)):
         rep = normality.normality_report(stack)
         min_gap = min(min_gap, float(rep.frobenius_gap.min()), float(rep.sym_gap.min()))
         agree &= bool(np.all((rep.frobenius_gap < 1e-8) == (rep.normality_defect < 1e-6)))
@@ -87,9 +103,12 @@ def suite_appendix(seed: int = 0) -> dict:
     e0 = np.random.default_rng(seed + 1).standard_normal((5, 5))
     traj5, decode5 = normality.normality_flow(e0, horizon=40.0)
     drift = normality.spectrum_distance(e0, decode5(traj5.final_state))
-    defects = [normality.normality_defect(decode5(x)) for x in traj5.states]
-    monotone = all(b <= a + 1e-9 for a, b in zip(defects, defects[1:]))
-    limit_defect = defects[-1]
+    states5 = traj5.states.reshape(-1, 5, 5)
+    defects = np.concatenate(
+        [normality.normality_defect(states5[lo : lo + APPENDIX_CHUNK]) for lo in range(0, len(states5), APPENDIX_CHUNK)]
+    )
+    monotone = bool(np.all(defects[1:] <= defects[:-1] + 1e-9))
+    limit_defect = float(defects[-1])
 
     ok = (
         min_gap >= -1e-10

@@ -294,6 +294,30 @@ def test_nonfinite_and_overflowing_input_exits_1(tmp_path, command, name):
     assert len(lines) == 1 and message in lines[0], lines
 
 
+@pytest.mark.parametrize("name", ["big_c", "big_v"])
+def test_check_refuses_arithmetic_overflow(tmp_path, name):
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(_NONFINITE_INPUTS[name][0]))
+    out = run_cli(["check", str(path)], timeout=30)
+    assert out.returncode == 1 and out.stdout == ""
+    assert out.stderr.strip().splitlines() == [f"{path}: arithmetic overflow"]
+
+
+def test_check_allows_an_infinite_extinction_time():
+    report = {"classification": {"extinction_time": float("inf")}, "alpha": 0.5}
+    assert not cli._overflowed(report)
+    assert cli._overflowed({**report, "spectrum": [[0.0, float("nan")]]})
+    assert cli._overflowed({"classification": {"extinction_time": float("nan")}})
+
+
+def test_normalized_flow_names_the_overflow(tmp_path):
+    path = tmp_path / "big_c.json"
+    path.write_text(json.dumps(_NONFINITE_INPUTS["big_c"][0]))
+    out = run_cli(["flow", str(path), "--mode", "normalized"], timeout=30)
+    assert out.returncode == 1 and "Traceback" not in out.stderr
+    assert out.stderr.strip().splitlines() == [f"{path}: arithmetic overflow: the bracket's norm is not finite"]
+
+
 # [e1, e3] = [e2, e4] = e5 on R^6 with the pairwise J: 2-step, centre span(e5, e6),
 # J integrable, and max|dc| / |mu|^2 = 1/2, so not pluriclosed at any scale
 _NON_SKT_TWO_STEP = [(1, 3, 5), (2, 4, 5)]

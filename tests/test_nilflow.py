@@ -41,6 +41,34 @@ def test_ricci_matches_koszul_oracle(rng):
         assert np.abs(nf.ricci_endomorphism(mu) - nf.ricci_koszul(mu)).max() < 1e-11
 
 
+def koszul_loop(mu):
+    """Oracle: Ric(x, y) = sum_i <R(e_i, e_x) e_y, e_i>, one curvature vector at a time."""
+    d = mu.dim
+    c = mu.coeffs
+    g = 0.5 * (c - c.transpose(2, 0, 1) + c.transpose(1, 2, 0))
+    nab = np.transpose(g, (0, 2, 1))  # nab[i] is the matrix of nabla_{e_i}
+    ric = np.zeros((d, d))
+    for x in range(d):
+        for y in range(d):
+            s = 0.0
+            for i in range(d):
+                r = nab[i] @ nab[x, :, y] - nab[x] @ nab[i, :, y]
+                r -= np.einsum("m,mk->k", c[i, x], nab[:, :, y])
+                s += r[i]
+            ric[x, y] = s
+    return ric
+
+
+def test_koszul_matches_curvature_loop(rng):
+    for d in range(4, 11):
+        dim_z = int(rng.integers(1, d - 2))
+        c = np.zeros((d, d, d))
+        c[: d - dim_z, : d - dim_z, d - dim_z :] = rng.standard_normal((d - dim_z, d - dim_z, dim_z))
+        mu = LieBracket(c - c.transpose(1, 0, 2))
+        n2 = bracket_inner_product(mu, mu)
+        assert np.abs(nf.ricci_koszul(mu) - koszul_loop(mu)).max() <= 1e-12 * n2
+
+
 def test_splitting_rejects_non_two_step():
     # solvable non-nilpotent bracket
     from pluriflow.almostabelian import build_bracket
@@ -334,3 +362,14 @@ def test_diagnostics_build_no_dense_bracket(rng, monkeypatch):
     monkeypatch.setattr(hermitian, "skt_residual", forbidden)
     assert traj.diagnostics()["skt_residual"].max() < 1e-9
 
+
+
+def test_integrate_refuses_overflow_and_nan_residual(monkeypatch):
+    mu, frame = kodaira_bracket()
+    big = LieBracket(1e200 * mu.coeffs)  # finite, but |mu|^2 overflows
+    with np.errstate(all="ignore"), pytest.raises(ValueError, match="arithmetic overflow"):
+        nf.integrate_nil_flow(big, frame, 1.0, "unit_norm")
+    monkeypatch.setattr(nf.NilFlow, "skt_residual", lambda self, states: np.float64(np.nan))
+    for normalization in ("none", "unit_norm"):
+        with pytest.raises(ValueError, match="not pluriclosed"):
+            nf.integrate_nil_flow(mu, frame, 1.0, normalization)
