@@ -30,7 +30,7 @@ TABLE1_NORM_HORIZON = 120.0  # run length of suite_table1's normalized flow
 # and states of the 5x5 flow.  Per chunk and size, the normal matrices take one
 # stacked QR and product, the near-normal ones another, and all of them one
 # normality_report.  A chunk of 1024 saves about 0.05 s a sweep but raises the
-# peak RSS by about 1 MB.
+# sweep's peak RSS by about 1 MB.
 APPENDIX_CHUNK = 256
 
 
