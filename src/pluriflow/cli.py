@@ -242,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     v = sub.add_parser("verify", help="run a randomized verification suite")
     v.add_argument("--suite", choices=["appendix", "identities", "table1"], required=True)
-    v.add_argument("--seed", type=int, default=0)
+    v.add_argument("--seed", type=_count, default=0)
     v.set_defaults(fn=cmd_verify)
 
     g = sub.add_parser("catalog", help="list built-in example structures")

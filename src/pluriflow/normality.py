@@ -9,6 +9,7 @@ orbit, e.g. a nilpotent Jordan block collapses to zero).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,11 +44,11 @@ class NormalityReport:
     normality_defect: float | np.ndarray
 
     @property
-    def frobenius_gap(self) -> float:
+    def frobenius_gap(self) -> float | np.ndarray:
         return self.frobenius_sq - self.eigen_abs_sq_sum
 
     @property
-    def sym_gap(self) -> float:
+    def sym_gap(self) -> float | np.ndarray:
         return self.sym_part_sq - self.re_sq_sum
 
 
@@ -76,15 +77,69 @@ def normality_report(e: np.ndarray) -> NormalityReport:
     )
 
 
-def spectrum_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """Optimal-assignment distance between eigenvalue multisets."""
-    from scipy.optimize import linear_sum_assignment  # kept off the package's import path
+def _min_sum_assignment(cost: list[list[float]]) -> list[int]:
+    """The column of each row on a minimum-sum assignment of a square cost
+    matrix of finite entries.
 
-    la = np.linalg.eigvals(np.asarray(a, dtype=float))
-    lb = np.linalg.eigvals(np.asarray(b, dtype=float))
+    Shortest augmenting paths on dual variables (D. F. Crouse, IEEE Trans.
+    Aerosp. Electron. Syst. 52 (2016) 1679), step for step as
+    scipy.optimize.linear_sum_assignment takes them: assignments of equal sum
+    are common between real spectra, and the same steps pick the same one.
+    """
+    n = len(cost)
+    u, v = [0.0] * n, [0.0] * n
+    path, col4row, row4col = [-1] * n, [-1] * n, [-1] * n
+    for cur in range(n):
+        shortest = [math.inf] * n
+        rows_seen, cols_seen = set(), []
+        remaining = list(range(n - 1, -1, -1))
+        min_val, i, sink = 0.0, cur, -1
+        while sink == -1:
+            rows_seen.add(i)
+            index, lowest = -1, math.inf
+            for it, j in enumerate(remaining):
+                r = min_val + cost[i][j] - u[i] - v[j]
+                if r < shortest[j]:
+                    path[j], shortest[j] = i, r
+                # among equal lows, prefer a free column: it ends the path
+                if shortest[j] < lowest or (shortest[j] == lowest and row4col[j] == -1):
+                    index, lowest = it, shortest[j]
+            min_val = lowest
+            j = remaining[index]
+            if row4col[j] == -1:
+                sink = j
+            else:
+                i = row4col[j]
+            cols_seen.append(j)
+            remaining[index] = remaining[-1]
+            remaining.pop()
+        u[cur] += min_val
+        for i in rows_seen - {cur}:
+            u[i] += min_val - shortest[col4row[i]]
+        for j in cols_seen:
+            v[j] -= min_val - shortest[j]
+        j = sink
+        while True:  # flip the assignment along the path
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == cur:
+                break
+    return col4row
+
+
+def spectrum_distance(a: np.ndarray, b: np.ndarray) -> float:
+    """Largest eigenvalue gap on a minimum-sum assignment between the spectra
+    of two square matrices of one size."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if a.shape != b.shape:
+        raise ValueError(f"cannot match the spectra of matrices of shapes {a.shape} and {b.shape}")
+    la = np.linalg.eigvals(a)
+    lb = np.linalg.eigvals(b)
     cost = np.abs(la[:, None] - lb[None, :])
-    rows, cols = linear_sum_assignment(cost)
-    return float(cost[rows, cols].max())
+    cols = _min_sum_assignment(cost.tolist())
+    return float(cost[range(len(cols)), cols].max())
 
 
 def normality_flow(e0: np.ndarray, horizon: float, config: engine.IntegratorConfig | None = None):
@@ -94,8 +149,12 @@ def normality_flow(e0: np.ndarray, horizon: float, config: engine.IntegratorConf
 
     def field(x):
         e = x.reshape(n, n)
-        comm = e @ e.T - e.T @ e
-        return 4.0 * (e @ comm - comm @ e).ravel()
+        et = e.T
+        comm = e.dot(et) - et.dot(e)
+        p = e.dot(comm)
+        p -= comm.dot(e)
+        p *= 4.0
+        return p.ravel()
 
     cfg = config or engine.IntegratorConfig(fixedpoint_norm=1e-12)
     traj = engine.integrate(field, e0.ravel(), horizon, cfg)

@@ -256,6 +256,15 @@ def test_flow_rejects_bad_numbers_with_usage_error(capsys):
         assert err.startswith("usage:") and f"argument {extra[0]}" in err, extra
 
 
+def test_verify_rejects_negative_seed_with_usage_error(capsys):
+    for seed in ("-1", "2.5", "x"):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["verify", "--suite", "appendix", "--seed", seed])
+        assert exc.value.code == 2, seed
+        err = capsys.readouterr().err
+        assert err.startswith("usage:") and "argument --seed" in err, seed
+
+
 def test_flow_rejects_non_pluriclosed_almost_abelian(tmp_path):
     path = tmp_path / "generic.json"
     path.write_text(json.dumps({"a": 0.0, "v": [0.0, 0.0], "A": [[1.0, 0.0], [0.0, 1.0]], "J1": "standard"}))
@@ -458,3 +467,14 @@ def test_cli_import_loads_no_scipy():
     code = 'import sys, pluriflow.cli; print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))'
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert out.returncode == 0 and out.stdout.strip() == "[]", out.stdout + out.stderr
+
+
+def test_verify_appendix_loads_no_scipy():
+    code = (
+        "import contextlib, io, sys, pluriflow.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    rc = pluriflow.cli.main(['verify', '--suite', 'appendix', '--seed', '0'])\n"
+        "print(rc, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert out.returncode == 0 and out.stdout.strip() == "0 []", out.stdout + out.stderr

@@ -1,4 +1,6 @@
 import numpy as np
+import pytest
+from scipy.optimize import linear_sum_assignment
 
 from pluriflow import engine
 from pluriflow.normality import (
@@ -7,6 +9,26 @@ from pluriflow.normality import (
     normality_report,
     spectrum_distance,
 )
+
+
+def _spectrum_distance_oracle(a, b):
+    """The assignment distance as scipy's linear_sum_assignment gives it."""
+    la = np.linalg.eigvals(a)
+    lb = np.linalg.eigvals(b)
+    cost = np.abs(la[:, None] - lb[None, :])
+    rows, cols = linear_sum_assignment(cost)
+    return float(cost[rows, cols].max())
+
+
+def _field_oracle(n):
+    """The normality field E' = 4 [E, [E, E^t]] written with @ products."""
+
+    def field(x):
+        e = x.reshape(n, n)
+        comm = e @ e.T - e.T @ e
+        return 4.0 * (e @ comm - comm @ e).ravel()
+
+    return field
 
 
 def test_report_symmetric_equalities(rng):
@@ -68,6 +90,57 @@ def test_flow_preserves_spectrum_and_decreases_defect(rng):
     defects = [normality_defect(decode(x)) for x in traj.states]
     assert all(b <= a + 1e-9 for a, b in zip(defects, defects[1:]))
     assert defects[-1] < 1e-8
+
+
+def test_spectrum_distance_matches_scipy_assignment(rng):
+    for n in range(1, 9):
+        for _ in range(150):
+            a = rng.standard_normal((n, n))
+            # an unrelated matrix, a close one, and integer diagonals whose
+            # spectra admit many assignments of equal sum
+            for b in (rng.standard_normal((n, n)), a + 1e-3 * rng.standard_normal((n, n)),
+                      np.diag(rng.integers(0, 3, n).astype(float))):
+                assert spectrum_distance(a, b) == _spectrum_distance_oracle(a, b)
+    # real matrices with complex-conjugate eigenvalue pairs on both sides
+    rot = np.array([[0.0, -1.0], [1.0, 0.0]])
+    for _ in range(50):
+        q, _ = np.linalg.qr(rng.standard_normal((6, 6)))
+        blocks = np.zeros((6, 6))
+        for k in (0, 2):
+            blocks[k : k + 2, k : k + 2] = rng.standard_normal() * np.eye(2) + rng.standard_normal() * rot
+        blocks[4:, 4:] = np.diag(rng.standard_normal(2))
+        a, b = q @ blocks @ q.T, rng.standard_normal((6, 6))
+        assert np.iscomplex(np.linalg.eigvals(a)).sum() == 4
+        assert spectrum_distance(a, b) == _spectrum_distance_oracle(a, b)
+
+
+def test_spectrum_distance_rejects_different_sizes():
+    with pytest.raises(ValueError):
+        spectrum_distance(np.eye(3), np.eye(4))
+
+
+def test_normality_field_matches_oracle_bit_for_bit(rng, monkeypatch):
+    fields = []
+    integrate = engine.integrate
+
+    def capture(field, y0, horizon, config):
+        fields.append(field)
+        return integrate(field, y0, horizon, config)
+
+    monkeypatch.setattr(engine, "integrate", capture)
+    for n in range(2, 11):
+        normality_flow(np.eye(n), horizon=1e-3)
+        for _ in range(20):
+            x = rng.standard_normal(n * n)
+            assert np.array_equal(fields[-1](x), _field_oracle(n)(x))
+
+
+def test_normality_flow_matches_oracle_trajectory(rng):
+    e0 = rng.standard_normal((5, 5))
+    traj, _ = normality_flow(e0, horizon=40.0)
+    ref = engine.integrate(_field_oracle(5), e0.ravel(), 40.0, engine.IntegratorConfig(fixedpoint_norm=1e-12))
+    assert np.array_equal(traj.times, ref.times)
+    assert np.array_equal(traj.states, ref.states)
 
 
 def test_spectrum_distance_handles_collisions():
