@@ -71,13 +71,17 @@ def _check_almost_abelian(data: aa.AlmostAbelianData, tol: float) -> dict:
     }
     if verdict.is_skt:
         cert = aa.soliton_certificate(data, tol)
-        report = aa.classify(data)
         out["soliton"] = {
             "kind": cert.kind.value,
             "alpha": cert.alpha,
             "residual": cert.residual,
             "eigen_lambda": cert.eigen_lambda,
         }
+        try:
+            report = aa.classify(data)
+        except ValueError as exc:  # (a, A) = (0, 0) is nilpotent: no case of the table
+            out["note"] = str(exc)
+            return out
         out["classification"] = {
             "case": report.table_case,
             "k": report.k,

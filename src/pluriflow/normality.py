@@ -9,7 +9,6 @@ orbit, e.g. a nilpotent Jordan block collapses to zero).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,69 +76,21 @@ def normality_report(e: np.ndarray) -> NormalityReport:
     )
 
 
-def _min_sum_assignment(cost: list[list[float]]) -> list[int]:
-    """The column of each row on a minimum-sum assignment of a square cost
-    matrix of finite entries.
-
-    Shortest augmenting paths on dual variables (D. F. Crouse, IEEE Trans.
-    Aerosp. Electron. Syst. 52 (2016) 1679), step for step as
-    scipy.optimize.linear_sum_assignment takes them: assignments of equal sum
-    are common between real spectra, and the same steps pick the same one.
-    """
-    n = len(cost)
-    u, v = [0.0] * n, [0.0] * n
-    path, col4row, row4col = [-1] * n, [-1] * n, [-1] * n
-    for cur in range(n):
-        shortest = [math.inf] * n
-        rows_seen, cols_seen = set(), []
-        remaining = list(range(n - 1, -1, -1))
-        min_val, i, sink = 0.0, cur, -1
-        while sink == -1:
-            rows_seen.add(i)
-            index, lowest = -1, math.inf
-            for it, j in enumerate(remaining):
-                r = min_val + cost[i][j] - u[i] - v[j]
-                if r < shortest[j]:
-                    path[j], shortest[j] = i, r
-                # among equal lows, prefer a free column: it ends the path
-                if shortest[j] < lowest or (shortest[j] == lowest and row4col[j] == -1):
-                    index, lowest = it, shortest[j]
-            min_val = lowest
-            j = remaining[index]
-            if row4col[j] == -1:
-                sink = j
-            else:
-                i = row4col[j]
-            cols_seen.append(j)
-            remaining[index] = remaining[-1]
-            remaining.pop()
-        u[cur] += min_val
-        for i in rows_seen - {cur}:
-            u[i] += min_val - shortest[col4row[i]]
-        for j in cols_seen:
-            v[j] -= min_val - shortest[j]
-        j = sink
-        while True:  # flip the assignment along the path
-            i = path[j]
-            row4col[j] = i
-            col4row[i], j = j, col4row[i]
-            if i == cur:
-                break
-    return col4row
-
-
 def spectrum_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """Largest eigenvalue gap on a minimum-sum assignment between the spectra
-    of two square matrices of one size."""
+    """Largest gap between the characteristic-polynomial coefficients of two
+    square matrices of one size, both divided by the larger Frobenius norm.
+
+    It is 0 exactly when the spectra agree with multiplicity.  The
+    coefficients are symmetric functions of the eigenvalues, so they stay well
+    conditioned at repeated eigenvalues, where eigenvalues matched one by one
+    lose half their digits.
+    """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    if a.shape != b.shape:
-        raise ValueError(f"cannot match the spectra of matrices of shapes {a.shape} and {b.shape}")
-    la = np.linalg.eigvals(a)
-    lb = np.linalg.eigvals(b)
-    cost = np.abs(la[:, None] - lb[None, :])
-    cols = _min_sum_assignment(cost.tolist())
-    return float(cost[range(len(cols)), cols].max())
+    if a.shape != b.shape or a.ndim != 2:
+        raise ValueError(f"cannot compare the spectra of arrays of shapes {a.shape} and {b.shape}")
+    s = max(frobenius_norm(a), frobenius_norm(b)) or 1.0
+    return float(np.abs(np.poly(a / s) - np.poly(b / s)).max())
 
 
 def normality_flow(e0: np.ndarray, horizon: float, config: engine.IntegratorConfig | None = None):

@@ -36,13 +36,15 @@ APPENDIX_CHUNK = 256
 
 def _conjugates(seeds, diagonals, angles=None):
     """The stack of q D q^t: q is the Q factor of a seed and D the diagonal
-    matrix of its diagonal, with -t at (0, 1) and t at (1, 0) for its angle t."""
+    matrix of its diagonal d; with an angle t, D carries the normal block
+    [[d_0, -t], [t, d_0]] on its first two coordinates."""
     q, _ = np.linalg.qr(np.array(seeds))
     n = q.shape[-1]
     forms = np.zeros((len(seeds), n, n))
     forms[:, range(n), range(n)] = diagonals
     if angles is not None:
         t = np.array(angles)
+        forms[:, 1, 1] = forms[:, 0, 0]
         forms[:, 0, 1], forms[:, 1, 0] = -t, t
     return q @ forms @ np.swapaxes(q, -1, -2)
 

@@ -11,6 +11,7 @@ from pluriflow import engine
 from pluriflow.brackets import LieBracket, infinitesimal_action, jacobi_residual
 from pluriflow.catalog import get_entry, s_ab_data
 from pluriflow.hermitian import HermitianFrame
+from pluriflow.normality import normality_defect
 from pluriflow.sampling import (
     random_generic_almost_abelian,
     random_skt_almost_abelian,
@@ -78,6 +79,47 @@ def test_skt_verdict_generic_and_constructed(rng):
         if not aa.skt_verdict(random_generic_almost_abelian(rng, m=6)).is_skt:
             bad += 1
     assert bad == 25
+
+
+def _spectral_criterion(data):
+    """Oracle: A normal with eigenvalue real parts in {0, -a/2}, each within
+    1e-7 of the scale."""
+    scale = max(1.0, float(np.linalg.norm(data.A)), abs(data.a))
+    re = np.linalg.eigvals(data.A).real
+    re_dev = float(np.minimum(np.abs(re), np.abs(re + data.a / 2)).max())
+    return normality_defect(data.A) < 1e-7 * scale**2 and re_dev < 1e-7 * scale
+
+
+def _multiplicity_k(data):
+    """Oracle: half the multiplicity of -a/2 among the eigenvalues of sym(A)."""
+    s = np.linalg.eigvalsh(0.5 * (data.A + data.A.T))
+    scale = max(np.abs(s).max(initial=0.0), abs(data.a) / 2, np.linalg.norm(data.A))
+    return int(np.sum(np.abs(s + data.a / 2) < 1e-8 * scale)) // 2
+
+
+def test_closure_verdict_matches_the_spectral_oracles(rng):
+    for i in range(200):
+        m = (2, 4, 6, 8)[i % 4]
+        skt = random_skt_almost_abelian(rng, m=m, allow_zero_a=i % 8 == 0)
+        generic = random_generic_almost_abelian(rng, m=m)
+        # generic draws lie far outside both criteria's tolerance bands
+        scale = max(1.0, float(np.linalg.norm(generic.A)), abs(generic.a))
+        assert aa.skt_verdict(generic).residual_lemma > 1e-4 * scale**2
+        for data, want in ((skt, True), (generic, False)):
+            verdict = aa.skt_verdict(data)
+            assert verdict.is_skt is want and _spectral_criterion(data) is want
+        if skt.a != 0.0:
+            assert aa.skt_verdict(skt).k == _multiplicity_k(skt)
+
+
+def test_skt_verdict_between_the_criteria_tolerances():
+    # the closure residual 1.4e-8 is above its band, the real-part deviation
+    # 1e-8 within the spectral one: the closure criterion decides
+    data = aa.AlmostAbelianData(1.0, [0.1, 0.0], 1e-8 * np.eye(2), HermitianFrame.antidiagonal(2).J)
+    assert _spectral_criterion(data)
+    verdict = aa.skt_verdict(data)
+    assert not verdict.is_skt and verdict.residual_lemma > 1e-9
+    assert verdict.k == 1
 
 
 @settings(max_examples=40, deadline=None)

@@ -68,6 +68,29 @@ def test_check_bad_catalog_parameter_exits_cleanly():
     assert len(out.stderr.strip().splitlines()) == 1
 
 
+def test_check_reports_a_nilpotent_almost_abelian_input_in_a_note():
+    out = run_cli(["check", "catalog:s_ab(0,0)"])
+    assert out.returncode == 0
+    assert "Traceback" not in out.stderr
+    doc = json.loads(out.stdout)
+    assert doc["skt"]["is_skt"] is True
+    assert "classification" not in doc
+    assert doc["note"].startswith("nilpotent case (a, A) = (0, 0)")
+
+
+def test_input_between_the_skt_criteria_tolerances(tmp_path):
+    # closure residual 1.4e-8 above 1e-9, real-part deviation 1e-8 below 1e-7
+    path = tmp_path / "boundary.json"
+    path.write_text(json.dumps({"a": 1.0, "v": [0.1, 0.0], "A": [[1e-8, 0], [0, 1e-8]], "J1": [[0, -1], [1, 0]]}))
+    out = run_cli(["check", str(path)])
+    assert out.returncode == 0
+    assert "Traceback" not in out.stderr
+    assert json.loads(out.stdout)["skt"]["is_skt"] is False
+    out = run_cli(["flow", str(path)])
+    assert out.returncode == 1
+    assert out.stderr.splitlines() == [f"{path}: initial condition is not pluriclosed"]
+
+
 def test_flow_rejects_bad_nilpotent_input_cleanly(tmp_path):
     inputs = {
         # [e1, e2] = e3, [e1, e3] = e4: 3-step, derived algebra outside the centre

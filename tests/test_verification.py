@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pluriflow import verification
+from pluriflow import normality, verification
 
 
 def appendix_matrices(rng):
@@ -15,6 +15,7 @@ def appendix_matrices(rng):
             q, _ = np.linalg.qr(rng.standard_normal((n, n)))
             d = np.diag(rng.standard_normal(n))
             t = rng.standard_normal()
+            d[1, 1] = d[0, 0]
             d[0, 1], d[1, 0] = -t, t
             e = q @ d @ q.T
         elif mode == 2:  # normal plus a perturbation far below the tolerance band
@@ -38,3 +39,16 @@ def test_appendix_stacks_match_one_by_one_sweep(seed):
 def test_appendix_stacks_are_bounded_by_the_chunk():
     stacks = verification._appendix_stacks(np.random.default_rng(1))
     assert max(len(s) for s in stacks) <= verification.APPENDIX_CHUNK
+
+
+@pytest.mark.parametrize("seed", [0, 2025935879])
+def test_appendix_normal_draws_are_normal_to_roundoff(seed):
+    rng = np.random.default_rng(seed)
+    normal = [e for i, e in enumerate(appendix_matrices(rng)) if i % 4 == 1]
+    for n in range(2, 11):
+        e = np.array([x for x in normal if x.shape[0] == n])
+        rep = normality.normality_report(e)
+        scale = np.sum(e * e, axis=(1, 2))
+        assert np.all(np.abs(rep.frobenius_gap) <= 1e-13 * scale)
+        assert np.all(np.abs(rep.sym_gap) <= 1e-13 * scale)
+        assert np.all(rep.normality_defect <= 1e-13 * scale)
