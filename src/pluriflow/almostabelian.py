@@ -59,7 +59,7 @@ __all__ = [
 UNNORMALIZED = "UNNORMALIZED"
 A_NORM_FIXED = "A_NORM_FIXED"
 
-_LEMMA_TOL = 1e-9  # closure criterion: |sym(aA + A^2 + A^tA)| below it times scale^2
+_LEMMA_TOL = 1e-9  # closure criterion: |sym(aA + A^2 + A^tA)| of (a, A) / max(|A|, |a|) below it
 _K_RTOL = 1e-8  # relative cutoff of the rank count of k
 _IMAGE_RTOL = 1e-8  # relative residual below which v lies in Im A
 _CLASSIFY_TOL = 1e-9  # a = 0, (a, A) = 0 and unimodularity, relative to |A|
@@ -215,10 +215,12 @@ def skt_verdict(data: AlmostAbelianData) -> SktVerdict:
     the spectrum it reads, and the tests keep it as an oracle.
     """
     a, A = data.a, data.A
-    scale = max(1.0, float(np.linalg.norm(A)), abs(a))
+    # the residual is quadratic in (a, A), so it is read at the data's own
+    # scale; (0, 0) is pluriclosed
+    scale = max(float(np.linalg.norm(A)), abs(a))
     res_lemma = skt_closure_residual(a, A)
     return SktVerdict(
-        is_skt=res_lemma < _LEMMA_TOL * scale**2,
+        is_skt=scale == 0.0 or skt_closure_residual(a / scale, A / scale) < _LEMMA_TOL,
         k=skt_multiplicity_k(a, A),
         normality_defect=normality_defect(A),
         spectrum=np.sort_complex(np.linalg.eigvals(A)),

@@ -117,7 +117,7 @@ def suite_appendix(seed: int = 0) -> dict:
         and agree
         and jordan_norm < 1e-8
         and jordan_defect < 1e-8
-        and drift < 1e-6
+        and drift < 1e-10
         and monotone
         and limit_defect < 1e-8
     )

@@ -122,6 +122,24 @@ def test_skt_verdict_between_the_criteria_tolerances():
     assert verdict.k == 1
 
 
+@pytest.mark.parametrize("s", [1.0, 1e-3, 1e-5, 1e-8])
+def test_skt_verdict_is_scale_invariant(s):
+    # the closure residual is quadratic in (a, A): small data must not pass
+    # a tolerance meant for unit scale
+    rng = np.random.default_rng(0)
+    for _ in range(10):
+        generic = random_generic_almost_abelian(rng, m=4)
+        skt = random_skt_almost_abelian(rng, m=4, allow_zero_a=True)
+        for data, want in ((generic, False), (skt, True)):
+            scaled = replace(data, a=s * data.a, v=s * data.v, A=s * data.A)
+            assert aa.skt_verdict(scaled).is_skt is want
+            if not want:
+                with pytest.raises(ValueError, match="not pluriclosed"):
+                    aa.ReducedFlow(scaled)
+    zero = aa.AlmostAbelianData(0.0, np.zeros(2), np.zeros((2, 2)), HermitianFrame.antidiagonal(2).J)
+    assert aa.skt_verdict(zero).is_skt
+
+
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), m=st.sampled_from([2, 4, 8, 16]))
 def test_k_counts_eigenvalues_on_sampled_data(seed, m):

@@ -76,7 +76,7 @@ def test_flow_preserves_spectrum_and_decreases_defect(rng):
     e0 = rng.standard_normal((5, 5))
     traj, decode = normality_flow(e0, horizon=40.0)
     drift = spectrum_distance(e0, decode(traj.final_state))
-    assert drift < 1e-6
+    assert drift < 1e-10
     defects = [normality_defect(decode(x)) for x in traj.states]
     assert all(b <= a + 1e-9 for a, b in zip(defects, defects[1:]))
     assert defects[-1] < 1e-8
