@@ -167,7 +167,7 @@ def cmd_flow(args) -> int:
         nu = traj.flow.decode(raw.final_state)
         cert = nilflow.soliton_limit_certificate(nu, traj.flow.split.frame, split=traj.flow.split)
         summary += f" soliton_residual={format_float(cert.residual)}"
-    summary += f" accepted={raw.n_accepted} rejected={raw.n_rejected}"
+    summary += f" accepted={raw.n_accepted} rejected={raw.n_rejected} field_calls={raw.n_field_calls}"
     print(summary, file=sys.stderr)
     return 1 if raw.terminal_event == engine.NONFINITE else 0
 

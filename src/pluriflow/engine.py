@@ -1,13 +1,14 @@
 """Adaptive ODE infrastructure shared by all flows.
 
-Dormand-Prince 5(4) embedded pair with PI step-size control, quartic dense
-output, and terminal-event detection (horizon, fixed point, blow-up with its
-extinction time in closed form, step underflow, non-finite field).  A trial
-step makes six field calls (first same as last), and a retry after a
-rejected trial starts from the field at the current state.  There is no
-norm-conserving option: a flow keeps a norm through a field tangent to its
-sphere.  The engine is dimension-agnostic: clients encode their state as a
-flat real vector and own the decoding.
+Dormand-Prince 8(5,3) (DOP853, Hairer, Norsett & Wanner, Solving ODEs I,
+II.10) with PI step-size control and terminal-event detection (horizon, fixed
+point, blow-up with its extinction time in closed form, step underflow,
+non-finite field).  A trial step makes twelve field calls (first same as
+last), and a retry after a rejected trial starts from the field at the
+current state.  A run given sample times lands a step on each of them instead
+of interpolating.  There is no norm-conserving option: a flow keeps a norm
+through a field tangent to its sphere.  The engine is dimension-agnostic:
+clients encode their state as a flat real vector and own the decoding.
 """
 
 from __future__ import annotations
@@ -36,36 +37,59 @@ BLOWUP = "BLOWUP"
 STEP_UNDERFLOW = "STEP_UNDERFLOW"
 NONFINITE = "NONFINITE"  # the field at the start, or a trial's error before the step collapsed, was not finite
 
-# Dormand-Prince 5(4) tableau (FSAL, 7 stages; the fields are autonomous, so
-# the stage times are not needed).  _A[6] holds the fifth-order weights.
+# DOP853 tableau (FSAL, 12 stages; the fields are autonomous, so the stage
+# times are not needed).  _A[s] holds stage s's weights, _B the eighth-order
+# weights, and _E5, _E3 the fifth- and third-order error estimators.
 _A = [
     np.array([]),
-    np.array([1 / 5]),
-    np.array([3 / 40, 9 / 40]),
-    np.array([44 / 45, -56 / 15, 32 / 9]),
-    np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
-    np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
-    np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
+    np.array([5.26001519587677318785587544488e-2]),
+    np.array([1.97250569845378994544595329183e-2, 5.91751709536136983633785987549e-2]),
+    np.array([2.95875854768068491816892993775e-2, 0.0, 8.87627564304205475450678981324e-2]),
+    np.array([2.41365134159266685502369798665e-1, 0.0, -8.84549479328286085344864962717e-1,
+              9.24834003261792003115737966543e-1]),
+    np.array([3.7037037037037037037037037037e-2, 0.0, 0.0, 1.70828608729473871279604482173e-1,
+              1.25467687566822425016691814123e-1]),
+    np.array([3.7109375e-2, 0.0, 0.0, 1.70252211019544039314978060272e-1, 6.02165389804559606850219397283e-2,
+              -1.7578125e-2]),
+    np.array([3.70920001185047927108779319836e-2, 0.0, 0.0, 1.70383925712239993810214054705e-1,
+              1.07262030446373284651809199168e-1, -1.53194377486244017527936158236e-2,
+              8.27378916381402288758473766002e-3]),
+    np.array([6.24110958716075717114429577812e-1, 0.0, 0.0, -3.36089262944694129406857109825,
+              -8.68219346841726006818189891453e-1, 2.75920996994467083049415600797e1,
+              2.01540675504778934086186788979e1, -4.34898841810699588477366255144e1]),
+    np.array([4.77662536438264365890433908527e-1, 0.0, 0.0, -2.48811461997166764192642586468,
+              -5.90290826836842996371446475743e-1, 2.12300514481811942347288949897e1,
+              1.52792336328824235832596922938e1, -3.32882109689848629194453265587e1,
+              -2.03312017085086261358222928593e-2]),
+    np.array([-9.3714243008598732571704021658e-1, 0.0, 0.0, 5.18637242884406370830023853209,
+              1.09143734899672957818500254654, -8.14978701074692612513997267357,
+              -1.85200656599969598641566180701e1, 2.27394870993505042818970056734e1,
+              2.49360555267965238987089396762, -3.0467644718982195003823669022]),
+    np.array([2.27331014751653820792359768449, 0.0, 0.0, -1.05344954667372501984066689879e1,
+              -2.00087205822486249909675718444, -1.79589318631187989172765950534e1,
+              2.79488845294199600508499808837e1, -2.85899827713502369474065508674,
+              -8.87285693353062954433549289258, 1.23605671757943030647266201528e1,
+              6.43392746015763530355970484046e-1]),
 ]
-_E = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40])
-# Quartic dense-output polynomial coefficients (Shampine's interpolant).
-_P = np.array(
-    [
-        [1.0, -8048581381 / 2820520608, 8663915743 / 2820520608, -12715105075 / 11282082432],
-        [0.0, 0.0, 0.0, 0.0],
-        [0.0, 131558114200 / 32700410799, -68118460800 / 10900136933, 87487479700 / 32700410799],
-        [0.0, -1754552775 / 470086768, 14199869525 / 1410260304, -10690763975 / 1880347072],
-        [0.0, 127303824393 / 49829197408, -318862633887 / 49829197408, 701980252875 / 199316789632],
-        [0.0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844],
-        [0.0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423],
-    ]
-)
+_B = np.array([5.42937341165687622380535766363e-2, 0.0, 0.0, 0.0, 0.0, 4.45031289275240888144113950566,
+               1.89151789931450038304281599044, -5.8012039600105847814672114227, 3.1116436695781989440891606237e-1,
+               -1.52160949662516078556178806805e-1, 2.01365400804030348374776537501e-1,
+               4.47106157277725905176885569043e-2])
+_E5 = np.array([0.1312004499419488073250102996e-1, 0.0, 0.0, 0.0, 0.0, -0.1225156446376204440720569753e+1,
+                -0.4957589496572501915214079952, 0.1664377182454986536961530415e+1,
+                -0.3503288487499736816886487290, 0.3341791187130174790297318841,
+                0.8192320648511571246570742613e-1, -0.2235530786388629525884427845e-1])
+_E3 = _B.copy()  # _B minus the third-order weights
+_E3[[0, 8, 11]] -= [0.244094488188976377952755905512, 0.733846688281611857341361741547,
+                    0.220588235294117647058823529412e-1]
+_E53 = np.stack([_E5, _E3])
 
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 10.0
 _BETA = 0.04  # PI stabilization exponent
-_EXPO = 0.2 - 0.75 * _BETA
+_ORDER_EXPO = 1 / 8  # the error estimate is O(h^8)
+_EXPO = _ORDER_EXPO - 0.75 * _BETA
 _FIXEDPOINT_SUSTAIN = 10  # consecutive accepted steps with |f| below fixedpoint_norm
 _EPS = float(np.finfo(float).eps)
 _MAX_STEPS = 1_000_000  # accepted plus rejected trials before integrate raises
@@ -103,6 +127,7 @@ class Trajectory:
     terminal_event: str
     n_accepted: int = 0
     n_rejected: int = 0
+    n_field_calls: int = 0
     blowup: BlowupFit | None = None
 
     @property
@@ -122,15 +147,13 @@ def normalize_projection(f: np.ndarray, x: np.ndarray) -> np.ndarray:
     return f - (np.dot(f, x) / nx2) * x
 
 
-def _rms(v):
-    # np.mean's pairwise sum, without its overhead; a dot product would add
-    # in another order and change the error norm's last bits
-    return math.sqrt(float(np.add.reduce(v * v, axis=None)) / v.size)
-
-
 def _norm(v):
     # np.linalg.norm of a vector, without its overhead: the same ddot and sqrt
     return math.sqrt(v.dot(v))
+
+
+def _rms(v):
+    return _norm(v) / math.sqrt(v.size)
 
 
 def _initial_step(field_fn, x0, f0, rel_tol, abs_tol, horizon):
@@ -143,31 +166,48 @@ def _initial_step(field_fn, x0, f0, rel_tol, abs_tol, horizon):
     if max(d1, d2) <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
-        h1 = (0.01 / max(d1, d2)) ** 0.2
+        h1 = (0.01 / max(d1, d2)) ** _ORDER_EXPO
     return min(100 * h0, h1, horizon)
 
 
-def _dopri_step(field_fn, y, f, h, k):
-    """One Dormand-Prince trial step of size h from y, where f = field_fn(y).
+def _dop853_step(field_fn, y, f, h, k):
+    """One DOP853 trial step of size h from y, where f = field_fn(y).
 
-    Fills the stages k (7, n) in place with six field calls.  The last stage
-    is taken at the fifth-order end point, which is returned, so k[6] is the
-    field there (FSAL).
+    Fills the stages k (13, n) in place with twelve field calls: k[:12] are
+    the stages, and k[12] is the field at the eighth-order end point, which
+    is returned (FSAL).
     """
     k[0] = f
-    kt = k.T
-    for s in range(1, 7):
-        y1 = y + h * kt[:, :s].dot(_A[s])
-        k[s] = field_fn(y1)
+    for s in range(1, 12):
+        k[s] = field_fn(y + h * _A[s].dot(k[:s]))
+    y1 = y + h * _B.dot(k[:12])
+    k[12] = field_fn(y1)
     return y1
+
+
+def _error_norm(k, h, scale):
+    """Hairer's DOP853 error norm |h| |e5|^2 / sqrt((|e5|^2 + 0.01 |e3|^2) n),
+    with e5 and e3 the two error estimates divided by scale."""
+    e5, e3 = _E53.dot(k[:12]) / scale
+    n5, n3 = float(e5.dot(e5)), float(e3.dot(e3))
+    if n5 == 0.0 and n3 == 0.0:
+        return 0.0
+    return abs(h) * n5 / math.sqrt((n5 + 0.01 * n3) * scale.size)
 
 
 def integrate(field_fn, x0, horizon: float, config: IntegratorConfig | None = None) -> Trajectory:
     """Integrate y' = field_fn(y) from t=0 to the horizon or a terminal event."""
     cfg = config or IntegratorConfig()
+    n_calls = 0
+
+    def field(yy):
+        nonlocal n_calls
+        n_calls += 1
+        return field_fn(yy)
+
     y = np.array(x0, dtype=float)
     t = 0.0
-    f = field_fn(y)
+    f = field(y)
 
     samples = None if cfg.sample_times is None else np.sort(np.asarray(cfg.sample_times, dtype=float))
     s_ptr = 0
@@ -178,12 +218,16 @@ def integrate(field_fn, x0, horizon: float, config: IntegratorConfig | None = No
         rec_t.append(tt)
         rec_y.append(yy)
 
+    def record_samples():  # every sample at t, to rounding, takes the state there
+        nonlocal s_ptr
+        while s_ptr < samples.size and samples[s_ptr] <= t + 1e-14 * max(1.0, abs(t)):
+            record(samples[s_ptr], y)
+            s_ptr += 1
+
     if samples is None:
         record(t, y)
     else:
-        while s_ptr < samples.size and samples[s_ptr] <= t:
-            record(samples[s_ptr], y)
-            s_ptr += 1
+        record_samples()
 
     n_acc = n_rej = 0
     fp_count = 0
@@ -193,41 +237,45 @@ def integrate(field_fn, x0, horizon: float, config: IntegratorConfig | None = No
     event = None if np.isfinite(f).all() else NONFINITE
     if event is None and _norm(f) < cfg.fixedpoint_norm:
         event = FIXED_POINT
-    h = _initial_step(field_fn, y, f, cfg.rel_tol, cfg.abs_tol, horizon) if event is None else 0.0
+    h = _initial_step(field, y, f, cfg.rel_tol, cfg.abs_tol, horizon) if event is None else 0.0
     facold = 1e-4
     rejected_last = False
     nonfinite_last = False  # the latest trial was rejected with a non-finite error
-    k = np.empty((7, y.size))  # dense output reads an accepted step's stages here before the next trial
+    k = np.empty((13, y.size))
     rel_tol, abs_tol = cfg.rel_tol, cfg.abs_tol
 
     while event is None and t < horizon:
         if n_acc + n_rej >= _MAX_STEPS:
             raise RuntimeError(f"max_steps={_MAX_STEPS} exceeded at t={t:g}")
-        h = min(h, horizon - t)
-        final_step = h >= horizon - t
+        # a step that would pass the horizon or the next sample lands on it
+        stop = horizon if samples is None or s_ptr == samples.size else min(horizon, samples[s_ptr])
+        h_free = h
+        lands = h >= stop - t
+        if lands:
+            h = stop - t
         if not h >= 16 * _EPS * max(abs(t), 1.0):  # a NaN step size ends the run too
             event = NONFINITE if nonfinite_last or math.isnan(h) else STEP_UNDERFLOW
             break
 
-        y1 = _dopri_step(field_fn, y, f, h, k)
+        y1 = _dop853_step(field, y, f, h, k)
         scale = np.maximum(np.abs(y), np.abs(y1))
         scale *= rel_tol
         scale += abs_tol
-        err = _rms(h * k.T.dot(_E) / scale)
+        # a non-finite field at the end point rejects the trial: no step could start there
+        err = _error_norm(k, h, scale) if np.isfinite(k[12]).all() else math.nan
 
         if not err <= 1.0:  # also rejects a NaN error from a non-finite trial state
             n_rej += 1
-            h *= max(_MIN_FACTOR, _SAFETY * err**-0.2)
+            h *= max(_MIN_FACTOR, _SAFETY * err**-_ORDER_EXPO)
             rejected_last = True
             nonfinite_last = not math.isfinite(err)
             continue
 
         # accepted
         n_acc += 1
-        t_old, y_old, h_old = t, y, h
-        t = horizon if final_step else t_old + h_old
+        t = stop if lands else t + h
         y = y1
-        f = k[6].copy()  # a rejected next trial overwrites k[6]; its retry starts from f
+        f = k[12].copy()  # a rejected next trial overwrites k[12]; its retry starts from f
 
         if err == 0.0:
             factor = _MAX_FACTOR
@@ -235,23 +283,20 @@ def integrate(field_fn, x0, horizon: float, config: IntegratorConfig | None = No
             factor = min(_MAX_FACTOR, _SAFETY * err**-_EXPO * facold**_BETA)
         if rejected_last:
             factor = min(factor, 1.0)
-        h = h_old * max(_MIN_FACTOR, factor)
+        h *= max(_MIN_FACTOR, factor)
+        if lands:  # the step was cut short to land, so the controller's h may be too small
+            h = max(h, h_free)
         facold = max(err, 1e-4)
         rejected_last = nonfinite_last = False
 
         if samples is None:
             record(t, y)
         else:
-            while s_ptr < samples.size and samples[s_ptr] <= t + 1e-14 * max(1.0, abs(t)):
-                th = (samples[s_ptr] - t_old) / h_old
-                q = k.T @ _P
-                p = np.array([th, th**2, th**3, th**4])
-                record(samples[s_ptr], y_old + h_old * (q @ p))
-                s_ptr += 1
+            record_samples()
 
         if _norm(y) > _BLOWUP_NORM:
             event = BLOWUP
-            blow = _blowup_time(field_fn, t, y, f)
+            blow = _blowup_time(field, t, y, f)
         elif cfg.fixedpoint_norm > 0:
             fp_count = fp_count + 1 if _norm(f) < cfg.fixedpoint_norm else 0
             if fp_count >= _FIXEDPOINT_SUSTAIN:
@@ -265,6 +310,7 @@ def integrate(field_fn, x0, horizon: float, config: IntegratorConfig | None = No
         terminal_event=event or HORIZON,
         n_accepted=n_acc,
         n_rejected=n_rej,
+        n_field_calls=n_calls,
         blowup=blow,
     )
 

@@ -14,7 +14,7 @@ _string = json.JSONEncoder(ensure_ascii=False).encode  # json.dumps(s, ensure_as
 
 
 def format_float(x: float) -> str:
-    x = float(x)
+    x = float(x) + 0.0  # -0.0 + 0.0 is 0.0: a zero prints as 0 whatever its sign
     if math.isfinite(x):
         return format(x, ".17g")
     if x != x:

@@ -1,5 +1,6 @@
 import io
 import json
+import re
 import subprocess
 import sys
 
@@ -76,6 +77,9 @@ def test_check_reports_a_nilpotent_almost_abelian_input_in_a_note():
     assert doc["skt"]["is_skt"] is True
     assert "classification" not in doc
     assert doc["note"].startswith("nilpotent case (a, A) = (0, 0)")
+    # zeros print unsigned, however the number was reached
+    assert not re.search(r"-0\b(?!\.)", out.stdout), out.stdout
+    assert doc["soliton"]["alpha"] == 0.0 and format_float(-0.0) == "0"
 
 
 def test_input_between_the_skt_criteria_tolerances(tmp_path):
@@ -181,6 +185,14 @@ def test_flow_kodaira_fixed_point():
     assert header == "t,mu_norm,F,tr_P,center_drift,skt_residual"
 
 
+def test_flow_summary_counts_field_calls():
+    out = run_cli(["flow", "catalog:kodaira", "--horizon", "10"])
+    counts = {k: int(re.search(rf" {k}=(\d+)", out.stderr)[1]) for k in ("accepted", "rejected", "field_calls")}
+    assert counts["accepted"] > 0
+    # the field at the start, one call to pick the first step, twelve per trial
+    assert counts["field_calls"] == 2 + 12 * (counts["accepted"] + counts["rejected"])
+
+
 def test_cli_determinism():
     a = run_cli(["check", "catalog:steady10"])
     b = run_cli(["check", "catalog:steady10"])
@@ -256,7 +268,7 @@ def test_write_csv_special_values_and_column_types():
         "NaN,1,1\n"
         "Infinity,-2,0\n"
         "-Infinity,0,1\n"
-        "-0,3,0\n"
+        "0,3,0\n"
         "4.9406564584124654e-324,9007199254740992,1\n"
         "1e+308,7,0\n"
         "0.10000000000000001,1000000000000000,1\n"

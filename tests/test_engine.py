@@ -69,20 +69,30 @@ def test_max_steps_raises(monkeypatch):
         engine.integrate(lambda y: np.sin(y) + 1.2, np.array([0.0]), 1e6)
 
 
-def test_convergence_order_is_five():
+def test_convergence_order_is_eight():
     def f(y):
         return -y
 
     errs = []
-    hs = np.array([0.2, 0.1, 0.05, 0.025])
-    k = np.empty((7, 1))
+    hs = np.array([1.0, 0.5, 0.25, 0.125])
+    k = np.empty((13, 1))
     for h in hs:
         y = np.array([1.0])
-        for _ in range(round(1.0 / h)):
-            y = engine._dopri_step(f, y, f(y), h, k)
-        errs.append(abs(y[0] - np.exp(-1.0)))
+        for _ in range(round(2.0 / h)):
+            y = engine._dop853_step(f, y, f(y), h, k)
+        errs.append(abs(y[0] - np.exp(-2.0)))
     slope = np.polyfit(np.log(hs), np.log(errs), 1)[0]
-    assert abs(slope - 5.0) < 0.2
+    assert abs(slope - 8.0) < 0.3
+
+
+def test_tableau_equals_scipys_dop853():
+    from scipy.integrate._ivp import dop853_coefficients as ref
+
+    assert all(np.array_equal(engine._A[s], ref.A[s, :s]) for s in range(12))
+    assert np.array_equal(engine._B, ref.B)
+    # scipy's estimators carry a thirteenth, zero weight for the FSAL stage
+    assert np.array_equal(engine._E5, ref.E5[:12]) and ref.E5[12] == 0.0
+    assert np.array_equal(engine._E3, ref.E3[:12]) and ref.E3[12] == 0.0
 
 
 def test_dense_output_accuracy_and_times():
@@ -156,41 +166,47 @@ def test_states_do_not_alias_the_callers_x0():
     assert_allclose(traj.states[0], [1.0, 2.0])
 
 
+def _van_der_pol(y):
+    # mu = 10: the fast transitions reject trials at these tolerances
+    return np.array([y[1], 10.0 * (1.0 - y[0] ** 2) * y[1] - y[0]])
+
+
 def test_dense_output_across_rejected_steps():
-    # y' = -50 y from a large first step: trials get rejected between samples,
-    # and each sample must still come from the stages of its accepted step
-    samples = np.linspace(0.0, 3.0, 31)
+    # trials get rejected between samples, and each sample must still be the
+    # end point of an accepted step that landed on it
+    samples = np.linspace(0.0, 20.0, 21)
     cfg = engine.IntegratorConfig(rel_tol=1e-9, abs_tol=1e-12, sample_times=samples)
-    traj = engine.integrate(lambda y: -50.0 * y, np.array([1.0, -2.0]), 3.0, cfg)
+    traj = engine.integrate(_van_der_pol, np.array([2.0, 0.0]), 20.0, cfg)
+    ref = solve_ivp(lambda t, y: _van_der_pol(y), (0, 20.0), [2.0, 0.0], method="DOP853", t_eval=samples,
+                    rtol=1e-13, atol=1e-15)
     assert traj.n_rejected > 0
-    assert_allclose(traj.times, samples)
-    want = np.exp(-50.0 * samples)[:, None] * np.array([1.0, -2.0])
-    assert np.abs(traj.states - want).max() < 1e-8
-
-
-def _stiff_pendulum(y):
-    return np.array([y[1], -100.0 * np.sin(y[0]) * (1.0 + y[0] ** 2)])
+    assert np.array_equal(traj.times, samples)
+    assert np.abs(traj.states - ref.y.T).max() < 1e-7
 
 
 def test_retry_starts_from_the_field_at_the_current_state():
     # trials get rejected here; a retry that starts from the field at the
     # rejected end point instead of at y loses over two orders of accuracy
     cfg = engine.IntegratorConfig(rel_tol=1e-8, abs_tol=1e-10)
-    traj = engine.integrate(_stiff_pendulum, np.array([1.0, 0.0]), 20.0, cfg)
-    ref = solve_ivp(lambda t, y: _stiff_pendulum(y), (0, 20.0), [1.0, 0.0], method="DOP853", rtol=1e-13, atol=1e-15)
+    traj = engine.integrate(_van_der_pol, np.array([2.0, 0.0]), 20.0, cfg)
+    ref = solve_ivp(lambda t, y: _van_der_pol(y), (0, 20.0), [2.0, 0.0], method="DOP853", rtol=1e-13, atol=1e-15)
     assert traj.n_rejected > 0
-    assert np.abs(traj.final_state - ref.y[:, -1]).max() < 1e-4
+    assert np.abs(traj.final_state - ref.y[:, -1]).max() < 1e-8
 
 
-def test_six_field_calls_per_trial():
+@pytest.mark.parametrize("field, x0, event", [(_van_der_pol, [2.0, 0.0], engine.HORIZON),
+                                              (lambda y: y**3, [1.0], engine.BLOWUP)], ids=["horizon", "blowup"])
+def test_twelve_field_calls_per_trial(field, x0, event):
     calls = [0]
 
     def f(y):
         calls[0] += 1
-        return _stiff_pendulum(y)
+        return field(y)
 
     cfg = engine.IntegratorConfig(rel_tol=1e-8, abs_tol=1e-10)
-    traj = engine.integrate(f, np.array([1.0, 0.0]), 20.0, cfg)
-    assert traj.n_rejected > 0
-    # the field at x0, one call to pick the first step, six per trial
-    assert calls[0] == 2 + 6 * (traj.n_accepted + traj.n_rejected)
+    traj = engine.integrate(f, np.array(x0), 20.0, cfg)
+    assert traj.terminal_event == event and traj.n_rejected > 0
+    # the field at x0, one call to pick the first step, twelve per trial, and
+    # one more to measure the degree on BLOWUP
+    assert calls[0] == 1 + 1 + 12 * (traj.n_accepted + traj.n_rejected) + (event == engine.BLOWUP)
+    assert traj.n_field_calls == calls[0]

@@ -207,6 +207,15 @@ def test_unit_norm_flow_stays_on_the_sphere(rng):
     assert np.abs(traj.diagnostics()["tr_P"] + 0.5).max() <= 1e-9
 
 
+def test_unit_norm_flow_keeps_the_skt_residual_at_truncation_level():
+    # the first d = 6 draw at this seed (item b0-d6 of perfbench's nil_flow
+    # workload at seed 1099161428) ended at residual 8.0e-10 under a 5(4) step
+    mu, frame = random_two_step_skt(np.random.default_rng(1099161428), blocks=2, dim_z=2)
+    traj = nf.integrate_nil_flow(mu, frame, 1e3, "unit_norm")
+    assert traj.raw.terminal_event == engine.FIXED_POINT
+    assert traj.diagnostics()["skt_residual"].max() <= 1e-10
+
+
 def test_gradient_equivalence(rng):
     mu, frame = random_two_step_skt(rng, blocks=2, dim_z=2)
     x = mu.to_coords()
