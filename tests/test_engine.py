@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from scipy.integrate import solve_ivp
+from scipy.integrate._ivp import dop853_coefficients
 
 from pluriflow import engine
 
@@ -86,8 +87,7 @@ def test_convergence_order_is_eight():
 
 
 def test_tableau_equals_scipys_dop853():
-    from scipy.integrate._ivp import dop853_coefficients as ref
-
+    ref = dop853_coefficients
     assert all(np.array_equal(engine._A[s], ref.A[s, :s]) for s in range(12))
     assert np.array_equal(engine._B, ref.B)
     # scipy's estimators carry a thirteenth, zero weight for the FSAL stage
