@@ -31,6 +31,7 @@ from . import engine
 from .brackets import LieBracket, frobenius_norm, frobenius_sq, soliton_decomposition
 from .hermitian import HermitianFrame, skt_closure_residual
 from .normality import normality_defect
+from .serialize import json_array, json_number
 
 __all__ = [
     "AlmostAbelianData",
@@ -149,14 +150,16 @@ class AlmostAbelianData:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "AlmostAbelianData":
-        v = np.asarray(obj["v"], dtype=float)
-        A = np.asarray(obj["A"], dtype=float)
+        v = json_array(obj["v"], "v")
+        A = json_array(obj["A"], "A")
         j1 = obj.get("J1", "standard")
         if isinstance(j1, str):
             if j1 != "standard":
                 raise ValueError(f"unknown J1 spec {j1!r}")
             j1 = HermitianFrame.antidiagonal(v.size).J
-        return cls(float(obj["a"]), v, A, np.asarray(j1, dtype=float))
+        else:
+            j1 = json_array(j1, "J1")
+        return cls(json_number(obj["a"], "a"), v, A, j1)
 
 
 def build_bracket(data: AlmostAbelianData) -> LieBracket:

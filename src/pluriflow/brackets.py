@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .serialize import json_int, json_number
+
 __all__ = [
     "InnerProductConvention",
     "DEFAULT_CONVENTION",
@@ -125,12 +127,13 @@ class LieBracket:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "LieBracket":
-        dim = int(obj["dim"])
+        dim = json_int(obj["dim"], "dim")
         if dim <= 0 or dim % 2 != 0:
             raise ValueError(f"dim must be a positive even integer, got {dim}")
         entries = []
         for e in obj.get("entries", []):
-            i, j, k, c = int(e["i"]), int(e["j"]), int(e["k"]), float(e["c"])
+            i, j, k = (json_int(e[key], key) for key in "ijk")
+            c = json_number(e["c"], "c")
             if not 1 <= i < j <= dim:
                 raise ValueError(f"entry requires 1 <= i < j <= dim, got i={i}, j={j}")
             if not 1 <= k <= dim:

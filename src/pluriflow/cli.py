@@ -14,7 +14,7 @@ from . import almostabelian as aa
 from . import catalog, engine, nilflow, verification
 from .brackets import LieBracket, center, jacobi_residual
 from .hermitian import HermitianFrame, is_skt_general
-from .serialize import dumps_json, format_float, write_csv
+from .serialize import dumps_json, format_float, json_array, write_csv
 
 _CHECK_TOL = 1e-8  # default tolerance of check, and the one sweep runs with
 
@@ -47,12 +47,12 @@ def _load_input(spec: str):
             mu = LieBracket.from_json_dict(obj)
             if "J" not in obj:
                 return "nilpotent", (mu, HermitianFrame.pairwise(mu.dim))
-            frame = HermitianFrame(np.array(obj["J"], dtype=float))
+            frame = HermitianFrame(json_array(obj["J"], "J"))
             if frame.dim != mu.dim:
                 raise ValueError(f"J must be {mu.dim} x {mu.dim}, got {frame.dim} x {frame.dim}")
             nilflow.require_complex_center(center(mu), frame)
             return "nilpotent", (mu, frame)
-    except (ValueError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError, OverflowError) as exc:
         raise SystemExit(f"{spec}: schema violation: {exc}")
     raise SystemExit(f"{spec}: not a recognized input (need a/v/A/J1 or dim/entries keys)")
 

@@ -198,16 +198,9 @@ def _error_norm(k, h, scale):
 def integrate(field_fn, x0, horizon: float, config: IntegratorConfig | None = None) -> Trajectory:
     """Integrate y' = field_fn(y) from t=0 to the horizon or a terminal event."""
     cfg = config or IntegratorConfig()
-    n_calls = 0
-
-    def field(yy):
-        nonlocal n_calls
-        n_calls += 1
-        return field_fn(yy)
-
     y = np.array(x0, dtype=float)
     t = 0.0
-    f = field(y)
+    f = field_fn(y)
 
     samples = None if cfg.sample_times is None else np.sort(np.asarray(cfg.sample_times, dtype=float))
     s_ptr = 0
@@ -237,7 +230,8 @@ def integrate(field_fn, x0, horizon: float, config: IntegratorConfig | None = No
     event = None if np.isfinite(f).all() else NONFINITE
     if event is None and _norm(f) < cfg.fixedpoint_norm:
         event = FIXED_POINT
-    h = _initial_step(field, y, f, cfg.rel_tol, cfg.abs_tol, horizon) if event is None else 0.0
+    chose_step = event is None
+    h = _initial_step(field_fn, y, f, cfg.rel_tol, cfg.abs_tol, horizon) if chose_step else 0.0
     facold = 1e-4
     rejected_last = False
     nonfinite_last = False  # the latest trial was rejected with a non-finite error
@@ -257,7 +251,7 @@ def integrate(field_fn, x0, horizon: float, config: IntegratorConfig | None = No
             event = NONFINITE if nonfinite_last or math.isnan(h) else STEP_UNDERFLOW
             break
 
-        y1 = _dop853_step(field, y, f, h, k)
+        y1 = _dop853_step(field_fn, y, f, h, k)
         scale = np.maximum(np.abs(y), np.abs(y1))
         scale *= rel_tol
         scale += abs_tol
@@ -296,7 +290,7 @@ def integrate(field_fn, x0, horizon: float, config: IntegratorConfig | None = No
 
         if _norm(y) > _BLOWUP_NORM:
             event = BLOWUP
-            blow = _blowup_time(field, t, y, f)
+            blow = _blowup_time(field_fn, t, y, f)
         elif cfg.fixedpoint_norm > 0:
             fp_count = fp_count + 1 if _norm(f) < cfg.fixedpoint_norm else 0
             if fp_count >= _FIXEDPOINT_SUSTAIN:
@@ -310,7 +304,9 @@ def integrate(field_fn, x0, horizon: float, config: IntegratorConfig | None = No
         terminal_event=event or HORIZON,
         n_accepted=n_acc,
         n_rejected=n_rej,
-        n_field_calls=n_calls,
+        # the field at x0, one call to choose the first step, twelve per trial
+        # and one to measure the degree on BLOWUP
+        n_field_calls=1 + chose_step + 12 * (n_acc + n_rej) + (event == BLOWUP),
         blowup=blow,
     )
 

@@ -1,4 +1,5 @@
-"""Deterministic text output: JSON with 17-significant-digit floats, CSV."""
+"""Deterministic text output: JSON with 17-significant-digit floats, CSV; and
+the checks on numbers read from JSON input."""
 
 from __future__ import annotations
 
@@ -7,7 +8,7 @@ import math
 
 import numpy as np
 
-__all__ = ["format_float", "dumps_json", "write_csv"]
+__all__ = ["format_float", "dumps_json", "write_csv", "json_int", "json_number", "json_array"]
 
 _INDENT = 2  # spaces per nesting level of dumps_json
 _string = json.JSONEncoder(ensure_ascii=False).encode  # json.dumps(s, ensure_ascii=False), one encoder
@@ -81,3 +82,38 @@ def write_csv(path_or_file, columns: dict):
         with open(path_or_file, "w") as fh:
             fh.write(text)
     return text
+
+
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def json_int(x, name: str) -> int:
+    """x, which must be a JSON integer: not a boolean, a float or a string."""
+    if not isinstance(x, int) or isinstance(x, bool):
+        raise TypeError(f"{name} must be a JSON integer, got {x!r}")
+    return x
+
+
+def json_number(x, name: str) -> float:
+    """x, which must be a JSON number: not a boolean or a string."""
+    if not _is_number(x):
+        raise TypeError(f"{name} must be a JSON number, got {x!r}")
+    return float(x)
+
+
+def _entries(x):
+    if isinstance(x, list):
+        for y in x:
+            yield from _entries(y)
+    else:
+        yield x
+
+
+def json_array(x, name: str) -> np.ndarray:
+    """x as a float array; x must be a JSON number or a list, nested to any
+    depth, of JSON numbers."""
+    bad = [y for y in _entries(x) if not _is_number(y)]
+    if bad:
+        raise TypeError(f"{name} must hold only JSON numbers, got {bad[0]!r}")
+    return np.asarray(x, dtype=float)

@@ -498,6 +498,52 @@ def test_bracket_j_schema_violations(tmp_path):
     assert cli.main(["check", str(path)]) == 0
 
 
+_KODAIRA = {"dim": 4, "entries": [{"i": 1, "j": 2, "k": 3, "c": 1.0}]}
+_PAIRWISE_J4 = [[0.0, -1.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, -1.0], [0.0, 0.0, 1.0, 0.0]]
+_MISTYPED_INPUTS = {
+    "float_dim": ({"dim": 4.5, "entries": []}, "dim must be a JSON integer, got 4.5"),
+    "bool_dim": ({"dim": True, "entries": []}, "dim must be a JSON integer, got True"),
+    "float_i": ({"dim": 4, "entries": [{"i": 1.7, "j": "2", "k": 3, "c": True}]}, "i must be a JSON integer, got 1.7"),
+    "string_j": ({"dim": 4, "entries": [{"i": 1, "j": "2", "k": 3, "c": 1.0}]}, "j must be a JSON integer, got '2'"),
+    "bool_c": ({"dim": 4, "entries": [{"i": 1, "j": 2, "k": 3, "c": True}]}, "c must be a JSON number, got True"),
+    "string_a": ({**_AA, "a": "1.0"}, "a must be a JSON number, got '1.0'"),
+    "bool_v": ({**_AA, "v": [True, 0.0]}, "v must hold only JSON numbers, got True"),
+    "string_A": ({**_AA, "A": [[-0.5, "0"], [0.0, -0.5]]}, "A must hold only JSON numbers, got '0'"),
+    "bool_J1": ({**_AA, "J1": [[0.0, -1.0], [True, 0.0]]}, "J1 must hold only JSON numbers, got True"),
+    "null_J": ({**_KODAIRA, "J": [*_PAIRWISE_J4[:3], [0.0, 0.0, None, 0.0]]}, "J must hold only JSON numbers, got None"),
+}
+
+
+@pytest.mark.parametrize("name", list(_MISTYPED_INPUTS))
+def test_mistyped_json_numbers_are_schema_violations(tmp_path, name):
+    obj, reason = _MISTYPED_INPUTS[name]
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(obj))
+    for command in ("check", "flow"):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, str(path)])
+        assert exc.value.code == f"{path}: schema violation: {reason}", command
+
+
+def test_schema_violation_exits_1_with_one_line(tmp_path):
+    path = tmp_path / "huge_c.json"
+    # a JSON integer too large for a float
+    path.write_text('{"dim": 4, "entries": [{"i": 1, "j": 2, "k": 3, "c": 1' + "0" * 400 + "}]}")
+    out = run_cli(["check", str(path)])
+    assert out.returncode == 1 and out.stdout == ""
+    assert out.stderr.strip().splitlines() == [f"{path}: schema violation: int too large to convert to float"]
+
+
+def test_json_numbers_of_every_type_load(tmp_path, capsys):
+    # integers where floats are read, and the J a bracket file may carry
+    path = tmp_path / "ints.json"
+    path.write_text(json.dumps({"dim": 4, "entries": [{"i": 1, "j": 2, "k": 3, "c": 1}], "J": [[int(x) for x in r] for r in _PAIRWISE_J4]}))
+    assert cli.main(["check", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["dim"] == 4
+    path.write_text(json.dumps({"a": 1, "v": [0, 0], "A": [[-1, 0], [0, -1]], "J1": [[0, -1], [1, 0]]}))
+    assert cli.main(["check", str(path)]) == 0
+
+
 def test_cli_import_loads_no_scipy():
     code = 'import sys, pluriflow.cli; print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))'
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)

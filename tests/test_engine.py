@@ -194,19 +194,29 @@ def test_retry_starts_from_the_field_at_the_current_state():
     assert np.abs(traj.final_state - ref.y[:, -1]).max() < 1e-8
 
 
-@pytest.mark.parametrize("field, x0, event", [(_van_der_pol, [2.0, 0.0], engine.HORIZON),
-                                              (lambda y: y**3, [1.0], engine.BLOWUP)], ids=["horizon", "blowup"])
-def test_twelve_field_calls_per_trial(field, x0, event):
+@pytest.mark.parametrize(
+    "field, x0, event, fixedpoint_norm",
+    [
+        (_van_der_pol, [2.0, 0.0], engine.HORIZON, 0.0),
+        (lambda y: y**3, [1.0], engine.BLOWUP, 0.0),
+        (lambda y: np.full_like(y, np.nan), [1.0], engine.NONFINITE, 0.0),
+        (lambda y: 0.0 * y, [1.0], engine.FIXED_POINT, 1e-12),
+    ],
+    ids=["horizon", "blowup", "nonfinite_start", "fixed_point_start"],
+)
+def test_twelve_field_calls_per_trial(field, x0, event, fixedpoint_norm):
     calls = [0]
 
     def f(y):
         calls[0] += 1
         return field(y)
 
-    cfg = engine.IntegratorConfig(rel_tol=1e-8, abs_tol=1e-10)
+    cfg = engine.IntegratorConfig(rel_tol=1e-8, abs_tol=1e-10, fixedpoint_norm=fixedpoint_norm)
     traj = engine.integrate(f, np.array(x0), 20.0, cfg)
-    assert traj.terminal_event == event and traj.n_rejected > 0
+    trials = traj.n_accepted + traj.n_rejected
+    stepped = event in (engine.HORIZON, engine.BLOWUP)  # the other runs end at the start
+    assert traj.terminal_event == event and (traj.n_rejected > 0 if stepped else trials == 0)
     # the field at x0, one call to pick the first step, twelve per trial, and
     # one more to measure the degree on BLOWUP
-    assert calls[0] == 1 + 1 + 12 * (traj.n_accepted + traj.n_rejected) + (event == engine.BLOWUP)
+    assert calls[0] == 1 + stepped + 12 * trials + (event == engine.BLOWUP)
     assert traj.n_field_calls == calls[0]

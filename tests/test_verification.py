@@ -1,54 +1,83 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pluriflow import normality, verification
 
 
-def appendix_matrices(rng):
-    """Oracle: suite_appendix's sweep built one matrix at a time, in the
-    order the matrices are drawn."""
-    for i in range(verification.APPENDIX_COUNT):
-        n = int(rng.integers(2, 11))
-        mode = i % 4
-        e = rng.standard_normal((n, n))
-        if mode == 1:  # exactly normal: orthogonal conjugate of a block-diagonal normal form
-            q, _ = np.linalg.qr(rng.standard_normal((n, n)))
-            d = np.diag(rng.standard_normal(n))
-            t = rng.standard_normal()
-            d[1, 1] = d[0, 0]
-            d[0, 1], d[1, 0] = -t, t
-            e = q @ d @ q.T
-        elif mode == 2:  # normal plus a perturbation far below the tolerance band
-            q, _ = np.linalg.qr(rng.standard_normal((n, n)))
-            e = q @ np.diag(rng.standard_normal(n)) @ q.T + 1e-9 * rng.standard_normal((n, n))
-        yield e
-
-
-def _multiset(mats):
-    return sorted((e.shape, e.tobytes()) for e in mats)
-
-
-@pytest.mark.parametrize("seed", [0, 7, 271828])
-def test_appendix_stacks_match_one_by_one_sweep(seed):
-    stacks = list(verification._appendix_stacks(np.random.default_rng(seed)))
-    assert all(s.ndim == 3 and s.shape[1] == s.shape[2] for s in stacks)
-    batched = _multiset(e for s in stacks for e in s)
-    assert batched == _multiset(appendix_matrices(np.random.default_rng(seed)))
-
-
 def test_appendix_stacks_are_bounded_by_the_chunk():
-    stacks = verification._appendix_stacks(np.random.default_rng(1))
+    stacks = list(verification._appendix_stacks(np.random.default_rng(1)))
+    assert sum(len(s) for s in stacks) == verification.APPENDIX_COUNT
     assert max(len(s) for s in stacks) <= verification.APPENDIX_CHUNK
+    for s in stacks:
+        assert s.ndim == 3 and s.shape[1] == s.shape[2] and 2 <= s.shape[1] <= 10
 
 
 @pytest.mark.parametrize("seed", [0, 2025935879])
-def test_appendix_normal_draws_are_normal_to_roundoff(seed):
-    rng = np.random.default_rng(seed)
-    normal = [e for i, e in enumerate(appendix_matrices(rng)) if i % 4 == 1]
-    for n in range(2, 11):
-        e = np.array([x for x in normal if x.shape[0] == n])
+def test_appendix_normal_draws_are_normal_to_roundoff(seed, monkeypatch):
+    normal = []
+    conjugates = verification._conjugates
+
+    def keep_normal(seeds, diagonals, angles=None):
+        e = conjugates(seeds, diagonals, angles)
+        if angles is not None and len(e):
+            normal.append(e)
+        return e
+
+    monkeypatch.setattr(verification, "_conjugates", keep_normal)
+    for _ in verification._appendix_stacks(np.random.default_rng(seed)):
+        pass
+    # matrix i of the sweep is exactly normal for i = 1 mod 4
+    assert sum(len(e) for e in normal) == verification.APPENDIX_COUNT // 4
+    for e in normal:
         rep = normality.normality_report(e)
         scale = np.sum(e * e, axis=(1, 2))
         assert np.all(np.abs(rep.frobenius_gap) <= 1e-13 * scale)
         assert np.all(np.abs(rep.sym_gap) <= 1e-13 * scale)
         assert np.all(rep.normality_defect <= 1e-13 * scale)
+
+
+def test_bounds_accept_a_small_gap_with_a_larger_defect():
+    # gap (1 - c)^2 = 1.0e-10 and defect sqrt(2) (1 - c^2) = 2.83e-5: the gap
+    # is below 1e-8 while the defect is above 1e-6, as Henrici's bound allows
+    c = 1 - 1e-5
+    rep = normality.normality_report(np.array([[0.0, 1.0], [-c, 0.0]]))
+    assert abs(rep.frobenius_gap - 1e-10) < 1e-15 and abs(rep.normality_defect - 2.83e-5) < 1e-7
+    assert verification.normality_bounds_hold(rep, 2)
+
+
+@pytest.mark.parametrize(
+    "gap, sym_gap, defect",
+    [(1.0, 0.5, 1e-3), (1e-12, 5e-13, 1.0), (1e-2, 1e-2, 0.1)],
+    ids=["henrici", "converse", "sym_gap"],
+)
+def test_bounds_reject_a_report_that_breaks_a_theorem(gap, sym_gap, defect):
+    rep = normality.NormalityReport(
+        frobenius_sq=1.0, eigen_abs_sq_sum=1.0 - gap, sym_part_sq=sym_gap, re_sq_sum=0.0, normality_defect=defect
+    )
+    assert not verification.normality_bounds_hold(rep, 3)
+
+
+def _family(kind, n, rng):
+    if kind == "plain":
+        return rng.standard_normal((n, n))
+    if kind == "nilpotent":
+        q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        return q @ np.triu(rng.standard_normal((n, n)), 1) @ q.T
+    seed, diagonal = rng.standard_normal((1, n, n)), rng.standard_normal((1, n))
+    if kind == "normal":
+        return verification._conjugates(seed, diagonal, rng.standard_normal(1))[0]
+    return verification._conjugates(seed, diagonal)[0] + 1e-9 * rng.standard_normal((n, n))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from(["plain", "normal", "near_normal", "nilpotent"]),
+    st.integers(2, 10),
+    st.integers(0, 10**6),
+    st.floats(-3.0, 3.0),
+)
+def test_bounds_hold_on_every_family_and_scale(kind, n, seed, log_scale):
+    e = 10.0**log_scale * _family(kind, n, np.random.default_rng(seed))
+    assert verification.normality_bounds_hold(normality.normality_report(e), n)
