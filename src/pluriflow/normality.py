@@ -29,7 +29,9 @@ def normality_defect(e: np.ndarray):
     """Frobenius norm of [E, E^t]; a stack (..., m, m) gives an array of shape (...)."""
     e = np.asarray(e, dtype=float)
     et = np.swapaxes(e, -1, -2)
-    return frobenius_norm(e @ et - et @ e)
+    c = e @ et
+    c -= et @ e
+    return frobenius_norm(c)
 
 
 @dataclass(frozen=True)

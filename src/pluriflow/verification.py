@@ -15,6 +15,7 @@ from .catalog import get_entry, s_ab_data
 from .hermitian import HermitianFrame
 
 __all__ = [
+    "normality_bounds_hold",
     "suite_appendix",
     "suite_identities",
     "suite_table1",
@@ -52,7 +53,7 @@ def _appendix_stacks(rng):
     for lo in range(0, APPENDIX_COUNT, APPENDIX_CHUNK):
         modes = np.arange(lo, min(lo + APPENDIX_CHUNK, APPENDIX_COUNT)) % 4
         sizes = rng.integers(2, 11, size=modes.size)
-        for n in np.unique(sizes).tolist():
+        for n in np.flatnonzero(np.bincount(sizes)).tolist():
             counts = np.bincount(modes[sizes == n], minlength=4)
             plain = rng.standard_normal((counts[0] + counts[3], n, n))
             x = rng.standard_normal((counts[1], n + 2, n))  # QR seed, diagonal, angle
