@@ -132,7 +132,7 @@ class LieBracket:
             raise ValueError(f"dim must be a positive even integer, got {dim}")
         entries = []
         for e in obj.get("entries", []):
-            i, j, k = (json_int(e[key], key) for key in "ijk")
+            i, j, k = json_int(e["i"], "i"), json_int(e["j"], "j"), json_int(e["k"], "k")
             c = json_number(e["c"], "c")
             if not 1 <= i < j <= dim:
                 raise ValueError(f"entry requires 1 <= i < j <= dim, got i={i}, j={j}")

@@ -84,36 +84,28 @@ def write_csv(path_or_file, columns: dict):
     return text
 
 
-def _is_number(x) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
+_JSON_NUMBER_TYPES = {int, float}  # what json.load makes of a JSON number
 
 
 def json_int(x, name: str) -> int:
     """x, which must be a JSON integer: not a boolean, a float or a string."""
-    if not isinstance(x, int) or isinstance(x, bool):
+    if type(x) is not int:
         raise TypeError(f"{name} must be a JSON integer, got {x!r}")
     return x
 
 
 def json_number(x, name: str) -> float:
     """x, which must be a JSON number: not a boolean or a string."""
-    if not _is_number(x):
+    if type(x) not in _JSON_NUMBER_TYPES:
         raise TypeError(f"{name} must be a JSON number, got {x!r}")
     return float(x)
-
-
-def _entries(x):
-    if isinstance(x, list):
-        for y in x:
-            yield from _entries(y)
-    else:
-        yield x
 
 
 def json_array(x, name: str) -> np.ndarray:
     """x as a float array; x must be a JSON number or a list, nested to any
     depth, of JSON numbers."""
-    bad = [y for y in _entries(x) if not _is_number(y)]
-    if bad:
-        raise TypeError(f"{name} must hold only JSON numbers, got {bad[0]!r}")
-    return np.asarray(x, dtype=float)
+    entries = np.array(x, dtype=object)
+    if not set(map(type, entries.flat)) <= _JSON_NUMBER_TYPES:
+        bad = next(y for y in entries.flat if type(y) not in _JSON_NUMBER_TYPES)
+        raise TypeError(f"{name} must hold only JSON numbers, got {bad!r}")
+    return entries.astype(float)
