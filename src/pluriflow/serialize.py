@@ -107,5 +107,7 @@ def json_array(x, name: str) -> np.ndarray:
     entries = np.array(x, dtype=object)
     if not set(map(type, entries.flat)) <= _JSON_NUMBER_TYPES:
         bad = next(y for y in entries.flat if type(y) not in _JSON_NUMBER_TYPES)
+        if type(bad) is list:  # np.array stops at the depth where the lists' lengths differ
+            raise ValueError(f"{name} must be a rectangular array, got a row {bad!r}")
         raise TypeError(f"{name} must hold only JSON numbers, got {bad!r}")
     return entries.astype(float)

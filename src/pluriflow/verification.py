@@ -29,7 +29,8 @@ TABLE1_HORIZON = 1e3  # run length of suite_table1's unnormalized flow
 TABLE1_NORM_HORIZON = 120.0  # run length of suite_table1's normalized flow
 # matrices that suite_appendix draws and reports at once: per chunk and size,
 # one draw per family, one stacked QR and product per normal family, and one
-# normality_report.  Whole per-size stacks run faster but peak about 2 MB higher.
+# normality_report.  Whole per-size stacks take about half the sweep's time but
+# raise its peak RSS by about 6 MB.
 APPENDIX_CHUNK = 256
 
 

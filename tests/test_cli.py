@@ -511,6 +511,7 @@ _MISTYPED_INPUTS = {
     "string_A": ({**_AA, "A": [[-0.5, "0"], [0.0, -0.5]]}, "A must hold only JSON numbers, got '0'"),
     "bool_J1": ({**_AA, "J1": [[0.0, -1.0], [True, 0.0]]}, "J1 must hold only JSON numbers, got True"),
     "null_J": ({**_KODAIRA, "J": [*_PAIRWISE_J4[:3], [0.0, 0.0, None, 0.0]]}, "J must hold only JSON numbers, got None"),
+    "ragged_A": ({**_AA, "A": [[-0.5, 0.0], [0.0]]}, "A must be a rectangular array, got a row [-0.5, 0.0]"),
 }
 
 
