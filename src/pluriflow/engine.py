@@ -3,12 +3,18 @@
 Dormand-Prince 8(5,3) (DOP853, Hairer, Norsett & Wanner, Solving ODEs I,
 II.10) with PI step-size control and terminal-event detection (horizon, fixed
 point, blow-up with its extinction time in closed form, step underflow,
-non-finite field).  A trial step makes twelve field calls (first same as
-last), and a retry after a rejected trial starts from the field at the
-current state.  A run given sample times lands a step on each of them instead
-of interpolating.  There is no norm-conserving option: a flow keeps a norm
-through a field tangent to its sphere.  The engine is dimension-agnostic:
-clients encode their state as a flat real vector and own the decoding.
+non-finite field).  From the second accepted step on, the step factor is the
+smaller of the PI factor and Gustafsson's predictive factor
+0.9 (h / h_acc) (err_acc / err^2)^(1/8), h_acc and err_acc the last accepted
+step and its error (the RADAU5 controller, Hairer & Wanner, Solving ODEs II,
+IV.8): near a blow-up, where each step must be shorter than the last, it
+shrinks the steps before a trial is rejected.  A trial step makes twelve
+field calls (first same as last), and a retry after a rejected trial starts
+from the field at the current state.  A run given sample times lands a step
+on each of them instead of interpolating.  There is no norm-conserving
+option: a flow keeps a norm through a field tangent to its sphere.  The
+engine is dimension-agnostic: clients encode their state as a flat real
+vector and own the decoding.
 """
 
 from __future__ import annotations
@@ -92,6 +98,9 @@ _ORDER_EXPO = 1 / 8  # the error estimate is O(h^8)
 _EXPO = _ORDER_EXPO - 0.75 * _BETA
 _FIXEDPOINT_SUSTAIN = 10  # consecutive accepted steps with |f| below fixedpoint_norm
 _EPS = float(np.finfo(float).eps)
+# floor of the error norms that the step factors divide by: a tiny error's
+# square would underflow in the predictive factor
+_ERR_FLOOR = 1e-4
 _MAX_STEPS = 1_000_000  # accepted plus rejected trials before integrate raises
 # |y| at which a run ends on BLOWUP.  A cubic flow's steps underflow not far
 # above it (y' = y^3 from 1 ends at STEP_UNDERFLOW at |y| ~ 2.2e6), and the
@@ -232,7 +241,8 @@ def integrate(field_fn, x0, horizon: float, config: IntegratorConfig | None = No
         event = FIXED_POINT
     chose_step = event is None
     h = _initial_step(field_fn, y, f, cfg.rel_tol, cfg.abs_tol, horizon) if chose_step else 0.0
-    facold = 1e-4
+    facold = _ERR_FLOOR  # the last accepted step's error, floored
+    h_acc = 0.0  # the last accepted step's size; 0 until one was accepted
     rejected_last = False
     nonfinite_last = False  # the latest trial was rejected with a non-finite error
     k = np.empty((13, y.size))
@@ -277,10 +287,16 @@ def integrate(field_fn, x0, horizon: float, config: IntegratorConfig | None = No
             factor = min(_MAX_FACTOR, _SAFETY * err**-_EXPO * facold**_BETA)
         if rejected_last:
             factor = min(factor, 1.0)
+        if h_acc > 0.0:
+            # Gustafsson's predictive factor (RADAU5): the last two accepted
+            # steps' errors forecast the next, so steps that must keep
+            # shrinking, as near a blow-up, shrink before a trial is rejected
+            factor = min(factor, _SAFETY * (h / h_acc) * (facold / max(err, _ERR_FLOOR) ** 2) ** _ORDER_EXPO)
+        h_acc = h
         h *= max(_MIN_FACTOR, factor)
         if lands:  # the step was cut short to land, so the controller's h may be too small
             h = max(h, h_free)
-        facold = max(err, 1e-4)
+        facold = max(err, _ERR_FLOOR)
         rejected_last = nonfinite_last = False
 
         if samples is None:

@@ -200,8 +200,17 @@ class NilFlow:
     <j_k x, y> = <[x, y], z_k>, taken in the splitting's orthonormal V and Z
     bases.  A state stacks the strict upper triangles of j_1, ..., j_dimz,
     scaled by sqrt(2), so its Euclidean norm is the ORDERED_PAIRS bracket norm.
-    On it Ric|_v = 1/2 sum_k j_k^2, P is the J_v-invariant part of Ric|_v with
-    J_v = V^t J V, and the field is j_k' = j_k P + P j_k.
+    On it Ric|_v = 1/2 sum_k j_k^2 = -1/2 s^t s, with s the j_k stacked as rows,
+    P is the J_v-invariant part of Ric|_v with J_v = V^t J V, and the field is
+    j_k' = j_k P + P j_k.
+
+    The field is a few dense products with matrices built once.  The unpack
+    matrix U (pairs, dim_v^2), with entries +-1/sqrt(2), takes a state's row
+    for z_k to j_k, and U (I (x) J_v) takes it to j_k J_v; so one product gives
+    t = [s; s J_v], and as J_v^t = -J_v,
+    P = 1/2 (Ric - J_v Ric J_v) = -1/4 (s^t s + (s J_v)^t s J_v) = -1/4 t^t t.
+    Since j_k is skew and P symmetric, j_k P + P j_k = j_k P - (j_k P)^t, whose
+    state is the row of j_k P times 2 U^t: the field is (s P) (2 U^t).
     """
 
     def __init__(self, split: NilpotentSplitting, normalized: bool = False):
@@ -209,8 +218,18 @@ class NilFlow:
         self.normalized = normalized
         v = split.v_basis
         self._j_v = v.T @ split.frame.J @ v
-        self._shape = (split.z_basis.shape[1], split.dim_v, split.dim_v)
-        self._iu, self._ju = np.triu_indices(split.dim_v, k=1)
+        dim_z, dim_v = split.z_basis.shape[1], split.dim_v
+        self._shape = (dim_z, dim_v, dim_v)
+        self._iu, self._ju = np.triu_indices(dim_v, k=1)
+        pairs = np.arange(self._iu.size)
+        u = np.zeros((pairs.size, dim_v, dim_v))
+        u[pairs, self._iu, self._ju] = 1.0 / _SQRT2
+        u[pairs, self._ju, self._iu] = -1.0 / _SQRT2
+        self._unpack = u.reshape(pairs.size, -1)  # U
+        # [U | U (I (x) J_v)]: a state's row for z_k goes to j_k and j_k J_v, side by side
+        self._unpack_t = np.concatenate([u, u @ self._j_v], axis=1).reshape(pairs.size, -1)
+        # 2 U^t, times the -1/4 of P = -1/4 t^t t that field leaves out of t^t t
+        self._pack = -0.5 * self._unpack.T
 
     def encode(self, mu: LieBracket) -> np.ndarray:
         """State of a bracket whose derived algebra lies in the splitting's z."""
@@ -226,22 +245,21 @@ class NilFlow:
     def jmaps(self, x: np.ndarray) -> np.ndarray:
         """The skew matrices j_k of a state (..., n) as an array (..., dim_z, dim_v, dim_v)."""
         x = np.asarray(x, dtype=float)
-        vals = x.reshape(*x.shape[:-1], self._shape[0], -1) / _SQRT2
-        j = np.zeros(x.shape[:-1] + self._shape)
-        j[..., self._iu, self._ju] = vals
-        j[..., self._ju, self._iu] = -vals
-        return j
+        return (x.reshape(-1, self._iu.size) @ self._unpack).reshape(x.shape[:-1] + self._shape)
 
-    def p_block(self, j: np.ndarray) -> np.ndarray:
-        """P on v: the J_v-invariant part of Ric|_v = 1/2 sum_k j_k^2 = -1/2 sum_k j_k^t j_k."""
-        s = j.reshape(*j.shape[:-3], -1, j.shape[-1])
-        ric = -0.5 * (np.swapaxes(s, -1, -2) @ s)
-        return 0.5 * (ric - self._j_v @ ric @ self._j_v)
+    def p_block(self, x: np.ndarray) -> np.ndarray:
+        """P on v of a state (..., n), as (..., dim_v, dim_v): the J_v-invariant
+        part of Ric|_v = -1/2 s^t s, which is -1/4 t^t t with t = [s; s J_v]."""
+        x = np.asarray(x, dtype=float)
+        t = (x.reshape(-1, self._iu.size) @ self._unpack_t).reshape(x.shape[:-1] + (-1, self._shape[-1]))
+        return -0.25 * (np.swapaxes(t, -1, -2) @ t)
 
     def field(self, x: np.ndarray) -> np.ndarray:
-        j = self.jmaps(x)
-        p = self.p_block(j)
-        out = _SQRT2 * (j @ p + p @ j)[:, self._iu, self._ju].ravel()
+        dim_z, dim_v, _ = self._shape
+        t = (x.reshape(dim_z, -1) @ self._unpack_t).reshape(-1, dim_v)
+        # row k holds -4 j_k P in its first dim_v^2 entries, and -4 j_k J_v P after them
+        tp = (t @ (t.T @ t)).reshape(dim_z, -1)
+        out = (tp[:, : dim_v * dim_v] @ self._pack).ravel()
         if self.normalized:
             out = engine.normalize_projection(out, x)
         return out
@@ -284,6 +302,9 @@ class NilFlow:
             s = np.concatenate([a, c], axis=1).transpose(0, 2, 1) @ np.concatenate([c, a], axis=1)
             g = np.take(s.reshape(len(x), -1), plan, axis=1, mode="clip")
             out[lo : lo + len(x)] = np.abs(g[:, 0] - g[:, 1] - g[:, 2]).max(axis=1)
+            # free this chunk's S and g before the next chunk's are made: both
+            # chunks' at once would set the peak memory of a run
+            del s, g
         n2 = np.einsum("ti,ti->t", flat, flat)
         return (out / np.where(n2 > 0.0, n2, 1.0)).reshape(states.shape[:-1])
 
@@ -310,7 +331,7 @@ class NilTrajectory:
         """
         flow, states = self.flow, self.raw.states
         j = flow.jmaps(states)
-        p = flow.p_block(j)
+        p = flow.p_block(states)
         nrm = np.sqrt(np.einsum("ti,ti->t", states, states))
         den = np.maximum(nrm, 1e-300)
         s = np.linalg.svd(j.reshape(len(states), -1, j.shape[-1]), compute_uv=False)
@@ -379,7 +400,7 @@ def gradient_equivalence_check(nu: LieBracket, split: NilpotentSplitting) -> dic
         return {"angle": 0.0, "ratio": 16.0, "field_norm": float(np.linalg.norm(fld)), "critical": True}
 
     def f_of(vec):
-        p = flow.p_block(flow.jmaps(vec))
+        p = flow.p_block(vec)
         return 16.0 * float(np.sum(p * p)) / float(np.dot(vec, vec)) ** 2
 
     grad_fd = np.zeros_like(x)

@@ -153,6 +153,14 @@ def test_blowup_time_of_cubic_growth():
     assert traj.blowup.exponent == 0.5
 
 
+def test_cubic_blowup_rejects_few_trials():
+    # each step must be shorter than the last, which a controller that sees
+    # only the latest error learns by rejecting every other trial
+    traj = engine.integrate(lambda y: y**3, np.array([1.0]), 10.0)
+    assert traj.terminal_event == engine.BLOWUP
+    assert traj.n_rejected <= 0.05 * (traj.n_accepted + traj.n_rejected)
+
+
 def test_linear_growth_has_no_blowup_time():
     traj = engine.integrate(lambda y: y, np.array([1.0]), 100.0)
     assert traj.terminal_event == engine.BLOWUP
@@ -198,7 +206,8 @@ def test_retry_starts_from_the_field_at_the_current_state():
     "field, x0, event, fixedpoint_norm",
     [
         (_van_der_pol, [2.0, 0.0], engine.HORIZON, 0.0),
-        (lambda y: y**3, [1.0], engine.BLOWUP, 0.0),
+        # the van der Pol part rejects trials before the cubic part blows up at t = 10
+        (lambda y: np.append(_van_der_pol(y[:2]), 0.05 * y[2] ** 3), [2.0, 0.0, 1.0], engine.BLOWUP, 0.0),
         (lambda y: np.full_like(y, np.nan), [1.0], engine.NONFINITE, 0.0),
         (lambda y: 0.0 * y, [1.0], engine.FIXED_POINT, 1e-12),
     ],

@@ -272,7 +272,11 @@ def test_equivariance_of_moment_map(rng):
     assert np.abs(lhs - rhs).max() < 1e-12
 
 
-@pytest.mark.parametrize("blocks, dim_z", [(1, 2), (2, 2), (2, 4), (4, 4)])
+# d = 4 with its single pair, and every (blocks, dim_z) split of perfbench's nil_flow workload (d = 6..14)
+NIL_SPLITS = [(1, 2), (2, 2), (2, 4), (3, 4), (4, 4), (4, 6)]
+
+
+@pytest.mark.parametrize("blocks, dim_z", NIL_SPLITS)
 def test_jmap_round_trip_and_isometry(rng, blocks, dim_z):
     mu, frame = rotated_two_step(rng, blocks, dim_z)
     flow = nf.NilFlow(nf.NilpotentSplitting.from_bracket(mu, frame))
@@ -301,7 +305,67 @@ def test_jmap_field_matches_dense_oracle(rng, blocks, dim_z):
         assert np.linalg.norm(got - want) <= 1e-13 * scale
     # P itself, block for block
     p_v = split.v_basis.T @ nf.p_endomorphism_nil(split, mu) @ split.v_basis
-    assert np.abs(flow.p_block(flow.jmaps(x)) - p_v).max() <= 1e-13 * np.abs(p_v).max()
+    assert np.abs(flow.p_block(x) - p_v).max() <= 1e-13 * np.abs(p_v).max()
+
+
+def index_field(flow, x):
+    """Oracle: the field by index scatter and gather, j_k' = j_k P + P j_k with
+    P = 1/2 (Ric - J_v Ric J_v) and Ric = -1/2 sum_k j_k^t j_k."""
+    dim_z, dim_v = flow.split.z_basis.shape[1], flow.split.dim_v
+    iu, ju = np.triu_indices(dim_v, k=1)
+    vals = x.reshape(dim_z, -1) / np.sqrt(2.0)
+    j = np.zeros((dim_z, dim_v, dim_v))
+    j[:, iu, ju] = vals
+    j[:, ju, iu] = -vals
+    s = j.reshape(-1, dim_v)
+    ric = -0.5 * s.T @ s
+    j_v = flow.split.v_basis.T @ flow.split.frame.J @ flow.split.v_basis
+    p = 0.5 * (ric - j_v @ ric @ j_v)
+    out = np.sqrt(2.0) * (j @ p + p @ j)[:, iu, ju].ravel()
+    return engine.normalize_projection(out, x) if flow.normalized else out
+
+
+@pytest.mark.parametrize("blocks, dim_z", NIL_SPLITS)
+def test_packed_field_matches_index_oracle(rng, blocks, dim_z):
+    mu, frame = rotated_two_step(rng, blocks, dim_z)
+    split = nf.NilpotentSplitting.from_bracket(mu, frame)
+    x0 = nf.NilFlow(split).encode(mu)
+    # the SKT state, and states off the SKT set at scales away from 1
+    states = [x0] + [s * rng.standard_normal(x0.size) for s in (1e-3, 1.0, 1e3)]
+    for x in states:
+        # relative to the unnormalized field, which a soliton's normalized field is not
+        scale = np.linalg.norm(index_field(nf.NilFlow(split), x))
+        for normalized in (False, True):
+            flow = nf.NilFlow(split, normalized=normalized)
+            assert np.linalg.norm(flow.field(x) - index_field(flow, x)) <= 1e-14 * scale
+
+
+@pytest.mark.parametrize("blocks, dim_z", [(1, 2), (3, 4)])
+def test_jmaps_and_p_block_of_a_stack_equal_those_of_each_state(rng, blocks, dim_z):
+    mu, frame = rotated_two_step(rng, blocks, dim_z)
+    flow = nf.NilFlow(nf.NilpotentSplitting.from_bracket(mu, frame))
+    states = rng.standard_normal((3, 5, flow.encode(mu).size))
+    j, p = flow.jmaps(states), flow.p_block(states)
+    assert j.shape == (3, 5, dim_z, 2 * blocks, 2 * blocks) and p.shape == (3, 5, 2 * blocks, 2 * blocks)
+    for idx in np.ndindex(3, 5):
+        assert np.array_equal(j[idx], flow.jmaps(states[idx]))
+        assert_allclose(p[idx], flow.p_block(states[idx]), rtol=1e-15, atol=1e-15 * np.abs(p[idx]).max())
+
+
+@pytest.mark.parametrize("blocks, dim_z", NIL_SPLITS)
+def test_field_obeys_the_norm_decay_law(rng, blocks, dim_z):
+    # d|mu|^2/dt = 2 <x, f(x)> = -8 |P|^2 on every state, and the unit-norm
+    # field is tangent to the sphere
+    mu, frame = rotated_two_step(rng, blocks, dim_z)
+    split = nf.NilpotentSplitting.from_bracket(mu, frame)
+    flow, unit = nf.NilFlow(split), nf.NilFlow(split, normalized=True)
+    x0 = flow.encode(mu)
+    for x in [x0 / np.linalg.norm(x0)] + [s * rng.standard_normal(x0.size) for s in (1e-3, 1.0, 1e3)]:
+        n2 = np.dot(x, x)
+        p = nf.p_endomorphism_nil(split, flow.decode(x))
+        assert abs(2.0 * np.dot(x, flow.field(x)) + 8.0 * np.sum(p * p)) <= 1e-13 * n2**2
+        u = x / np.sqrt(n2)
+        assert abs(np.dot(u, unit.field(u))) <= 1e-14
 
 
 def test_center_drift_agrees_with_dense_center(rng):

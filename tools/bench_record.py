@@ -13,10 +13,11 @@ The output keeps, per seed, workload and commit: every run's end-to-end
 metrics (`wall_ref_s`, `setup_s`, `peak_rss_mb`) with their median and
 quartiles, how many pairs the change won, the traced per-layer metrics named
 in PER_LAYER (`derivation_space`, the nil-flow certificate, the engine, the
-reduced and nil fields' call counts, CSV writing, the three verify suites,
-the Koszul Ricci oracle, the normality flow and `cli.main`), the correctness
-counts, the failed items with their failed gates, and the input digests; and
-once, the commits and each commit's run facts.
+reduced and nil fields' call counts, the nil field's time per call, CSV
+writing, the three verify suites, the Koszul Ricci oracle, the normality flow
+and `cli.main`), the correctness counts, the failed items with their failed
+gates, and the input digests; and once, the commits and each commit's run
+facts.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ PAIRS = 10
 SEEDS = (7, 271828)
 PER_LAYER = ("brackets.derivation_space_s", "brackets.derivation_space_peak_mb", "nilflow.certificate_s",
              "engine.self_s", "engine.steps_accepted", "engine.steps_rejected", "nilflow.field_calls",
-             "almostabelian.field_calls", "almostabelian.classify_us",
+             "nilflow.field_us", "almostabelian.field_calls", "almostabelian.classify_us",
              "serialize.write_csv_s", "serialize.bytes_out", "verification.suite_appendix_s",
              "verification.suite_identities_s", "verification.suite_table1_s", "nilflow.ricci_koszul_s",
              "normality.flow_s", "cli.main_s")
