@@ -210,6 +210,17 @@ def skt_multiplicity_k(a: float, A: np.ndarray) -> int:
     return nonzero // 2
 
 
+def _skt_k(data: AlmostAbelianData) -> tuple[bool, int]:
+    """(is_skt, k): pluriclosedness by the closure criterion
+    sym(aA + A^2 + A^tA) = 0, and k."""
+    a, A = data.a, data.A
+    # the residual is quadratic in (a, A), so it is read at the data's own
+    # scale; (0, 0) is pluriclosed
+    scale = max(float(np.linalg.norm(A)), abs(a))
+    is_skt = scale == 0.0 or skt_closure_residual(a / scale, A / scale) < _LEMMA_TOL
+    return is_skt, skt_multiplicity_k(a, A)
+
+
 def skt_verdict(data: AlmostAbelianData) -> SktVerdict:
     """Decide pluriclosedness by the closure criterion sym(aA + A^2 + A^tA) = 0.
 
@@ -217,17 +228,13 @@ def skt_verdict(data: AlmostAbelianData) -> SktVerdict:
     is equivalent as a theorem; the verdict reports the normality defect and
     the spectrum it reads, and the tests keep it as an oracle.
     """
-    a, A = data.a, data.A
-    # the residual is quadratic in (a, A), so it is read at the data's own
-    # scale; (0, 0) is pluriclosed
-    scale = max(float(np.linalg.norm(A)), abs(a))
-    res_lemma = skt_closure_residual(a, A)
+    is_skt, k = _skt_k(data)
     return SktVerdict(
-        is_skt=scale == 0.0 or skt_closure_residual(a / scale, A / scale) < _LEMMA_TOL,
-        k=skt_multiplicity_k(a, A),
-        normality_defect=normality_defect(A),
-        spectrum=np.sort_complex(np.linalg.eigvals(A)),
-        residual_lemma=res_lemma,
+        is_skt=is_skt,
+        k=k,
+        normality_defect=normality_defect(data.A),
+        spectrum=np.sort_complex(np.linalg.eigvals(data.A)),
+        residual_lemma=skt_closure_residual(data.a, data.A),
     )
 
 
@@ -335,25 +342,32 @@ def _exp_dd(x, y):
     return np.exp(hi) * out
 
 
-def _root(g, lo):
+def _root(g, lo, hi=None):
     """Where g(tau) = (value, slope), increasing, crosses 0 above lo, g(lo) <= 0:
-    the bracket's upper end doubles from max(1, 2 lo) until g > 0 there, then
-    Newton steps, bisecting where one leaves the bracket."""
+    the bracket's upper end starts at hi (by default max(1, 2 lo)) and doubles
+    until g > 0 there, then Newton steps from it, the first on that same
+    evaluation, bisecting where one leaves the bracket.  A value within 4 eps
+    of 0 is a root: g is a log, resolved to its last bits, and past that point
+    Newton only wanders."""
+    tol = 4.0 * engine._EPS
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        hi = np.maximum(1.0, 2.0 * lo)
+        hi = np.maximum(1.0, 2.0 * lo) if hi is None else hi
         for _ in range(1100):  # past the largest double
-            if not (low := ~(g(hi)[0] > 0)).any():
+            val, slope = g(hi)
+            if not (low := ~(val >= -tol)).any():
                 break
             lo, hi = np.where(low, hi, lo), np.where(low, 2.0 * hi, hi)
+        else:
+            val, slope = g(hi)
         x = step = hi
         for _ in range(200):
-            val, slope = g(x)
             lo, hi = np.where(val > 0, lo, x), np.where(val > 0, x, hi)
             step = x - val / slope
             step = np.where((step >= lo) & (step <= hi), step, 0.5 * (lo + hi))
-            if np.all(np.abs(step - x) <= 4.0 * engine._EPS * x):
+            if np.all((np.abs(step - x) <= tol * x) | (np.abs(val) <= tol)):
                 break
             x = step
+            val, slope = g(x)
     return step
 
 
@@ -373,10 +387,10 @@ class ReducedFlow:
     def __init__(self, data0: AlmostAbelianData, mode: str = UNNORMALIZED):
         if mode not in (UNNORMALIZED, A_NORM_FIXED):
             raise ValueError(f"unknown mode {mode!r}")
-        verdict = skt_verdict(data0)
-        if not verdict.is_skt:
+        is_skt, self.k = _skt_k(data0)
+        if not is_skt:
             raise ValueError("initial condition is not pluriclosed")
-        self.k, self.data0, self.mode = verdict.k, data0, mode
+        self.data0, self.mode = data0, mode
         self.c = _s_top(self.k, data0.a)
         self._r0, self._x0 = _direction_norm(data0), data0.to_state()
         self._s0 = _s_matrix(data0.a, data0.A, self.k)
@@ -409,13 +423,17 @@ class ReducedFlow:
         c = 0.0 if self.mode == A_NORM_FIXED else lam2 * self.c - 0.5 * vv
         return np.concatenate([[c * x[0]], lam2 * self._s0.dot(v) + (c - 0.5 * vv) * v])
 
-    def _at(self, tau):
-        """(log lam, w in the eigenbasis of S0, dt/dtau) at the times tau (n,)."""
+    def _log_lam(self, tau):
+        """(log lam, e^(-2 m tau) D) at the times tau (n,)."""
         tc, s, m = tau[:, None], self.sigma, self._m
         grow = np.exp(2.0 * np.minimum(np.maximum(s, 0.0) - m, 0.0) * tc) * tc * _phi1(-2.0 * np.abs(s) * tc)
-        d = np.exp(-2.0 * m * tau) + grow @ self._b2  # e^(-2 m tau) D
-        w = np.exp(np.minimum(s - m, 0.0) * tc) * self._beta / np.sqrt(d)[:, None]
-        log_lam = np.zeros_like(tau) if self.mode == A_NORM_FIXED else (self.c - m) * tau - 0.5 * np.log(d)
+        d = np.exp(-2.0 * m * tau) + grow @ self._b2
+        return (np.zeros_like(tau) if self.mode == A_NORM_FIXED else (self.c - m) * tau - 0.5 * np.log(d)), d
+
+    def _at(self, tau):
+        """(log lam, w in the eigenbasis of S0, dt/dtau) at the times tau (n,)."""
+        log_lam, d = self._log_lam(tau)
+        w = np.exp(np.minimum(self.sigma - self._m, 0.0) * tau[:, None]) * self._beta / np.sqrt(d)[:, None]
         return log_lam, w, np.exp(-2.0 * log_lam)
 
     def times(self, tau):
@@ -426,18 +444,42 @@ class ReducedFlow:
         return tau * _phi1(x) + tau * tau * (_exp_dd(x[:, None], 2.0 * (self.sigma - self.c) * tau[:, None]) @ self._b2)
 
     def tau_at(self, t):
-        """tau at the times 0 < t < T: Newton on log t(tau), or, when T is
-        finite, on log(T - t(tau)), with dt/dtau = lam^-2.  T - t is the
-        extinction time of the state at tau: [1 + w^t (c0 - S0)^+ w / 2] /
+        """tau at the times 0 < t < T: the root of _horizon_g(t), with the
+        bracket from _tau0(t)."""
+        return t if self.mode == A_NORM_FIXED else _root(self._horizon_g(t), 0.0 * t, self._tau0(t))
+
+    def _horizon_g(self, t):
+        """g(tau) = log(t(tau) / t), or, when T is finite, log((T - t) /
+        (T - t(tau))), with its slope from dt/dtau = lam^-2.  T - t(tau) is
+        the extinction time of the state at tau: [1 + w^t (c0 - S0)^+ w / 2] /
         (2 c0 lam^2), since the state's (c, S) are lam^2 (c0, S0)."""
-        finite = self.T < math.inf
+        if self.T < math.inf:
+
+            def g(tau):
+                _, w, dt = self._at(tau)
+                u = dt * (0.5 / self.c + (w * w) @ self._tail_w)
+                return np.log((self.T - t) / u), dt / u
+
+            return g
 
         def g(tau):
-            _, w, dt = self._at(tau)
-            u = dt * (0.5 / self.c + (w * w) @ self._tail_w) if finite else self.times(tau)
-            return np.log((self.T - t) / u if finite else u / t), dt / u
+            u = self.times(tau)
+            return np.log(u / t), np.exp(-2.0 * self._log_lam(tau)[0]) / u
 
-        return t if self.mode == A_NORM_FIXED else _root(g, 0.0 * t)
+        return g
+
+    def _tau0(self, t):
+        """The time tau0 = log(1 - 2 c0 t) / (-2 c0) that t takes at v0 = 0
+        (tau0 = t at c0 = 0): since D >= 1, t(tau) >= tau phi1(-2 c0 tau),
+        so the root lies below it; at v0 = 0 it is the root, and it is raised
+        by 4 eps past its own roundoff, which t(tau) amplifies by
+        d log t / d log tau.  Where 2 c0 t >= 1 there is no such bound, and
+        the bracket starts at 1."""
+        z = -2.0 * self.c * t
+        bounded = (z > -1.0) & (z < math.inf)
+        zs = np.where(bounded & (z != 0.0), z, 1.0)
+        ratio = np.where(z == 0.0, 1.0, np.log1p(zs) / zs)
+        return np.where(bounded, t * ratio * (1.0 + 4.0 * engine._EPS), 1.0)
 
     def _log_norm(self, tau):
         """(log(|x| / engine._BLOWUP_NORM), its tau-derivative)."""
@@ -559,10 +601,9 @@ def soliton_certificate(data: AlmostAbelianData, tol: float = 1e-8) -> SolitonCe
     P = alpha Id + sym(D) is recovered by the general least-squares fit on
     the full bracket, cross-validating the case analysis.
     """
-    verdict = skt_verdict(data)
-    if not verdict.is_skt:
+    is_skt, k = _skt_k(data)
+    if not is_skt:
         raise ValueError("soliton certificates require a pluriclosed structure")
-    k = verdict.k
     a, v, A = data.a, data.v, data.A
     scale = max(1.0, abs(a), float(np.linalg.norm(A)), float(np.linalg.norm(v)))
     comps = p_components(data, k)
@@ -617,10 +658,9 @@ def _in_image(A: np.ndarray, v: np.ndarray) -> bool:
 
 def classify(data: AlmostAbelianData) -> ClassificationReport:
     """Asymptotic regime of the reduced flow by (k, a_0, v_0 vs Im A_0)."""
-    verdict = skt_verdict(data)
-    if not verdict.is_skt:
+    is_skt, k = _skt_k(data)
+    if not is_skt:
         raise ValueError("classification requires a pluriclosed structure")
-    k = verdict.k
     a = data.a
     scale = max(1.0, float(np.linalg.norm(data.A)))
     if abs(a) < _CLASSIFY_TOL * scale and np.abs(data.A).max() < _CLASSIFY_TOL * scale:

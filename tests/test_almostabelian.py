@@ -108,6 +108,7 @@ def test_closure_verdict_matches_the_spectral_oracles(rng):
         for data, want in ((skt, True), (generic, False)):
             verdict = aa.skt_verdict(data)
             assert verdict.is_skt is want and _spectral_criterion(data) is want
+            assert aa._skt_k(data) == (want, verdict.k)  # the decision ReducedFlow and classify take
         if skt.a != 0.0:
             assert aa.skt_verdict(skt).k == _multiplicity_k(skt)
 
@@ -681,3 +682,70 @@ def test_sampled_rows_near_extinction(shrink):
     want = (1.0 - 2.0 * samples)[:, None] ** -0.5 * shrink.to_state()
     err = np.linalg.norm(traj.raw.states - want, axis=1) / np.linalg.norm(want, axis=1)
     assert err.max() < 1e-12, err
+
+
+# --- the horizon solve tau(t) --------------------------------------------------
+
+
+def _horizon_inputs(rng):
+    """The Table 1 representatives (c0 = 0 in cases (i) and (iv), the c0 > 0
+    top-weight case (v)), random SKT data, and each of them with v0 = 0."""
+    from pluriflow.verification import table_one_representatives
+
+    datas = list(table_one_representatives().values())
+    datas += [random_skt_almost_abelian(rng, m=m, allow_zero_a=True) for m in (2, 4, 8) for _ in range(10)]
+    return datas + [data.replace(v=np.zeros(data.m)) for data in datas]
+
+
+def _horizon_times(flow):
+    t = np.logspace(-3, 3, 25)
+    return t[t < flow.T]
+
+
+def test_horizon_bracket_starts_above_the_root(rng):
+    # g(tau0) >= 0 wherever 2 c0 t < 1, as D >= 1; at v0 = 0 tau0 is the
+    # root, which the solve resolves to 4 eps in g
+    eps = np.finfo(float).eps
+    cases = set()
+    for data in _horizon_inputs(rng):
+        flow = aa.ReducedFlow(data)
+        cases.add((flow.c > 0, flow.c == 0, flow.top_weight, not data.v.any()))
+        t = _horizon_times(flow)
+        t = t[2 * flow.c * t < 1]
+        val, slope = flow._horizon_g(t)(flow._tau0(t))
+        assert np.all(val >= (-4 * eps if not data.v.any() else 0.0)), (flow.c, val.min())
+        assert np.all(slope > 0)
+    assert {(False, True, False, False), (True, False, True, False), (True, False, False, True)} <= cases
+
+
+def _evaluations(flow, t):
+    """tau_at(t) for one time t, and the evaluations of g it took."""
+    calls, g = [], flow._horizon_g(np.array([t]))
+    flow._horizon_g = lambda t: lambda tau: calls.append(tau) or g(tau)
+    try:
+        return flow.tau_at(np.array([t]))[0], len(calls)
+    finally:
+        del flow._horizon_g
+
+
+def test_horizon_solve_inverts_times(rng):
+    # Newton stops once g is 0 within 4 eps: where tau is resolved more finely
+    # than g (T finite and t << T), it used to wander to its 200-step cap
+    eps = np.finfo(float).eps
+    for data in _horizon_inputs(rng):
+        flow = aa.ReducedFlow(data)
+        t = _horizon_times(flow)
+        tau = flow.tau_at(t)
+        if flow.T == np.inf:
+            assert np.all(np.abs(flow.times(tau) - t) <= 8 * eps * t), flow.c
+        else:  # the solve matches T - t(tau), the extinction time of the state at tau
+            assert np.all(np.abs(flow.times(tau) - t) <= 8 * eps * np.maximum(t, flow.T - t)), flow.c
+        for s in t:
+            assert _evaluations(flow, s)[1] <= 20, (flow.c, flow.T, s)
+
+
+def test_horizon_solve_at_v0_zero_takes_at_most_three_evaluations(rng):
+    for data in _horizon_inputs(rng):
+        flow = aa.ReducedFlow(data.replace(v=np.zeros(data.m)))
+        for t in _horizon_times(flow):
+            assert _evaluations(flow, t)[1] <= 3, (flow.c, t)

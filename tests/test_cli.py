@@ -277,6 +277,36 @@ def test_write_csv_special_values_and_column_types():
     assert write_csv(io.StringIO(), {}) == "\n"
 
 
+def _csv_oracle(columns: dict) -> str:
+    """The per-value writer: format_float on every cell, row by row."""
+    names = list(columns)
+    floats = [np.asarray(columns[n], dtype=float).tolist() for n in names]
+    lines = [",".join(names)] + [",".join(map(format_float, row)) for row in zip(*floats)]
+    return "\n".join(lines) + "\n"
+
+
+def test_write_csv_matches_the_per_value_writer(rng):
+    repeats = rng.choice(rng.standard_normal(40) * 10.0 ** rng.integers(-300, 300, 40), size=(5, 600))
+    bits = rng.integers(0, 2**64, size=3000, dtype=np.uint64).view(float)  # every class of double, NaNs too
+    cases = [
+        {f"c{i}": col for i, col in enumerate(repeats)},
+        {"a": np.array([-0.0, 1.0, 0.0, -0.0]), "b": np.array([0.0, -0.0, -0.0, 2.0])},
+        {"x": np.array([np.nan, np.inf, -np.inf, 5e-324, -5e-324, 2.2250738585072009e-308, np.nan, np.inf])},
+        {"bits": bits[:1500], "more": bits[1500:]},
+        {"n": np.array([2**53 + 1, 2**62 + 12345, -(2**63), 7], dtype=np.int64), "b": [True, False, True, True]},
+        {"t": np.linspace(0.0, 1.0, 129)},
+        {"t": [], "a": np.array([])},
+        {},
+    ]
+    for cols in cases:
+        assert write_csv(io.StringIO(), cols) == _csv_oracle(cols), list(cols)
+
+
+def test_write_csv_rejects_columns_of_unequal_length():
+    with pytest.raises(ValueError, match=r"'t': 3, 'a': 2"):
+        write_csv(io.StringIO(), {"t": [0.0, 1.0, 2.0], "a": [1.0, 2.0]})
+
+
 def test_flow_rejects_bad_numbers_with_usage_error(capsys):
     bad = [
         ["--horizon", "nan"], ["--horizon", "-1"], ["--horizon", "0"], ["--horizon", "inf"],
