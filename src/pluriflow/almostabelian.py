@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import engine
-from .brackets import LieBracket, frobenius_norm, frobenius_sq, soliton_decomposition
+from .brackets import LieBracket, bracket_norm, frobenius_norm, frobenius_sq, infinitesimal_action
 from .hermitian import HermitianFrame, skt_closure_residual
 from .normality import normality_defect
 from .serialize import json_array, json_number
@@ -597,9 +597,9 @@ class SolitonCertificate:
 def soliton_certificate(data: AlmostAbelianData, tol: float = 1e-8) -> SolitonCertificate:
     """Detect the algebraic-soliton cases: v = 0, or v an eigenvector of S
     with eigenvalue |v|^2 / 2; classify by the sign of the cosmological
-    constant alpha = c.  For positive detections the derivation realizing
-    P = alpha Id + sym(D) is recovered by the general least-squares fit on
-    the full bracket, cross-validating the case analysis.
+    constant alpha = c.  A detected soliton carries the derivation
+    D = P - alpha Id - U (U the gauge_matrix), which commutes with J and has
+    sym(D) = P - alpha Id; the residual takes in |pi(D) mu| / |mu|.
     """
     is_skt, k = _skt_k(data)
     if not is_skt:
@@ -632,9 +632,10 @@ def soliton_certificate(data: AlmostAbelianData, tol: float = 1e-8) -> SolitonCe
 
     derivation = None
     if kind is not SolitonKind.NONE:
-        fit = soliton_decomposition(p_matrix(data, comps), build_bracket(data), hermitian_frame(data).J)
-        derivation = fit.derivation
-        residual = max(residual, fit.residual)
+        derivation = p_matrix(data, comps) - comps.c * np.eye(data.dim) - gauge_matrix(data)
+        mu = build_bracket(data)
+        if (norm := bracket_norm(mu)) > 0.0:  # D = 0 at the zero bracket
+            residual = max(residual, bracket_norm(infinitesimal_action(derivation, mu)) / norm)
     return SolitonCertificate(kind, comps.c, derivation, residual, eigen_lambda)
 
 

@@ -300,7 +300,6 @@ def derivation_space(mu: LieBracket, commute_with: np.ndarray):
 @dataclass
 class NilSolitonCertificate:
     alpha: float
-    derivation: np.ndarray
     residual: float
 
 
@@ -312,5 +311,4 @@ def soliton_decomposition(p: np.ndarray, mu: LieBracket, j: np.ndarray) -> NilSo
     a = np.array(cols).T
     coef, *_ = np.linalg.lstsq(a, p.ravel(), rcond=None)
     resid = float(np.linalg.norm(a @ coef - p.ravel()))
-    dmat = sum((c * dm for c, dm in zip(coef[1:], ders)), np.zeros((d, d)))
-    return NilSolitonCertificate(alpha=float(coef[0]), derivation=dmat, residual=resid)
+    return NilSolitonCertificate(alpha=float(coef[0]), residual=resid)

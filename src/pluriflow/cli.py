@@ -12,11 +12,12 @@ import numpy as np
 
 from . import almostabelian as aa
 from . import catalog, engine, nilflow, verification
-from .brackets import LieBracket, center, jacobi_residual
-from .hermitian import HermitianFrame, is_skt_general
+from .brackets import LieBracket, jacobi_residual
+from .hermitian import HermitianFrame, is_skt_general, nijenhuis_residual
 from .serialize import dumps_json, format_float, json_array, write_csv
 
 _CHECK_TOL = 1e-8  # default tolerance of check, and the one sweep runs with
+_INTEGRABLE_RTOL = 1e-9  # N_J / max |c| above which a bracket input's J is refused
 
 
 def _load_input(spec: str):
@@ -24,8 +25,8 @@ def _load_input(spec: str):
 
     Returns ('almost_abelian', AlmostAbelianData) or ('nilpotent', (bracket, frame)).
     A bracket file may name its J as a d x d list under "J" (default: the
-    pairwise J); that J must be orthogonal, square to -Id and preserve the
-    bracket's center.
+    pairwise J); that J must be orthogonal, square to -Id and be integrable
+    for the bracket (N_J at most _INTEGRABLE_RTOL max |c|).
     """
     if spec.startswith("catalog:"):
         try:
@@ -45,12 +46,13 @@ def _load_input(spec: str):
             return "almost_abelian", aa.AlmostAbelianData.from_json_dict(obj)
         if "dim" in obj and "entries" in obj:
             mu = LieBracket.from_json_dict(obj)
-            if "J" not in obj:
-                return "nilpotent", (mu, HermitianFrame.pairwise(mu.dim))
-            frame = HermitianFrame(json_array(obj["J"], "J"))
+            frame = HermitianFrame(json_array(obj["J"], "J")) if "J" in obj else HermitianFrame.pairwise(mu.dim)
             if frame.dim != mu.dim:
                 raise ValueError(f"J must be {mu.dim} x {mu.dim}, got {frame.dim} x {frame.dim}")
-            nilflow.require_complex_center(center(mu), frame)
+            # N_J is linear in the bracket: read at unit scale, it cannot overflow
+            scale = np.abs(mu.coeffs).max()
+            if scale > 0.0 and nijenhuis_residual(LieBracket(mu.coeffs / scale), frame) > _INTEGRABLE_RTOL:
+                raise ValueError("complex structure is not integrable")
             return "nilpotent", (mu, frame)
     except (ValueError, KeyError, TypeError, OverflowError) as exc:
         raise SystemExit(f"{spec}: schema violation: {exc}")

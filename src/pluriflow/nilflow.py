@@ -34,7 +34,6 @@ from .hermitian import HermitianFrame
 
 __all__ = [
     "NilpotentSplitting",
-    "require_complex_center",
     "ricci_endomorphism",
     "ricci_koszul",
     "p_endomorphism_nil",
@@ -95,14 +94,6 @@ def ricci_koszul(mu: LieBracket) -> np.ndarray:
     return first - second - bracket
 
 
-def require_complex_center(zb: np.ndarray, frame: HermitianFrame) -> None:
-    """Raise ValueError unless J maps the span of the orthonormal columns zb
-    (a center) into itself."""
-    jz = frame.J @ zb
-    if np.abs(jz - zb @ (zb.T @ jz)).max(initial=0.0) > _SPLIT_TOL:
-        raise ValueError("complex structure does not preserve the center")
-
-
 @dataclass(frozen=True)
 class NilpotentSplitting:
     """Orthogonal splitting n = v (+) z of a 2-step nilpotent bracket, z the center."""
@@ -124,7 +115,9 @@ class NilpotentSplitting:
         scale = max(np.abs(mu.coeffs).max(), 1e-300)
         if img_defect > _SPLIT_TOL * scale:
             raise ValueError("bracket is not 2-step nilpotent (derived algebra exceeds the center)")
-        require_complex_center(zb, frame)
+        jz = frame.J @ zb
+        if np.abs(jz - zb @ (zb.T @ jz)).max(initial=0.0) > _SPLIT_TOL:
+            raise ValueError("complex structure does not preserve the center")
         return cls(mu, frame, nullspace(zb.T), zb)
 
     @property

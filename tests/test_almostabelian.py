@@ -8,7 +8,7 @@ from numpy.testing import assert_allclose
 
 from pluriflow import almostabelian as aa
 from pluriflow import engine
-from pluriflow.brackets import LieBracket, infinitesimal_action, jacobi_residual
+from pluriflow.brackets import LieBracket, bracket_norm, infinitesimal_action, jacobi_residual, soliton_decomposition
 from pluriflow.catalog import get_entry, s_ab_data
 from pluriflow.hermitian import HermitianFrame
 from pluriflow.normality import normality_defect
@@ -354,6 +354,20 @@ def test_r_m_over_a4_conserved():
     assert np.abs(vals_t / vals_t[0] - 1.0).max() < 1e-7
 
 
+def _assert_soliton_derivation(data, cert):
+    """The certificate's D is a J-commuting derivation with sym(D) = P - alpha Id,
+    and the dense least-squares fit over Der(mu) finds the same alpha."""
+    scale2 = max(1.0, abs(data.a), np.linalg.norm(data.A), np.linalg.norm(data.v)) ** 2
+    der, j, mu = cert.derivation, aa.hermitian_frame(data).J, aa.build_bracket(data)
+    p = aa.p_matrix(data)
+    assert np.abs(der @ j - j @ der).max() <= 1e-15 * scale2
+    assert_allclose(0.5 * (der + der.T), p - cert.alpha * np.eye(data.dim), rtol=0, atol=1e-15 * scale2)
+    if (norm := bracket_norm(mu)) > 0.0:
+        assert bracket_norm(infinitesimal_action(der, mu)) / norm <= 1e-13 * scale2
+    fit = soliton_decomposition(p, mu, j)
+    assert abs(fit.alpha - cert.alpha) <= 1e-12 and fit.residual <= 1e-12
+
+
 def test_soliton_certificates(sab, shrink, steady, rng):
     c1 = aa.soliton_certificate(sab)
     assert c1.kind is aa.SolitonKind.EXPANDING and abs(c1.alpha + 0.25) < 1e-14
@@ -362,15 +376,33 @@ def test_soliton_certificates(sab, shrink, steady, rng):
     c3 = aa.soliton_certificate(steady)
     assert c3.kind is aa.SolitonKind.STEADY and abs(c3.alpha) < 1e-14
     assert abs(c3.eigen_lambda - 1.0) < 1e-12
-    for cert in (c1, c2, c3):
+    for data, cert in ((sab, c1), (shrink, c2), (steady, c3)):
         assert cert.residual < 1e-10
-        assert cert.derivation is not None
+        _assert_soliton_derivation(data, cert)
     # generic SKT data with v not an S-eigenvector is no soliton
     data = random_skt_almost_abelian(rng, m=6)
     while np.linalg.norm(data.v) < 0.2:
         data = random_skt_almost_abelian(rng, m=6)
     cert = aa.soliton_certificate(data)
     assert cert.kind is aa.SolitonKind.NONE
+
+
+def test_soliton_derivation_closed_form_on_random_solitons(rng):
+    # v = 0, and v = sqrt(2 s) q for each eigenpair (s > 0, q) of S: |v|^2 / 2
+    # is then an eigenvalue of S with eigenvector v, and w = -A^t v / 4 is
+    # mostly nonzero, which the catalog solitons never have
+    with_w = 0
+    for m in range(2, 17, 2):
+        for _ in range(3):
+            data = random_skt_almost_abelian(rng, m=m, allow_zero_a=True)
+            s, q = np.linalg.eigh(aa._s_matrix(data.a, data.A, aa.skt_verdict(data).k))
+            for v in [np.zeros(m)] + [np.sqrt(2.0 * s[i]) * q[:, i] for i in np.flatnonzero(s > 1e-8)]:
+                soliton = data.replace(v=v)
+                cert = aa.soliton_certificate(soliton)
+                assert cert.kind is not aa.SolitonKind.NONE
+                _assert_soliton_derivation(soliton, cert)
+                with_w += bool(np.linalg.norm(aa.p_components(soliton).w) > 1e-8)
+    assert with_w >= 10
 
 
 def test_soliton_alpha_sign_matches_kind(rng):

@@ -3,6 +3,7 @@ import json
 import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -97,10 +98,13 @@ def test_input_between_the_skt_criteria_tolerances(tmp_path):
 
 def test_flow_rejects_bad_nilpotent_input_cleanly(tmp_path):
     inputs = {
-        # [e1, e2] = e3, [e1, e3] = e4: 3-step, derived algebra outside the centre
-        "three_step.json": ([[1, 2, 3], [1, 3, 4]], 6, "not 2-step"),
-        # [e1, e3] = e2: the pairwise J maps the central e2 to e1
-        "j_moves_centre.json": ([[1, 3, 2]], 4, "does not preserve the center"),
+        # [e1, e2] = e3, [e1, e3] = e4: the pairwise J is not integrable for it
+        "three_step.json": ([[1, 2, 3], [1, 3, 4]], 6, "schema violation: complex structure is not integrable"),
+        # [e1, e3] = e2: N_J(e1, e3) = e2 for the pairwise J
+        "j_moves_centre.json": ([[1, 3, 2]], 4, "schema violation: complex structure is not integrable"),
+        # [e1, e2] = e3, [e1, e3] = e5, [e1, e4] = e6: N_J = 0, and the derived
+        # algebra exceeds the centre span(e5, e6)
+        "three_step_integrable.json": ([[1, 2, 3], [1, 3, 5], [1, 4, 6]], 6, "not 2-step"),
     }
     for name, (entries, dim, reason) in inputs.items():
         path = tmp_path / name
@@ -507,8 +511,8 @@ def test_bracket_j_schema_violations(tmp_path):
         "square": (2.0 * np.kron(np.eye(2), j0), "J^2 != -Id"),
         "orthogonal": (np.kron(np.eye(2), [[1.0, -2.0], [1.0, -1.0]]), "J is not orthogonal"),
         "nan": (np.full((4, 4), np.nan), "J^2 != -Id"),
-        # J e3 = -e1 leaves the centre span(e3, e4) of the Kodaira bracket
-        "center": (swap, "complex structure does not preserve the center"),
+        # J e1 = e3, J e2 = e4: N_J(e1, e2) = e3 for the Kodaira bracket
+        "integrable": (swap, "complex structure is not integrable"),
     }
     for name, (j, reason) in bad.items():
         path = tmp_path / f"{name}.json"
@@ -521,7 +525,29 @@ def test_bracket_j_schema_violations(tmp_path):
     out = run_cli(["check", str(path)])
     assert out.returncode == 1
     assert out.stdout == ""
-    assert out.stderr.strip().splitlines() == [f"{path}: schema violation: complex structure does not preserve the center"]
+    assert out.stderr.strip().splitlines() == [f"{path}: schema violation: complex structure is not integrable"]
+    # N_J of a 1e200 bracket overflows once squared; read at unit scale it does not
+    path = tmp_path / "huge_not_integrable.json"
+    path.write_text(json.dumps({"dim": 4, "entries": [{"i": 1, "j": 3, "k": 2, "c": 1e200}]}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for command in ("check", "flow"):
+            with pytest.raises(SystemExit) as exc:
+                cli.main([command, str(path)])
+            assert exc.value.code == f"{path}: schema violation: complex structure is not integrable", command
+    # [e1, e3] = e5, [e1, e4] = e6: N_J = 0, and J e2 = -e1 leaves the centre
+    # span(e2, e5, e6); check notes it and flow refuses it, whether J is
+    # spelled out or left to the default
+    centre = {"dim": 6, "entries": [{"i": 1, "j": 3, "k": 5, "c": 1.0}, {"i": 1, "j": 4, "k": 6, "c": 1.0}]}
+    for name, obj in (("center_default", centre), ("center_j", {**centre, "J": np.kron(np.eye(3), j0).tolist()})):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(obj))
+        out = run_cli(["check", str(path)])
+        assert out.returncode == 0
+        assert json.loads(out.stdout)["note"] == "complex structure does not preserve the center"
+        out = run_cli(["flow", str(path)])
+        assert out.returncode == 1
+        assert out.stderr.strip().splitlines() == [f"{path}: complex structure does not preserve the center"]
     # every J preserves a trivial centre: [e1, e2] = e1 loads, and check notes it is not 2-step
     path = tmp_path / "affine.json"
     path.write_text(json.dumps({"dim": 2, "entries": [{"i": 1, "j": 2, "k": 1, "c": 1.0}], "J": j0.tolist()}))
