@@ -63,7 +63,7 @@ A_NORM_FIXED = "A_NORM_FIXED"
 _LEMMA_TOL = 1e-9  # closure criterion: |sym(aA + A^2 + A^tA)| of (a, A) / max(|A|, |a|) below it
 _K_RTOL = 1e-8  # relative cutoff of the rank count of k
 _IMAGE_RTOL = 1e-8  # relative residual below which v lies in Im A
-_CLASSIFY_TOL = 1e-9  # a = 0, (a, A) = 0 and unimodularity, relative to |A|
+_CLASSIFY_TOL = 1e-9  # a = 0 and unimodularity, relative to |(a, A)|
 
 
 class SolitonKind(enum.Enum):
@@ -96,8 +96,8 @@ class AlmostAbelianData:
         if not (math.isfinite(a) and np.isfinite(v).all() and np.isfinite(A).all()):
             raise ValueError("a, v and A must be finite")
         J1 = HermitianFrame(J1).J
-        scale = max(1.0, np.abs(A).max())
-        if np.abs(A @ J1 - J1 @ A).max() > 1e-12 * scale:
+        # [A, J1] is linear in A, so it is read at A's own scale
+        if np.abs(A @ J1 - J1 @ A).max() > 1e-12 * np.abs(A).max(initial=0.0):
             raise ValueError("[A, J1] != 0: the complex structure is not integrable")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "v", v)
@@ -605,16 +605,17 @@ def soliton_certificate(data: AlmostAbelianData, tol: float = 1e-8) -> SolitonCe
     if not is_skt:
         raise ValueError("soliton certificates require a pluriclosed structure")
     a, v, A = data.a, data.v, data.A
-    scale = max(1.0, abs(a), float(np.linalg.norm(A)), float(np.linalg.norm(v)))
-    comps = p_components(data, k)
     vnorm = float(np.linalg.norm(v))
+    # at the data's own scale; an exact zero is zero at every scale
+    scale = max(abs(a), float(np.linalg.norm(A)), vnorm)
+    comps = p_components(data, k)
     lam_cap = _s_top(k, a)
 
     kind = SolitonKind.NONE
     eigen_lambda = None
-    if vnorm < tol * scale:
+    if vnorm < tol * scale or vnorm == 0.0:
         residual = vnorm
-        if abs(a) < tol * scale:
+        if abs(a) < tol * scale or a == 0.0:
             kind = SolitonKind.KAHLER_RICCI_FLAT
         elif k < 2:
             kind = SolitonKind.EXPANDING
@@ -663,8 +664,8 @@ def classify(data: AlmostAbelianData) -> ClassificationReport:
     if not is_skt:
         raise ValueError("classification requires a pluriclosed structure")
     a = data.a
-    scale = max(1.0, float(np.linalg.norm(data.A)))
-    if abs(a) < _CLASSIFY_TOL * scale and np.abs(data.A).max() < _CLASSIFY_TOL * scale:
+    scale = max(abs(a), float(np.linalg.norm(data.A)))
+    if scale == 0.0:
         raise ValueError("nilpotent case (a, A) = (0, 0): use the nilpotent flow module")
     unimodular = abs(a + float(np.trace(data.A))) < _CLASSIFY_TOL * scale
 

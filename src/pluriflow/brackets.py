@@ -26,8 +26,6 @@ __all__ = [
     "bracket_norm",
     "center",
     "derivation_space",
-    "NilSolitonCertificate",
-    "soliton_decomposition",
     "nullspace",
     "frobenius_sq",
     "frobenius_norm",
@@ -288,27 +286,11 @@ def derivation_space(mu: LieBracket, commute_with: np.ndarray):
     orthogonal complex structure); the system keeps the rows i < j of
     pi(D) mu = 0.  Its null space is that of the R factor of its QR, under
     the relative RANK_RTOL cutoff, so the rank decision does not depend on
-    the scale of mu.
+    the scale of mu.  No certificate calls it: it is the tests' oracle, kept
+    here while the benchmark's tracer wraps it by name (ROADMAP, item 2).
     """
     d = mu.dim
     basis = _commutant_basis(np.asarray(commute_with, dtype=float))
     r = np.linalg.qr(_action_rows(mu.coeffs, basis), mode="r")
     ns = nullspace(r)
     return list((ns.T @ basis.reshape(len(basis), -1)).reshape(-1, d, d))
-
-
-@dataclass
-class NilSolitonCertificate:
-    alpha: float
-    residual: float
-
-
-def soliton_decomposition(p: np.ndarray, mu: LieBracket, j: np.ndarray) -> NilSolitonCertificate:
-    """Least-squares solve of P = alpha Id + sym(D) over derivations D commuting with j."""
-    d = mu.dim
-    ders = derivation_space(mu, commute_with=j)
-    cols = [np.eye(d).ravel()] + [(0.5 * (dm + dm.T)).ravel() for dm in ders]
-    a = np.array(cols).T
-    coef, *_ = np.linalg.lstsq(a, p.ravel(), rcond=None)
-    resid = float(np.linalg.norm(a @ coef - p.ravel()))
-    return NilSolitonCertificate(alpha=float(coef[0]), residual=resid)

@@ -21,14 +21,12 @@ from .brackets import (
     RANK_RTOL,
     InnerProductConvention,
     LieBracket,
-    NilSolitonCertificate,
     bracket_inner_product,
     bracket_norm,
     center,
     infinitesimal_action,
     jacobi_residual,
     nullspace,
-    soliton_decomposition,
 )
 from .hermitian import HermitianFrame
 
@@ -44,7 +42,6 @@ __all__ = [
     "integrate_nil_flow",
     "NilTrajectory",
     "gradient_equivalence_check",
-    "soliton_decomposition",
     "soliton_limit_certificate",
     "NilSolitonCertificate",
     "refine_fixed_point",
@@ -417,12 +414,30 @@ def gradient_equivalence_check(nu: LieBracket, split: NilpotentSplitting) -> dic
     return {"angle": ang, "ratio": float(ratio), "field_norm": float(np.linalg.norm(fld)), "critical": False}
 
 
-def soliton_limit_certificate(
-    nu: LieBracket, frame: HermitianFrame, split: NilpotentSplitting
-) -> NilSolitonCertificate:
-    """Certificate that nu is an algebraic pluriclosed soliton, with P the
-    nilpotent projected-Ricci form of nu on the splitting."""
-    return soliton_decomposition(p_endomorphism_nil(split, nu), nu, frame.J)
+@dataclass
+class NilSolitonCertificate:
+    alpha: float
+    residual: float
+
+
+def soliton_limit_certificate(nu: LieBracket, frame: HermitianFrame, split: NilpotentSplitting) -> NilSolitonCertificate:
+    """Certificate that nu is an algebraic soliton P = alpha Id + D, D a
+    derivation and P the projected Ricci form of nu on the splitting, by
+    -pi(P) nu = alpha nu: the field at nu's state x is -pi(P) nu, so alpha =
+    <f, x> / |x|^2, and the residual |f - alpha x| / |x| is |pi(P - alpha Id)
+    nu| / |nu| (README, "The derivation space").  ValueError when nu leaves
+    v ^ v -> z, which encode would drop, or frame is not the splitting's."""
+    if not np.array_equal(frame.J, split.frame.J):
+        raise ValueError("frame's J is not the splitting's")
+    flow = NilFlow(split)
+    x = flow.encode(nu)
+    if np.abs(nu.coeffs - flow.decode(x).coeffs).max() > _SPLIT_TOL * np.abs(nu.coeffs).max():
+        raise ValueError("bracket is not 2-step on the splitting (it leaves v ^ v -> z)")
+    if (n2 := float(x @ x)) == 0.0:
+        return NilSolitonCertificate(alpha=0.0, residual=0.0)
+    f = flow.field(x)
+    alpha = float(f @ x) / n2
+    return NilSolitonCertificate(alpha=alpha, residual=float(np.linalg.norm(f - alpha * x) / np.sqrt(n2)))
 
 
 def refine_fixed_point(flow: NilFlow, x0: np.ndarray) -> np.ndarray:

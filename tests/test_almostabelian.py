@@ -8,7 +8,7 @@ from numpy.testing import assert_allclose
 
 from pluriflow import almostabelian as aa
 from pluriflow import engine
-from pluriflow.brackets import LieBracket, bracket_norm, infinitesimal_action, jacobi_residual, soliton_decomposition
+from pluriflow.brackets import LieBracket, bracket_norm, infinitesimal_action, jacobi_residual
 from pluriflow.catalog import get_entry, s_ab_data
 from pluriflow.hermitian import HermitianFrame
 from pluriflow.normality import normality_defect
@@ -39,6 +39,10 @@ def test_data_validation():
         aa.AlmostAbelianData(1.0, np.zeros(4), np.diag([1.0, 2, 3, 4]), HermitianFrame.antidiagonal(4).J)
     with pytest.raises(ValueError):
         aa.AlmostAbelianData(1.0, np.zeros(3), np.eye(3), np.eye(3))
+    # |[A, J1]| = 2 max |A| at every scale, so no scale of A is integrable
+    for s in (1e-13, 1.0, 1e16):
+        with pytest.raises(ValueError, match="not integrable"):
+            aa.AlmostAbelianData(1.0, np.zeros(2), s * np.diag([1.0, -1.0]), HermitianFrame.pairwise(2).J)
 
 
 def test_build_bracket_examples(sab, shrink):
@@ -354,7 +358,7 @@ def test_r_m_over_a4_conserved():
     assert np.abs(vals_t / vals_t[0] - 1.0).max() < 1e-7
 
 
-def _assert_soliton_derivation(data, cert):
+def _assert_soliton_derivation(data, cert, soliton_fit):
     """The certificate's D is a J-commuting derivation with sym(D) = P - alpha Id,
     and the dense least-squares fit over Der(mu) finds the same alpha."""
     scale2 = max(1.0, abs(data.a), np.linalg.norm(data.A), np.linalg.norm(data.v)) ** 2
@@ -364,11 +368,11 @@ def _assert_soliton_derivation(data, cert):
     assert_allclose(0.5 * (der + der.T), p - cert.alpha * np.eye(data.dim), rtol=0, atol=1e-15 * scale2)
     if (norm := bracket_norm(mu)) > 0.0:
         assert bracket_norm(infinitesimal_action(der, mu)) / norm <= 1e-13 * scale2
-    fit = soliton_decomposition(p, mu, j)
-    assert abs(fit.alpha - cert.alpha) <= 1e-12 and fit.residual <= 1e-12
+    alpha, residual = soliton_fit(p, mu, j)
+    assert abs(alpha - cert.alpha) <= 1e-12 and residual <= 1e-12
 
 
-def test_soliton_certificates(sab, shrink, steady, rng):
+def test_soliton_certificates(sab, shrink, steady, rng, soliton_fit):
     c1 = aa.soliton_certificate(sab)
     assert c1.kind is aa.SolitonKind.EXPANDING and abs(c1.alpha + 0.25) < 1e-14
     c2 = aa.soliton_certificate(shrink)
@@ -378,7 +382,7 @@ def test_soliton_certificates(sab, shrink, steady, rng):
     assert abs(c3.eigen_lambda - 1.0) < 1e-12
     for data, cert in ((sab, c1), (shrink, c2), (steady, c3)):
         assert cert.residual < 1e-10
-        _assert_soliton_derivation(data, cert)
+        _assert_soliton_derivation(data, cert, soliton_fit)
     # generic SKT data with v not an S-eigenvector is no soliton
     data = random_skt_almost_abelian(rng, m=6)
     while np.linalg.norm(data.v) < 0.2:
@@ -387,7 +391,7 @@ def test_soliton_certificates(sab, shrink, steady, rng):
     assert cert.kind is aa.SolitonKind.NONE
 
 
-def test_soliton_derivation_closed_form_on_random_solitons(rng):
+def test_soliton_derivation_closed_form_on_random_solitons(rng, soliton_fit):
     # v = 0, and v = sqrt(2 s) q for each eigenpair (s > 0, q) of S: |v|^2 / 2
     # is then an eigenvalue of S with eigenvector v, and w = -A^t v / 4 is
     # mostly nonzero, which the catalog solitons never have
@@ -400,7 +404,7 @@ def test_soliton_derivation_closed_form_on_random_solitons(rng):
                 soliton = data.replace(v=v)
                 cert = aa.soliton_certificate(soliton)
                 assert cert.kind is not aa.SolitonKind.NONE
-                _assert_soliton_derivation(soliton, cert)
+                _assert_soliton_derivation(soliton, cert, soliton_fit)
                 with_w += bool(np.linalg.norm(aa.p_components(soliton).w) > 1e-8)
     assert with_w >= 10
 
@@ -415,6 +419,23 @@ def test_soliton_alpha_sign_matches_kind(rng):
         cert = aa.soliton_certificate(get_entry(name).data)
         want = sign[cert.kind]
         assert np.sign(round(cert.alpha, 12)) == want
+
+
+@pytest.mark.parametrize("name", ["shrink10", "steady10", "s_ab(1, pi/2)"])
+def test_verdicts_do_not_depend_on_the_data_scale(name):
+    # alpha is quadratic and T inverse quadratic in the data; with a floor of 1
+    # on the scale, shrink10 at 1e-9 read KAHLER_RICCI_FLAT and at 1e-10 nilpotent
+    def verdicts(s):
+        data = get_entry(name).data
+        data = data.replace(a=s * data.a, v=s * data.v, A=s * data.A)
+        cert, rep = aa.soliton_certificate(data), aa.classify(data)
+        return (cert.kind, rep.table_case, rep.unimodular), cert.alpha / s**2, aa.extinction_time(data) * s**2
+
+    labels, alpha, t = verdicts(1.0)
+    for s in (1e3, 1e-3, 1e-6, 1e-9, 1e-12):
+        got = verdicts(s)
+        assert got[0] == labels, s
+        assert_allclose(got[1:], (alpha, t), rtol=1e-12, atol=1e-12, err_msg=str(s))
 
 
 def test_classify_cases(shrink, steady):

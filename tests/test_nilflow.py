@@ -255,7 +255,7 @@ def test_soliton_certificate_is_scale_invariant():
         return len(derivation_space(nu, commute_with=frame.J)), cert.alpha / s**2, cert.residual / s**2
 
     dim, alpha, residual = certify(1.0)
-    assert dim == 12 and residual > 1.0
+    assert dim == 12 and residual > 0.5
     for s in (1e-3, 1e-6, 1e-9):
         got = certify(s)
         assert got[0] == dim, s
@@ -446,3 +446,47 @@ def test_integrate_refuses_overflow_and_nan_residual(monkeypatch):
     for normalization in ("none", "unit_norm"):
         with pytest.raises(ValueError, match="not pluriclosed"):
             nf.integrate_nil_flow(mu, frame, 1.0, normalization)
+
+
+@pytest.mark.parametrize("blocks, dim_z", NIL_SPLITS)
+def test_soliton_certificate_matches_the_dense_fit_at_flow_limits(rng, soliton_fit, blocks, dim_z):
+    mu, frame = rotated_two_step(rng, blocks, dim_z)
+    traj = nf.integrate_nil_flow(mu, frame, 1e3, "unit_norm")
+    assert traj.raw.terminal_event == engine.FIXED_POINT
+    nu, split = traj.flow.decode(traj.raw.final_state), traj.flow.split
+    cert = nf.soliton_limit_certificate(nu, frame, split)
+    alpha, residual = soliton_fit(nf.p_endomorphism_nil(split, nu), nu, frame.J)
+    assert abs(cert.alpha - alpha) <= 1e-12 * abs(alpha)
+    assert cert.residual <= 1e-10 and residual <= 1e-10
+
+
+@pytest.mark.parametrize("blocks, dim_z", NIL_SPLITS[1:])
+def test_soliton_residual_is_the_dense_action_of_p_minus_alpha(rng, blocks, dim_z):
+    # at a start bracket with more than one block, which is no soliton:
+    # |pi(P - alpha Id) mu| / |mu|
+    mu, frame = rotated_two_step(rng, blocks, dim_z)
+    split = nf.NilpotentSplitting.from_bracket(mu, frame)
+    cert = nf.soliton_limit_certificate(mu, frame, split)
+    d = nf.p_endomorphism_nil(split) - cert.alpha * np.eye(mu.dim)
+    want = bracket_norm(infinitesimal_action(d, mu)) / bracket_norm(mu)
+    assert want > 1e-3 and abs(cert.residual - want) <= 1e-13 * want
+
+
+def test_soliton_certificate_of_kodaira():
+    # P = diag(-1/2, -1/2, 0, 0) = -Id + diag(1/2, 1/2, 1, 1), the second a derivation
+    mu, frame = kodaira_bracket()
+    cert = nf.soliton_limit_certificate(mu, frame, nf.NilpotentSplitting.from_bracket(mu, frame))
+    assert abs(cert.alpha + 1.0) <= 1e-15 and cert.residual == 0.0
+
+
+def test_soliton_certificate_refuses_what_the_state_cannot_hold():
+    mu, frame = kodaira_bracket()
+    split = nf.NilpotentSplitting.from_bracket(mu, frame)
+    # [e1, e3] = e2 leaves v ^ v -> z, and encode would drop it
+    off = LieBracket.from_entries(4, [(0, 1, 2, 1.0), (0, 2, 1, 1e-6)])
+    with pytest.raises(ValueError, match="not 2-step"):
+        nf.soliton_limit_certificate(off, frame, split)
+    with pytest.raises(ValueError, match="splitting's"):
+        nf.soliton_limit_certificate(mu, HermitianFrame(-frame.J), split)
+    zero = nf.soliton_limit_certificate(LieBracket.zero(4), frame, split)
+    assert (zero.alpha, zero.residual) == (0.0, 0.0)
