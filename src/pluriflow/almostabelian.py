@@ -28,8 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import engine
-from .brackets import LieBracket, bracket_norm, frobenius_norm, frobenius_sq, infinitesimal_action
-from .hermitian import HermitianFrame, skt_closure_residual
+from .brackets import LieBracket, frobenius_norm, frobenius_sq
+from .hermitian import HermitianFrame, skt_closure_holds, skt_closure_residual
 from .normality import normality_defect
 from .serialize import json_array, json_number
 
@@ -60,7 +60,6 @@ __all__ = [
 UNNORMALIZED = "UNNORMALIZED"
 A_NORM_FIXED = "A_NORM_FIXED"
 
-_LEMMA_TOL = 1e-9  # closure criterion: |sym(aA + A^2 + A^tA)| of (a, A) / max(|A|, |a|) below it
 _K_RTOL = 1e-8  # relative cutoff of the rank count of k
 _IMAGE_RTOL = 1e-8  # relative residual below which v lies in Im A
 _CLASSIFY_TOL = 1e-9  # a = 0 and unimodularity, relative to |(a, A)|
@@ -213,12 +212,7 @@ def skt_multiplicity_k(a: float, A: np.ndarray) -> int:
 def _skt_k(data: AlmostAbelianData) -> tuple[bool, int]:
     """(is_skt, k): pluriclosedness by the closure criterion
     sym(aA + A^2 + A^tA) = 0, and k."""
-    a, A = data.a, data.A
-    # the residual is quadratic in (a, A), so it is read at the data's own
-    # scale; (0, 0) is pluriclosed
-    scale = max(float(np.linalg.norm(A)), abs(a))
-    is_skt = scale == 0.0 or skt_closure_residual(a / scale, A / scale) < _LEMMA_TOL
-    return is_skt, skt_multiplicity_k(a, A)
+    return skt_closure_holds(data.a, data.A), skt_multiplicity_k(data.a, data.A)
 
 
 def skt_verdict(data: AlmostAbelianData) -> SktVerdict:
@@ -244,15 +238,14 @@ class PComponents:
     w: np.ndarray
 
 
-def p_components(data: AlmostAbelianData, k: int | None = None) -> PComponents:
+def p_components(data: AlmostAbelianData) -> PComponents:
     """Scalar and vector components of the flow endomorphism P.
 
     c = (k/4 - 1/2) a^2 - |v|^2 / 2 and w = -A^t v / 4; P is the symmetric
     J-commuting matrix with c in the two outer corners and w coupling them to
     the middle block.
     """
-    if k is None:
-        k = skt_multiplicity_k(data.a, data.A)
+    k = skt_multiplicity_k(data.a, data.A)
     return PComponents(c=_c_scalar(k, data.a, float(data.v @ data.v)), w=_w_vector(data.A, data.v))
 
 
@@ -270,9 +263,9 @@ def _w_vector(A: np.ndarray, v: np.ndarray) -> np.ndarray:
     return -0.25 * A.T @ v
 
 
-def p_matrix(data: AlmostAbelianData, comps: PComponents | None = None) -> np.ndarray:
+def p_matrix(data: AlmostAbelianData) -> np.ndarray:
     """Assemble the full P endomorphism from its (c, w) components."""
-    comps = comps or p_components(data)
+    comps = p_components(data)
     d, m = data.dim, data.m
     p = np.zeros((d, d))
     p[0, 0] = p[d - 1, d - 1] = comps.c
@@ -589,17 +582,27 @@ def extinction_time(data: AlmostAbelianData) -> float:
 class SolitonCertificate:
     kind: SolitonKind
     alpha: float
-    derivation: np.ndarray | None
     residual: float
     eigen_lambda: float | None
+
+
+def _derivation_residual(data: AlmostAbelianData, u_norm: float) -> float:
+    """|pi(D) mu| / |mu| of D = P - c Id - U from u_norm = |S v - |v|^2 v / 2|,
+    0 at the zero bracket: pi(D) mu is [D_h, ad e_(2n)] on (e_(2n), h), which
+    is -[[0, 0], [S v - |v|^2 v / 2, (a/4)[A, A^t]]] (README, "The derivation space")."""
+    mu_sq = data.scale_sq + float(data.v @ data.v)
+    if mu_sq == 0.0:
+        return 0.0
+    return math.hypot(u_norm, 0.25 * data.a * normality_defect(data.A)) / math.sqrt(mu_sq)
 
 
 def soliton_certificate(data: AlmostAbelianData, tol: float = 1e-8) -> SolitonCertificate:
     """Detect the algebraic-soliton cases: v = 0, or v an eigenvector of S
     with eigenvalue |v|^2 / 2; classify by the sign of the cosmological
-    constant alpha = c.  A detected soliton carries the derivation
+    constant alpha = c.  A detected soliton's derivation is
     D = P - alpha Id - U (U the gauge_matrix), which commutes with J and has
-    sym(D) = P - alpha Id; the residual takes in |pi(D) mu| / |mu|.
+    sym(D) = P - alpha Id; the residual takes in |pi(D) mu| / |mu|, read off
+    (a, v, A) in closed form.
     """
     is_skt, k = _skt_k(data)
     if not is_skt:
@@ -608,8 +611,8 @@ def soliton_certificate(data: AlmostAbelianData, tol: float = 1e-8) -> SolitonCe
     vnorm = float(np.linalg.norm(v))
     # at the data's own scale; an exact zero is zero at every scale
     scale = max(abs(a), float(np.linalg.norm(A)), vnorm)
-    comps = p_components(data, k)
-    lam_cap = _s_top(k, a)
+    lam = 0.5 * vnorm**2
+    u_norm = float(np.linalg.norm(_s_matrix(a, A, k) @ v - lam * v))
 
     kind = SolitonKind.NONE
     eigen_lambda = None
@@ -624,20 +627,14 @@ def soliton_certificate(data: AlmostAbelianData, tol: float = 1e-8) -> SolitonCe
         else:
             kind = SolitonKind.SHRINKING
     else:
-        s = _s_matrix(a, A, k)
-        lam = 0.5 * vnorm**2
-        residual = float(np.linalg.norm(s @ v - lam * v)) / max(vnorm, 1e-300)
+        residual = u_norm / max(vnorm, 1e-300)
         if residual < tol * scale**2:
-            kind = SolitonKind.STEADY if abs(lam - lam_cap) < tol * scale**2 else SolitonKind.SHRINKING
+            kind = SolitonKind.STEADY if abs(lam - _s_top(k, a)) < tol * scale**2 else SolitonKind.SHRINKING
             eigen_lambda = lam
 
-    derivation = None
     if kind is not SolitonKind.NONE:
-        derivation = p_matrix(data, comps) - comps.c * np.eye(data.dim) - gauge_matrix(data)
-        mu = build_bracket(data)
-        if (norm := bracket_norm(mu)) > 0.0:  # D = 0 at the zero bracket
-            residual = max(residual, bracket_norm(infinitesimal_action(derivation, mu)) / norm)
-    return SolitonCertificate(kind, comps.c, derivation, residual, eigen_lambda)
+        residual = max(residual, _derivation_residual(data, u_norm))
+    return SolitonCertificate(kind, _c_scalar(k, a, float(v @ v)), residual, eigen_lambda)
 
 
 @dataclass

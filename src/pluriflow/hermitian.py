@@ -28,9 +28,10 @@ __all__ = [
     "is_static",
     "generalized_kahler_check",
     "skt_closure_residual",
+    "skt_closure_holds",
 ]
 
-_TOL = 1e-9  # the (1,1)-type, static and generalized Kahler decisions
+_TOL = 1e-9  # the (1,1)-type, static, SKT closure and generalized Kahler decisions, at the data's scale
 
 
 @dataclass(frozen=True)
@@ -140,6 +141,13 @@ def skt_closure_residual(a: float, A: np.ndarray) -> float:
     return frobenius_norm(0.5 * (m + m.T))
 
 
+def skt_closure_holds(a: float, A: np.ndarray) -> bool:
+    """The matrix SKT criterion within _TOL.  The residual is quadratic in
+    (a, A), so it is read at the data's own scale max(|a|, |A|); (0, 0) holds."""
+    scale = max(abs(a), float(np.linalg.norm(A)))
+    return scale == 0.0 or skt_closure_residual(a / scale, A / scale) < _TOL
+
+
 def one_one_part(alpha: np.ndarray, frame: HermitianFrame) -> np.ndarray:
     """J-invariant part (1/2)(alpha(.,.) + alpha(J., J.)) of a 2-form matrix."""
     j = frame.J
@@ -149,8 +157,8 @@ def one_one_part(alpha: np.ndarray, frame: HermitianFrame) -> np.ndarray:
 def endomorphism_from_form(alpha: np.ndarray, frame: HermitianFrame) -> np.ndarray:
     """Solve omega(P., .) = (1/2) alpha for a (1,1)-form alpha; P commutes with J."""
     alpha = np.asarray(alpha, dtype=float)
-    scale = max(1.0, np.abs(alpha).max())
-    if np.abs(alpha - one_one_part(alpha, frame)).max() > _TOL * scale:
+    # linear in alpha, so read at alpha's own scale
+    if np.abs(alpha - one_one_part(alpha, frame)).max() > _TOL * np.abs(alpha).max():
         raise ValueError("form is not of type (1,1)")
     return -0.5 * frame.J.T @ alpha
 
@@ -179,20 +187,22 @@ def bismut_ricci_endomorphism(mu: LieBracket, frame: HermitianFrame) -> np.ndarr
 
 
 def is_static(mu: LieBracket, frame: HermitianFrame):
-    """Return alpha if (rho^B)^(1,1) = alpha * omega within _TOL, else None."""
+    """Return alpha if (rho^B)^(1,1) = alpha * omega within _TOL |mu|^2 (rho^B
+    is quadratic in mu; ordered-pair norm), else None; the zero bracket gives 0."""
     rho11 = one_one_part(bismut_ricci_general(mu, frame), frame)
     w = frame.omega
     alpha = float(np.einsum("ij,ij->", rho11, w) / np.einsum("ij,ij->", w, w))
-    if np.abs(rho11 - alpha * w).max() < _TOL:
+    if np.abs(rho11 - alpha * w).max() <= _TOL * bracket_inner_product(mu, mu):
         return alpha
     return None
 
 
 def generalized_kahler_check(a, v, A, J1) -> bool:
-    """Compatibility with a generalized Kahler pair: matrix SKT criterion and v = 0."""
+    """Compatibility with a generalized Kahler pair: matrix SKT criterion and v = 0,
+    at the data's own scale: [A, J1] against max |A|, |v| against max(|a|, |A|)."""
     v = np.asarray(v, dtype=float)
     A = np.asarray(A, dtype=float)
     J1 = np.asarray(J1, dtype=float)
-    if np.abs(A @ J1 - J1 @ A).max() > 1e-9 * max(1.0, np.abs(A).max()):
+    if np.abs(A @ J1 - J1 @ A).max() > 1e-9 * np.abs(A).max():
         raise ValueError("A must commute with J1 (integrability of both structures)")
-    return skt_closure_residual(a, A) < _TOL and float(np.linalg.norm(v)) < _TOL
+    return skt_closure_holds(a, A) and float(np.linalg.norm(v)) <= _TOL * max(abs(a), float(np.linalg.norm(A)))

@@ -231,9 +231,8 @@ def test_full_field_matches_reduced_field(rng):
     # -pi(P - U) mu applied to the built bracket equals the built derivative
     for _ in range(5):
         data = random_skt_almost_abelian(rng, m=6)
-        k = aa.skt_verdict(data).k
         mu = aa.build_bracket(data)
-        p = aa.p_matrix(data, aa.p_components(data, k))
+        p = aa.p_matrix(data)
         u = aa.gauge_matrix(data)
         full = LieBracket(-infinitesimal_action(p - u, mu).coeffs)
         da, dv, dA = _field(data)
@@ -244,10 +243,9 @@ def test_full_field_matches_reduced_field(rng):
 def test_normalized_field(sab, rng):
     assert np.abs(_field(sab, aa.A_NORM_FIXED)[1]).max() == 0.0  # v = 0
     data = random_skt_almost_abelian(rng, m=4)
-    k = aa.skt_verdict(data).k
     _, dv_n, _ = _field(data, aa.A_NORM_FIXED)
     da, dv, dA = _field(data)
-    c = aa.p_components(data, k).c
+    c = aa.p_components(data).c
     assert np.abs(dv_n - (dv - c * data.v)).max() < 1e-12
     assert np.abs(da - c * data.a) < 1e-12
     assert np.abs(dA - c * data.A).max() < 1e-12
@@ -359,11 +357,12 @@ def test_r_m_over_a4_conserved():
 
 
 def _assert_soliton_derivation(data, cert, soliton_fit):
-    """The certificate's D is a J-commuting derivation with sym(D) = P - alpha Id,
-    and the dense least-squares fit over Der(mu) finds the same alpha."""
+    """The soliton's D = P - alpha Id - U is a J-commuting derivation with
+    sym(D) = P - alpha Id, and the dense least-squares fit over Der(mu) finds
+    the same alpha."""
     scale2 = max(1.0, abs(data.a), np.linalg.norm(data.A), np.linalg.norm(data.v)) ** 2
-    der, j, mu = cert.derivation, aa.hermitian_frame(data).J, aa.build_bracket(data)
-    p = aa.p_matrix(data)
+    j, mu, p = aa.hermitian_frame(data).J, aa.build_bracket(data), aa.p_matrix(data)
+    der = p - cert.alpha * np.eye(data.dim) - aa.gauge_matrix(data)
     assert np.abs(der @ j - j @ der).max() <= 1e-15 * scale2
     assert_allclose(0.5 * (der + der.T), p - cert.alpha * np.eye(data.dim), rtol=0, atol=1e-15 * scale2)
     if (norm := bracket_norm(mu)) > 0.0:
@@ -407,6 +406,42 @@ def test_soliton_derivation_closed_form_on_random_solitons(rng, soliton_fit):
                 _assert_soliton_derivation(soliton, cert, soliton_fit)
                 with_w += bool(np.linalg.norm(aa.p_components(soliton).w) > 1e-8)
     assert with_w >= 10
+
+
+def _dense_derivation_residual(data):
+    """|pi(D) mu| / |mu| of D = P - c Id - U by the dense action on the built bracket."""
+    mu = aa.build_bracket(data)
+    der = aa.p_matrix(data) - aa.p_components(data).c * np.eye(data.dim) - aa.gauge_matrix(data)
+    return bracket_norm(infinitesimal_action(der, mu)) / bracket_norm(mu)
+
+
+def test_derivation_residual_closed_form_on_generic_data(rng):
+    # [D_h, ad e_(2n)] = -[[0, 0], [S v - |v|^2 v / 2, (a/4)[A, A^t]]] holds for
+    # any integrable (a, v, A), pluriclosed or not
+    for m in range(2, 13, 2):
+        for _ in range(5):
+            data = random_generic_almost_abelian(rng, m=m)
+            s = aa._s_matrix(data.a, data.A, aa.skt_multiplicity_k(data.a, data.A))
+            u = s @ data.v - 0.5 * (data.v @ data.v) * data.v
+            got = aa._derivation_residual(data, float(np.linalg.norm(u)))
+            assert_allclose(got, _dense_derivation_residual(data), rtol=1e-13)
+    zero = aa.AlmostAbelianData.with_standard_j1(0.0, np.zeros(2), np.zeros((2, 2)))
+    assert aa._derivation_residual(zero, 0.0) == 0.0
+
+
+def test_soliton_residual_is_the_dense_action_where_it_dominates(rng):
+    # v = 0 solitons whose normal A moves by 1e-10 |A| in a J-commuting
+    # direction stay pluriclosed; the eigen term is 0 and the action term,
+    # (|a|/4) |[A, A^t]| / |mu|, is far above roundoff
+    for m in range(4, 17, 2):
+        for _ in range(3):
+            data = random_skt_almost_abelian(rng, m=m)
+            x = rng.standard_normal((m, m))
+            x = 0.5 * (x - data.J1 @ x @ data.J1)
+            data = data.replace(v=np.zeros(m), A=data.A + 1e-10 * np.linalg.norm(data.A) / np.linalg.norm(x) * x)
+            cert = aa.soliton_certificate(data)
+            assert cert.kind is not aa.SolitonKind.NONE and cert.residual > 1e-14
+            assert_allclose(cert.residual, _dense_derivation_residual(data), rtol=1e-4)
 
 
 def test_soliton_alpha_sign_matches_kind(rng):

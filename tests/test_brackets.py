@@ -231,7 +231,7 @@ def _oracle_inputs():
     rng = np.random.default_rng(11)
     for m in range(4, 17, 2):
         data = random_skt_almost_abelian(rng, m=m).replace(v=np.zeros(m))
-        p = aa.p_matrix(data, aa.p_components(data, aa.skt_verdict(data).k))
+        p = aa.p_matrix(data)
         yield pytest.param(build_bracket(data), aa.hermitian_frame(data).J, p, id=f"soliton_d{m + 2}")
     two_step = [random_two_step_skt(rng, blocks=b, dim_z=z) for b, z in ((2, 2), (2, 4), (3, 4), (4, 4), (4, 6), (4, 8))]
     mu, frame = two_step[2]

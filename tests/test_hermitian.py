@@ -158,8 +158,9 @@ def test_endomorphism_from_form_rejects_non_11():
     b = np.zeros((4, 4))
     b[0, 2], b[2, 0] = 1.0, -1.0
     b[1, 3], b[3, 1] = -1.0, 1.0
-    with pytest.raises(ValueError):
-        endomorphism_from_form(b, frame)
+    for s in (1.0, 1e-12):  # refused at the form's own scale
+        with pytest.raises(ValueError):
+            endomorphism_from_form(s * b, frame)
 
 
 def test_endomorphism_form_round_trip(rng):
@@ -223,3 +224,41 @@ def test_generalized_kahler_check():
     assert not generalized_kahler_check(steady.a, steady.v, steady.A, steady.J1)
     shrink = ten_dim(0.0)
     assert generalized_kahler_check(shrink.a, shrink.v, shrink.A, shrink.J1)
+
+
+_SCALES = (1e3, 1.0, 1e-3, 1e-5, 1e-6, 1e-9, 1e-10, 1e-12)
+
+
+def _scaled(data, s):
+    return data.replace(a=s * data.a, v=s * data.v, A=s * data.A)
+
+
+def test_generalized_kahler_check_does_not_depend_on_the_data_scale():
+    # with a floor of 1 on [A, J1] and absolute cutoffs on the closure
+    # residual and on |v|, steady10 and the generic draw read True at 1e-10
+    from pluriflow.catalog import get_entry
+    from pluriflow.sampling import random_generic_almost_abelian
+
+    wants = (("s_ab(1, pi/2)", True), ("shrink10", True), ("steady10", False))
+    cases = [(get_entry(name).data, want) for name, want in wants]
+    cases.append((random_generic_almost_abelian(np.random.default_rng(1), m=4), False))
+    for data, want in cases:
+        for s in _SCALES:
+            d = _scaled(data, s)
+            assert generalized_kahler_check(d.a, d.v, d.A, d.J1) is want, s
+
+
+@pytest.mark.parametrize("name", ["shrink10", "steady10", "s_ab(1, pi/2)"])
+def test_is_static_does_not_depend_on_the_data_scale(name):
+    # rho^B is quadratic in the bracket; against an absolute cutoff shrink10
+    # read static at 1e-5 with alpha = 4e-11
+    from pluriflow.catalog import get_entry
+
+    data = get_entry(name).data
+    want = is_static(build_bracket(data), hermitian_frame(data))
+    for s in _SCALES:
+        d = _scaled(data, s)
+        got = is_static(build_bracket(d), hermitian_frame(d))
+        assert (got is None) == (want is None), s
+        if want is not None:
+            assert abs(got / s**2 - want) <= 1e-12, s
