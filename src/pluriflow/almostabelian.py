@@ -61,7 +61,6 @@ UNNORMALIZED = "UNNORMALIZED"
 A_NORM_FIXED = "A_NORM_FIXED"
 
 _K_RTOL = 1e-8  # relative cutoff of the rank count of k
-_IMAGE_RTOL = 1e-8  # relative residual below which v lies in Im A
 _CLASSIFY_TOL = 1e-9  # a = 0 and unimodularity, relative to |(a, A)|
 
 
@@ -251,7 +250,7 @@ def p_components(data: AlmostAbelianData) -> PComponents:
 
 def _s_top(k: int, a: float) -> float:
     """(k/4 - 1/2) a^2: the top eigenvalue of S, attained on ker A."""
-    return (k / 4.0 - 0.5) * a**2
+    return (k / 4.0 - 0.5) * (a * a)
 
 
 def _c_scalar(k: int, a: float, vv: float) -> float:
@@ -310,7 +309,11 @@ def _direction_norm(data0: AlmostAbelianData) -> float:
 # only a CSV's resolution; an engine run recorded ~350 rows (its accepted steps),
 # and `--samples` asks for rows at any other times.
 _TAU_GRID = np.linspace(0.0, 1.0, 129)
-_TOP_RTOL = 1e-10  # eigenvalues of S0 this close to c0 (relative) span ker A0
+# Eigenvalues of S0 this close to c0 (relative) span ker A0: a pair +-i theta of A0
+# lies theta^2 / 2 below c0, so theta up to about sqrt(2e-10 scale) counts as 0.  On
+# exact kernels the gap is roundoff, below 2e-15 under J-unitary rotations and scalings.
+_TOP_RTOL = 1e-10
+_IMAGE_RTOL = 1e-8  # relative weight of v0 on ker A0 above which v0 leaves Im A0
 # 1 / (i + j + 2)! for the Taylor series of _exp_dd; the terms left out are below 1e-21
 _DD_TERMS = np.array([[1.0 / math.factorial(i + j + 2) for j in range(20)] for i in range(20)])
 
@@ -388,10 +391,11 @@ class ReducedFlow:
         self._r0, self._x0 = _direction_norm(data0), data0.to_state()
         self._s0 = _s_matrix(data0.a, data0.A, self.k)
         self.sigma, self._q = np.linalg.eigh(self._s0)
-        self.top_weight = not _in_image(data0.A, data0.v)
         self._beta, gap = self._q.T @ data0.v, self.c - self.sigma
+        top = gap <= _TOP_RTOL * max(abs(self.c), np.abs(self.sigma).max(initial=0.0))
+        self.top_weight = bool(np.linalg.norm(self._beta[top]) > _IMAGE_RTOL * np.linalg.norm(data0.v))
         if not self.top_weight:
-            self._beta[gap <= _TOP_RTOL * max(abs(self.c), np.abs(self.sigma).max(initial=0.0))] = 0.0
+            self._beta[top] = 0.0
         self._b2 = self._beta**2
         self._m = max(0.0, self.sigma[self._b2 > 0].max(initial=0.0))  # e^(-2 m tau) D stays in range
         self.T = math.inf
@@ -611,7 +615,7 @@ def soliton_certificate(data: AlmostAbelianData, tol: float = 1e-8) -> SolitonCe
     vnorm = float(np.linalg.norm(v))
     # at the data's own scale; an exact zero is zero at every scale
     scale = max(abs(a), float(np.linalg.norm(A)), vnorm)
-    lam = 0.5 * vnorm**2
+    lam = 0.5 * (vnorm * vnorm)
     u_norm = float(np.linalg.norm(_s_matrix(a, A, k) @ v - lam * v))
 
     kind = SolitonKind.NONE
@@ -628,8 +632,8 @@ def soliton_certificate(data: AlmostAbelianData, tol: float = 1e-8) -> SolitonCe
             kind = SolitonKind.SHRINKING
     else:
         residual = u_norm / max(vnorm, 1e-300)
-        if residual < tol * scale**2:
-            kind = SolitonKind.STEADY if abs(lam - _s_top(k, a)) < tol * scale**2 else SolitonKind.SHRINKING
+        if residual < tol * (scale * scale):
+            kind = SolitonKind.STEADY if abs(lam - _s_top(k, a)) < tol * (scale * scale) else SolitonKind.SHRINKING
             eigen_lambda = lam
 
     if kind is not SolitonKind.NONE:
@@ -647,16 +651,9 @@ class ClassificationReport:
     soliton_type_at_limit: SolitonKind
 
 
-def _in_image(A: np.ndarray, v: np.ndarray) -> bool:
-    nv = np.linalg.norm(v)
-    if nv == 0.0:
-        return True
-    res = v - A @ (np.linalg.pinv(A) @ v)
-    return bool(np.linalg.norm(res) / nv < _IMAGE_RTOL)
-
-
 def classify(data: AlmostAbelianData) -> ClassificationReport:
-    """Asymptotic regime of the reduced flow by (k, a_0, v_0 vs Im A_0)."""
+    """Asymptotic regime of the reduced flow by (k, a_0, v_0 vs Im A_0), the last
+    read off ReducedFlow's split of S_0, as extinction_time and limit are."""
     is_skt, k = _skt_k(data)
     if not is_skt:
         raise ValueError("classification requires a pluriclosed structure")
@@ -675,7 +672,7 @@ def classify(data: AlmostAbelianData) -> ClassificationReport:
         case, t_pred, lim, kind = "iii", "INFINITE", "ZERO", SolitonKind.EXPANDING
     elif k == 2:
         case, t_pred, lim, kind = "iv", "INFINITE", "DATA_DEPENDENT", SolitonKind.STEADY
-    elif not _in_image(data.A, data.v):
+    elif ReducedFlow(data).top_weight:
         case, t_pred, lim, kind = "v", "INFINITE", "NONZERO", SolitonKind.STEADY
     else:
         case, t_pred, lim, kind = "vi", "FINITE", "BLOWUP", SolitonKind.SHRINKING

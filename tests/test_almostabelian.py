@@ -485,14 +485,20 @@ def test_classify_cases(shrink, steady):
     assert aa.classify(steady).predicted_limit == "NONZERO"
 
 
-def test_classify_invariant_under_scaling_and_unitary(rng):
-    data = random_skt_almost_abelian(rng, m=6)
-    base = aa.classify(data).table_case
-    scaled = data.replace(a=2.0 * data.a, v=2.0 * data.v, A=2.0 * data.A)
-    assert aa.classify(scaled).table_case == base
-    q = random_unitary_commuting(rng, 6)
-    rotated = aa.AlmostAbelianData(data.a, q @ data.v, q @ data.A @ q.T, data.J1)
-    assert aa.classify(rotated).table_case == base
+def test_classify_invariant_under_scaling_and_unitary(rng, shrink, steady):
+    # shrink10, steady10 and the (v)/(vi) representatives have an exact ker A,
+    # which the split of S0 must find whatever the scale and J-unitary frame
+    from pluriflow.verification import table_one_representatives
+
+    reps = table_one_representatives()
+    for data in (random_skt_almost_abelian(rng, m=6), shrink, steady, reps["v"], reps["vi"]):
+        base, T = aa.classify(data).table_case, aa.extinction_time(data)
+        for s in (1e-3, 1.0, 1e3):
+            for _ in range(4):
+                q = random_unitary_commuting(rng, data.m)
+                moved = aa.AlmostAbelianData(s * data.a, s * q @ data.v, s * q @ data.A @ q.T, data.J1)
+                assert aa.classify(moved).table_case == base, s
+                assert_allclose(aa.extinction_time(moved) * s * s, T, rtol=1e-12, err_msg=str(s))
 
 
 def test_classify_rejects_nilpotent():
@@ -616,10 +622,26 @@ def test_diagnostics_one_row(shrink):
 # --- oracles of the exact solution -------------------------------------------
 
 
+def _near_kernel_inputs():
+    """(theta, data): a = 2 and A = diag(-1 x6, R(theta)), R(theta) the rotation
+    generator on the last plane, so k = 3 and c0 = 1; v0 = 0.2 e1 + 0.5 e7.  The
+    pair +-i theta of A lies theta^2 / 2 below c0 in S0, so theta <= 1e-5 counts
+    as ker A (case v) and theta >= 1e-3 does not (case vi).  lam tends to about
+    sqrt(2 c0) / 0.5, and the engine's steps to t = 1e3 grow with lam^2: at
+    0.1 e7 the oracle tests take 25 times as many."""
+    v0 = np.zeros(8)
+    v0[0], v0[6] = 0.2, 0.5
+    for theta in (1e-1, 1e-3, 1e-5, 1e-7, 1e-12):
+        A = np.diag([-1.0] * 6 + [0.0, 0.0])
+        A[6:, 6:] = [[0.0, -theta], [theta, 0.0]]
+        yield theta, aa.AlmostAbelianData(2.0, v0, A, HermitianFrame.pairwise(8).J)
+
+
 def _oracle_inputs(rng):
     from pluriflow.verification import table_one_representatives
 
     yield from table_one_representatives().values()
+    yield from (data for _, data in _near_kernel_inputs())
     for m in (2, 4, 8):
         for _ in range(2):
             yield random_skt_almost_abelian(rng, m=m, allow_zero_a=True)
@@ -694,6 +716,7 @@ def _dense_oracle_inputs(rng):
     from pluriflow.verification import table_one_representatives
 
     yield from table_one_representatives().values()
+    yield from (data for _, data in _near_kernel_inputs())
     for m in (2, 4, 8):
         for _ in range(2):
             yield random_skt_almost_abelian(rng, m=m, allow_zero_a=True)
@@ -756,6 +779,22 @@ def test_limit_labels_follow_the_classification():
     assert aa.ReducedFlow(data).limit == "ZERO"
     x = aa.integrate_reduced_flow(data, aa.UNNORMALIZED, 1e4).raw.final_state
     assert abs(x[0] / data.to_state()[0] / (1.0 + 2 * 0.09 * 1e4) ** -0.25 - 1.0) < 1e-12
+
+
+def test_near_kernel_verdicts_agree_and_keep_the_input():
+    # one split of S0 decides ker A for classify, extinction_time, limit and the
+    # BLOWUP event, and v0's weight on a near-kernel plane is kept, not dropped
+    for theta, data in _near_kernel_inputs():
+        rep, flow, T = aa.classify(data), aa.ReducedFlow(data), aa.extinction_time(data)
+        assert rep.table_case == ("v" if theta <= 1e-5 else "vi"), theta
+        finite = rep.predicted_T == "FINITE"
+        assert finite == (T < np.inf) == (flow.limit == "BLOWUP") == (rep.predicted_limit == "BLOWUP"), theta
+        event = aa.integrate_reduced_flow(data, aa.UNNORMALIZED, 2.0 * T if finite else 1e4).raw.terminal_event
+        assert (event == engine.BLOWUP) == finite, theta
+        x0 = data.to_state()
+        for mode in (aa.UNNORMALIZED, aa.A_NORM_FIXED):
+            row0 = aa.integrate_reduced_flow(data, mode, 1.0).raw.states[0]
+            assert np.linalg.norm(row0 - x0) <= 1e-15 * np.linalg.norm(x0), (theta, mode)
 
 
 def test_sampled_rows_near_extinction(shrink):

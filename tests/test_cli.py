@@ -344,6 +344,7 @@ def test_flow_rejects_non_pluriclosed_almost_abelian(tmp_path):
 
 
 _NAN, _INF = float("nan"), float("inf")
+_SHRINK10 = get_entry("shrink10").data.to_json_dict()
 _AA = {"a": 1.0, "v": [0.1, 0.0], "A": [[-0.5, 0.0], [0.0, -0.5]], "J1": [[0.0, -1.0], [1.0, 0.0]]}
 _NONFINITE_INPUTS = {
     "nan_j1": ({**_AA, "J1": [[0.0, -1.0], [1.0, _NAN]]}, "schema violation: J^2 != -Id"),
@@ -354,12 +355,18 @@ _NONFINITE_INPUTS = {
     "big_c": ({"dim": 4, "entries": [{"i": 1, "j": 2, "k": 3, "c": 1e200}]}, "terminal NONFINITE at t=0 "),
     # finite input whose |v|^2 overflows
     "big_v": ({**_AA, "v": [1e160, 0.0]}, "the reduced flow overflows: a row is not finite"),
+    # finite input whose a^2 overflows: shrink10 (v = 0) scaled by 1e155
+    "big_a": (
+        {**_SHRINK10, "a": 1e155 * _SHRINK10["a"], "A": [[1e155 * x for x in row] for row in _SHRINK10["A"]]},
+        "the reduced flow overflows: a row is not finite",
+    ),
 }
 
 
 @pytest.mark.parametrize(
     "command, name",
-    [(c, n) for n in ("nan_j1", "nan_A", "inf_v", "nan_c") for c in ("check", "flow")] + [("flow", "big_c"), ("flow", "big_v")],
+    [(c, n) for n in ("nan_j1", "nan_A", "inf_v", "nan_c") for c in ("check", "flow")]
+    + [("flow", "big_c"), ("flow", "big_v"), ("flow", "big_a")],
 )
 def test_nonfinite_and_overflowing_input_exits_1(tmp_path, command, name):
     obj, message = _NONFINITE_INPUTS[name]
@@ -372,7 +379,7 @@ def test_nonfinite_and_overflowing_input_exits_1(tmp_path, command, name):
     assert len(lines) == 1 and message in lines[0], lines
 
 
-@pytest.mark.parametrize("name", ["big_c", "big_v"])
+@pytest.mark.parametrize("name", ["big_c", "big_v", "big_a"])
 def test_check_refuses_arithmetic_overflow(tmp_path, name):
     path = tmp_path / f"{name}.json"
     path.write_text(json.dumps(_NONFINITE_INPUTS[name][0]))
