@@ -110,10 +110,6 @@ class AlmostAbelianData:
     def dim(self) -> int:
         return self.m + 2
 
-    @classmethod
-    def with_standard_j1(cls, a, v, A) -> "AlmostAbelianData":
-        return cls(a, v, A, HermitianFrame.antidiagonal(np.asarray(v).size).J)
-
     def replace(self, a=None, v=None, A=None) -> "AlmostAbelianData":
         return AlmostAbelianData(
             self.a if a is None else a,
@@ -500,7 +496,6 @@ class ReducedTrajectory:
 
     data0: AlmostAbelianData
     k: int
-    mode: str
     raw: engine.Trajectory
 
     @property
@@ -573,7 +568,7 @@ def integrate_reduced_flow(
         raise ValueError("the reduced flow overflows: a row is not finite")
     blowup = engine.BlowupFit(flow.T, 0.5) if event == engine.BLOWUP else None
     raw = engine.Trajectory(times, states, event, blowup=blowup)
-    return ReducedTrajectory(data0=data0, k=flow.k, mode=mode, raw=raw)
+    return ReducedTrajectory(data0=data0, k=flow.k, raw=raw)
 
 
 def extinction_time(data: AlmostAbelianData) -> float:

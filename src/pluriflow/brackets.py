@@ -91,24 +91,6 @@ class LieBracket:
     def __call__(self, x, y):
         return bracket_eval(self, x, y)
 
-    # --- isometric flat coordinates -------------------------------------
-    # Coordinates in which the Euclidean norm equals the ORDERED_PAIRS norm
-    # on bracket space: the dense counterpart of the j-map state of
-    # nilflow.NilFlow, against which tests compare that state's field.
-
-    def to_coords(self) -> np.ndarray:
-        iu, ju = np.triu_indices(self.dim, k=1)
-        return np.sqrt(2.0) * self.coeffs[iu, ju, :].ravel()
-
-    @classmethod
-    def from_coords(cls, dim: int, x: np.ndarray) -> "LieBracket":
-        iu, ju = np.triu_indices(dim, k=1)
-        vals = np.asarray(x, dtype=float).reshape(len(iu), dim) / np.sqrt(2.0)
-        t = np.zeros((dim, dim, dim))
-        t[iu, ju, :] = vals
-        t[ju, iu, :] = -vals
-        return cls(t)
-
     # --- JSON interchange -------------------------------------------------
     # {"dim": d, "entries": [{"i": i, "j": j, "k": k, "c": c}, ...]} with
     # 1-based indices and i < j.
@@ -241,56 +223,30 @@ def center(mu: LieBracket) -> np.ndarray:
     return nullspace(m)
 
 
-def _commutant_basis(j: np.ndarray) -> np.ndarray:
-    """Frobenius-orthonormal basis (d^2/2, d, d) of {B : BJ = JB} for an
-    orthogonal complex structure J.
-
-    The +1 eigenvectors u_a of the Hermitian iJ form a unitary frame of J, and
-    x_a + i y_a = sqrt(2) u_a give an orthonormal real basis with J x_a = y_a,
-    J y_a = -x_a.  The realified matrix units of that frame, E_ab and iE_ab,
-    act as x_a x_b^t + y_a y_b^t and x_a y_b^t - y_a x_b^t.
-    """
-    d = j.shape[0]
-    eye = np.eye(d)
-    if not np.abs(np.stack([j @ j + eye, j.T @ j - eye])).max() <= 1e-12:
-        raise ValueError("commute_with must be an orthogonal J with J^2 = -Id")
-    u = np.sqrt(2.0) * np.linalg.eigh(1j * j)[1][:, d // 2 :]
-    x, y = u.real, u.imag
-    unit = np.einsum("ia,jb->abij", x, x) + np.einsum("ia,jb->abij", y, y)
-    rot = np.einsum("ia,jb->abij", x, y) - np.einsum("ia,jb->abij", y, x)
-    return np.concatenate([unit, rot]).reshape(-1, d, d) / np.sqrt(2.0)
-
-
-def _action_rows(c: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    """The rows i < j of pi(B_n) mu, one column per basis matrix B_n.
-
-    pi(B) mu (i, j, k) = sum_m B[k, m] c[i, j, m] - t[i, j, k] + t[j, i, k]
-    with t[i, j, k] = sum_m B[m, i] c[m, j, k]; both sums are one gemm over
-    the whole basis.  The rows i > j repeat these up to sign, and i = j is 0.
-    """
-    d, n = c.shape[0], basis.shape[0]
-    iu, ju = np.triu_indices(d, k=1)
-    rows = (c[iu, ju] @ basis.transpose(2, 1, 0).reshape(d, d * n)).reshape(-1, d, n)
-    # t as [j, k, i, n]
-    t = (c.reshape(d, d * d).T @ basis.transpose(1, 2, 0).reshape(d, d * n)).reshape(d, d, d, n)
-    rows -= t[ju, :, iu]
-    rows += t[iu, :, ju]
-    return rows.reshape(-1, n)
-
-
 def derivation_space(mu: LieBracket, commute_with: np.ndarray):
     """Orthonormal (Frobenius) basis of {D : pi(D) mu = 0, [D, J] = 0}.
 
-    Returns a list of (d, d) matrices.  D is solved for in an orthonormal
-    basis of the d^2/2 matrices that commute with J = commute_with (an
-    orthogonal complex structure); the system keeps the rows i < j of
-    pi(D) mu = 0.  Its null space is that of the R factor of its QR, under
-    the relative RANK_RTOL cutoff, so the rank decision does not depend on
-    the scale of mu.  No certificate calls it: it is the tests' oracle, kept
-    here while the benchmark's tracer wraps it by name (ROADMAP, item 2).
+    Returns a list of (d, d) matrices.  The matrices that commute with
+    J = commute_with (an orthogonal complex structure) are the range of the
+    projector X -> (X - J X J) / 2, which is (I - J kron J^t) / 2 on row-major
+    vec; its eigenvectors of eigenvalue 1 are an orthonormal basis of them.  D
+    is the null space, in that basis, of the action matrix whose column (a, b)
+    is pi(E_ab) mu.  Every row is linear in mu, so the relative RANK_RTOL
+    cutoff does not depend on the scale of mu.  No certificate calls it: it is
+    the tests' oracle, kept here while the benchmark's tracer wraps it by name
+    (ROADMAP, item 2).
     """
     d = mu.dim
-    basis = _commutant_basis(np.asarray(commute_with, dtype=float))
-    r = np.linalg.qr(_action_rows(mu.coeffs, basis), mode="r")
-    ns = nullspace(r)
-    return list((ns.T @ basis.reshape(len(basis), -1)).reshape(-1, d, d))
+    j = np.asarray(commute_with, dtype=float)
+    eye = np.eye(d)
+    if not np.abs(np.stack([j @ j + eye, j.T @ j - eye])).max() <= 1e-12:
+        raise ValueError("commute_with must be an orthogonal J with J^2 = -Id")
+    w, v = np.linalg.eigh(0.5 * (np.eye(d * d) - np.kron(j, j.T)))
+    basis = v[:, w > 0.5]
+    c = mu.coeffs
+    action = (
+        np.einsum("ka,ijb->ijkab", eye, c)
+        - np.einsum("bi,ajk->ijkab", eye, c)
+        - np.einsum("bj,iak->ijkab", eye, c)
+    ).reshape(d**3, d * d)
+    return list((basis @ nullspace(action @ basis)).T.reshape(-1, d, d))

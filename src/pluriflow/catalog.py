@@ -37,7 +37,7 @@ def s_ab_data(a: float, b: float) -> AlmostAbelianData:
             [0.0, 0.0, 0.0, -a / 2],
         ]
     )
-    return AlmostAbelianData.with_standard_j1(a, np.zeros(4), A)
+    return AlmostAbelianData(a, np.zeros(4), A, HermitianFrame.antidiagonal(4).J)
 
 
 def kodaira_bracket():

@@ -93,15 +93,10 @@ def nijenhuis_residual(mu: LieBracket, frame: HermitianFrame) -> float:
     return float(np.sqrt((n**2).sum(axis=-1)).max())
 
 
-def torsion_three_form(mu: LieBracket, frame: HermitianFrame, warn_tol: float = 1e-8) -> np.ndarray:
+def torsion_three_form(mu: LieBracket, frame: HermitianFrame) -> np.ndarray:
     """Bismut torsion c(X,Y,Z) = -<[JX,JY],Z> - <[JY,JZ],X> - <[JZ,JX],Y>."""
     b = np.einsum("ai,bj,abk->ijk", frame.J, frame.J, mu.coeffs, optimize=True)
-    c3 = -b - b.transpose(1, 2, 0) - b.transpose(2, 0, 1)
-    if warn_tol is not None and nijenhuis_residual(mu, frame) > warn_tol:
-        import warnings
-
-        warnings.warn("complex structure is not integrable for this bracket", stacklevel=2)
-    return c3
+    return -b - b.transpose(1, 2, 0) - b.transpose(2, 0, 1)
 
 
 def exterior_derivative_c(mu: LieBracket, c3: np.ndarray) -> np.ndarray:
@@ -119,7 +114,7 @@ def exterior_derivative_c(mu: LieBracket, c3: np.ndarray) -> np.ndarray:
 
 def skt_residual(mu: LieBracket, frame: HermitianFrame) -> float:
     """Max coefficient of d(c); zero iff the Hermitian structure is pluriclosed."""
-    c3 = torsion_three_form(mu, frame, warn_tol=None)
+    c3 = torsion_three_form(mu, frame)
     return float(np.abs(exterior_derivative_c(mu, c3)).max())
 
 

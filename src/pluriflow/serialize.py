@@ -72,8 +72,8 @@ def _emit(obj, level):
 def write_csv(path_or_file, columns: dict):
     """Write named columns (equal-length arrays) as CSV with 17-digit floats.
 
-    The text is format_float's, cell for cell; each distinct value is
-    formatted once, and all of them by one "%.17g" over a template."""
+    The text is format_float's, cell for cell: a finite table goes through
+    one "%.17g" row template, any other row by row through format_float."""
     names = list(columns)
     cols = [np.asarray(columns[n], dtype=float) for n in names]
     lengths = {n: len(c) for n, c in zip(names, cols)}
@@ -83,13 +83,11 @@ def write_csv(path_or_file, columns: dict):
     if cols and cols[0].size:
         with np.errstate(invalid="ignore"):  # a signaling NaN stays a NaN
             table = np.stack(cols, axis=1) + 0.0  # -0.0 + 0.0 is 0.0: a zero prints as 0 whatever its sign
-        cells = table.ravel().tolist()
-        distinct = list(dict.fromkeys(cells))
-        lookup = dict(zip(distinct, (("%.17g\n" * len(distinct)) % tuple(distinct)).split("\n")))
-        if not np.isfinite(table).all():
-            lookup.update((x, format_float(x)) for x in distinct if not math.isfinite(x))
-        row = ",".join(["%s"] * len(cols)) + "\n"
-        text += (row * len(cols[0])) % tuple(map(lookup.__getitem__, cells))
+        if np.isfinite(table).all():
+            row = ",".join(["%.17g"] * len(cols)) + "\n"
+            text += (row * len(cols[0])) % tuple(table.ravel().tolist())
+        else:
+            text += "".join(",".join(map(format_float, r)) + "\n" for r in table.tolist())
     if hasattr(path_or_file, "write"):
         path_or_file.write(text)
     else:

@@ -228,13 +228,7 @@ def suite_table1() -> dict:
         T_obs = observed.blowup.t_est if observed.blowup else np.inf
 
         ntraj = aa.integrate_reduced_flow(data, aa.A_NORM_FIXED, TABLE1_NORM_HORIZON)
-        limit_data = data.from_state(ntraj.raw.final_state)
-        # the limit of the normalization that freezes (a, A) has v converged;
-        # snap the tiny residual component so the certificate sees the limit
-        v_inf = limit_data.v.copy()
-        if np.linalg.norm(v_inf) < 1e-7:
-            v_inf[:] = 0.0
-        cert = aa.soliton_certificate(limit_data.replace(v=v_inf))
+        cert = aa.soliton_certificate(data.from_state(ntraj.raw.final_state))
 
         inv = structural_invariants(traj)
         case_ok = (

@@ -192,8 +192,7 @@ def test_criterion_6_gradient_equivalence():
     for i in range(100):
         # two coupled Heisenberg planes: generically a non-critical point of F
         mu, frame = random_two_step_skt(rng, blocks=2, dim_z=2 + 2 * (i % 2))
-        x = mu.to_coords()
-        nu = LieBracket.from_coords(mu.dim, x / np.linalg.norm(x))
+        nu = LieBracket(mu.coeffs / bracket_norm(mu))
         split = nf.NilpotentSplitting.from_bracket(nu, frame)
         out = nf.gradient_equivalence_check(nu, split)
         worst = max(worst, out["angle"])

@@ -46,7 +46,7 @@ def test_data_validation():
 
 
 def test_build_bracket_examples(sab, shrink):
-    assert jacobi_residual(aa.build_bracket(aa.AlmostAbelianData.with_standard_j1(0.0, np.zeros(4), np.zeros((4, 4))))) == 0.0
+    assert jacobi_residual(aa.build_bracket(aa.AlmostAbelianData(0.0, np.zeros(4), np.zeros((4, 4)), HermitianFrame.antidiagonal(4).J))) == 0.0
     lam = np.sort_complex(np.linalg.eigvals(sab.A))
     want = np.sort_complex(np.array([-0.5, -0.5, 1j * np.pi / 2, -1j * np.pi / 2]))
     assert np.abs(lam - want).max() < 1e-12
@@ -425,7 +425,7 @@ def test_derivation_residual_closed_form_on_generic_data(rng):
             u = s @ data.v - 0.5 * (data.v @ data.v) * data.v
             got = aa._derivation_residual(data, float(np.linalg.norm(u)))
             assert_allclose(got, _dense_derivation_residual(data), rtol=1e-13)
-    zero = aa.AlmostAbelianData.with_standard_j1(0.0, np.zeros(2), np.zeros((2, 2)))
+    zero = aa.AlmostAbelianData(0.0, np.zeros(2), np.zeros((2, 2)), HermitianFrame.antidiagonal(2).J)
     assert aa._derivation_residual(zero, 0.0) == 0.0
 
 
@@ -612,7 +612,7 @@ def test_diagnostics_one_row(shrink):
     lam = x[0] / np.sqrt(shrink.scale_sq)
     assert lam**2 != lam * lam
     raw = engine.Trajectory(times=np.array([0.0]), states=x[None, :], terminal_event=engine.HORIZON)
-    traj = aa.ReducedTrajectory(data0=shrink, k=aa.skt_verdict(shrink).k, mode=aa.UNNORMALIZED, raw=raw)
+    traj = aa.ReducedTrajectory(data0=shrink, k=aa.skt_verdict(shrink).k, raw=raw)
     cols = traj.diagnostics()
     assert all(col.shape == (1,) for col in cols.values())
     assert cols["c"][0] == lam * lam * aa._s_top(traj.k, shrink.a) - 0.5 * float(x[1:] @ x[1:])

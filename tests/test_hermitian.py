@@ -70,15 +70,6 @@ def test_torsion_central_entry_formula(rng):
                 assert abs(c3[i, j, z_idx] - want) < 1e-12
 
 
-def test_torsion_warns_on_nonintegrable():
-    a_mat = np.diag([1.0, 2.0, 3.0, 4.0])
-    t = np.zeros((6, 6, 6))
-    t[5, 1:5, 1:5] = a_mat.T
-    mu = LieBracket(t - t.transpose(1, 0, 2))
-    with pytest.warns(UserWarning):
-        torsion_three_form(mu, HermitianFrame.antidiagonal(6))
-
-
 def test_torsion_equals_j_twisted_domega(rng):
     # c(X,Y,Z) = d(omega)(JX, JY, JZ) for any bracket and compatible J
     data = random_skt_almost_abelian(rng, m=4)

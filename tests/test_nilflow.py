@@ -218,8 +218,7 @@ def test_unit_norm_flow_keeps_the_skt_residual_at_truncation_level():
 
 def test_gradient_equivalence(rng):
     mu, frame = random_two_step_skt(rng, blocks=2, dim_z=2)
-    x = mu.to_coords()
-    nu = LieBracket.from_coords(mu.dim, x / np.linalg.norm(x))
+    nu = LieBracket(mu.coeffs / bracket_norm(mu))
     split = nf.NilpotentSplitting.from_bracket(mu, frame)
     out = nf.gradient_equivalence_check(nu, split)
     assert out["angle"] < 1e-4
@@ -236,8 +235,7 @@ def test_gradient_equivalence_requires_unit_norm(rng):
 def test_non_soliton_has_large_residual(rng):
     # a genuinely flowing initial state is not an algebraic soliton
     mu, frame = random_two_step_skt(rng, blocks=2, dim_z=2)
-    x = mu.to_coords()
-    nu = LieBracket.from_coords(mu.dim, x / np.linalg.norm(x))
+    nu = LieBracket(mu.coeffs / bracket_norm(mu))
     split = nf.NilpotentSplitting.from_bracket(nu, frame)
     cert = nf.soliton_limit_certificate(nu, frame, split=split)
     assert cert.residual > 1e-3
@@ -293,15 +291,15 @@ def test_jmap_round_trip_and_isometry(rng, blocks, dim_z):
 def test_jmap_field_matches_dense_oracle(rng, blocks, dim_z):
     mu, frame = rotated_two_step(rng, blocks, dim_z)
     split = nf.NilpotentSplitting.from_bracket(mu, frame)
-    dense = -infinitesimal_action(nf.p_endomorphism_nil(split, mu), mu).to_coords()
+    dense = -infinitesimal_action(nf.p_endomorphism_nil(split, mu), mu).coeffs.ravel()
     # relative to the unnormalized field: a single Heisenberg block is a
     # soliton, whose normalized field is zero
     scale = np.linalg.norm(dense)
     for normalized in (False, True):
         flow = nf.NilFlow(split, normalized=normalized)
         x = flow.encode(mu)
-        want = engine.normalize_projection(dense, mu.to_coords()) if normalized else dense
-        got = flow.decode(flow.field(x)).to_coords()
+        want = engine.normalize_projection(dense, mu.coeffs.ravel()) if normalized else dense
+        got = flow.decode(flow.field(x)).coeffs.ravel()
         assert np.linalg.norm(got - want) <= 1e-13 * scale
     # P itself, block for block
     p_v = split.v_basis.T @ nf.p_endomorphism_nil(split, mu) @ split.v_basis
