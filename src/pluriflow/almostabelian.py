@@ -416,6 +416,27 @@ class ReducedFlow:
         c = 0.0 if self.mode == A_NORM_FIXED else lam2 * self.c - 0.5 * vv
         return np.concatenate([[c * x[0]], lam2 * self._s0.dot(v) + (c - 0.5 * vv) * v])
 
+    def jacobian(self, x: np.ndarray) -> np.ndarray:
+        """The field's (m + 1) x (m + 1) Jacobian at x = (r, v).  With lam^2
+        = (r / r0)^2 and c = lam^2 c0 - |v|^2 / 2, unnormalized: dr'/dr = c +
+        2 c0 lam^2, dr'/dv = -r v^t, dv'/dr = 2 lam^2 (S0 v + c0 v) / r and
+        dv'/dv = lam^2 S0 + (c - |v|^2 / 2) I - 2 v v^t; with (a, A) frozen,
+        only dv'/dv = S0 - (|v|^2 / 2) I - v v^t is not zero."""
+        v = x[1:]
+        vv = float(v.dot(v))
+        jac = np.zeros((x.size, x.size))
+        if self.mode == A_NORM_FIXED:
+            jac[1:, 1:] = self._s0 - 0.5 * vv * np.eye(v.size) - np.outer(v, v)
+            return jac
+        lam2 = (x[0] / self._r0) ** 2
+        c = lam2 * self.c - 0.5 * vv
+        s0v = self._s0.dot(v)
+        jac[0, 0] = c + 2.0 * self.c * lam2
+        jac[0, 1:] = -x[0] * v
+        jac[1:, 0] = (2.0 * x[0] / self._r0**2) * (s0v + self.c * v)
+        jac[1:, 1:] = lam2 * self._s0 + (c - 0.5 * vv) * np.eye(v.size) - 2.0 * np.outer(v, v)
+        return jac
+
     def _log_lam(self, tau):
         """(log lam, e^(-2 m tau) D) at the times tau (n,)."""
         tc, s, m = tau[:, None], self.sigma, self._m

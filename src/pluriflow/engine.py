@@ -15,6 +15,18 @@ on each of them instead of interpolating.  There is no norm-conserving
 option: a flow keeps a norm through a field tangent to its sphere.  The
 engine is dimension-agnostic: clients encode their state as a flat real
 vector and own the decoding.
+
+A caller that passes the field's Jacobian gets Hairer's stiffness test on
+every accepted DOP853 step (Solving ODEs II, IV.2): h lambda = h |f(y1) -
+k12| / |y1 - z12|, z12 the input of the twelfth stage, is an estimate of h
+times the dominant eigenvalue, and fifteen values above 6.1 (the edge of
+DOP853's stability region; the count starts again after six in a row below
+it) switch the run for good to the L-stable Radau IIA step of order 5 with
+simplified Newton (Solving ODEs II, IV.8).  That step keeps the controller,
+with the exponents of its third-order error estimate, the terminal events and
+the sample landing.  Without a Jacobian, or while the test has not fired, a
+run is the DOP853 run bit for bit.  Field calls are counted as they are made,
+since the Newton iterations of a Radau trial vary in number.
 """
 
 from __future__ import annotations
@@ -90,12 +102,48 @@ _E3[[0, 8, 11]] -= [0.244094488188976377952755905512, 0.733846688281611857341361
                     0.220588235294117647058823529412e-1]
 _E53 = np.stack([_E5, _E3])
 
+# Radau IIA of order 5 (Hairer & Wanner, Solving ODEs II, IV.8), in scipy's
+# form (scipy/integrate/_ivp/radau.py): _RADAU_C are the stage times.  The
+# inverse of its matrix has the real eigenvalue _MU_REAL and the pair
+# _MU_COMPLEX and its conjugate; _RADAU_TI takes the stage increments to that
+# eigenbasis (real form) and _RADAU_T back, so a Newton iteration solves one
+# real and one complex n x n system.  _RADAU_E gives the third-order error
+# estimate, and _RADAU_P the collocation polynomial, whose extrapolation from
+# the last step starts the next step's Newton iteration.
+_S6 = 6**0.5
+_RADAU_C = np.array([(4 - _S6) / 10, (4 + _S6) / 10, 1.0])
+_RADAU_E = np.array([-13 - 7 * _S6, -13 + 7 * _S6, -1.0]) / 3
+_MU_REAL = 3 + 3 ** (2 / 3) - 3 ** (1 / 3)
+_MU_COMPLEX = 3 + 0.5 * (3 ** (1 / 3) - 3 ** (2 / 3)) - 0.5j * (3 ** (5 / 6) + 3 ** (7 / 6))
+_RADAU_T = np.array([
+    [0.09443876248897524, -0.14125529502095421, 0.03002919410514742],
+    [0.25021312296533332, 0.20412935229379994, -0.38294211275726192],
+    [1.0, 1.0, 0.0]])
+_RADAU_TI = np.array([
+    [4.17871859155190428, 0.32768282076106237, 0.52337644549944951],
+    [-4.17871859155190428, -0.32768282076106237, 0.47662355450055044],
+    [0.50287263494578682, -2.57192694985560522, 0.59603920482822492]])
+_RADAU_TI_COMPLEX = _RADAU_TI[1] + 1j * _RADAU_TI[2]
+_RADAU_P = np.array([
+    [13 / 3 + 7 * _S6 / 3, -23 / 3 - 22 * _S6 / 3, 10 / 3 + 5 * _S6],
+    [13 / 3 - 7 * _S6 / 3, -23 / 3 + 22 * _S6 / 3, 10 / 3 - 5 * _S6],
+    [1 / 3, -8 / 3, 10 / 3]])
+_NEWTON_MAXITER = 6
+
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 10.0
 _BETA = 0.04  # PI stabilization exponent
 _ORDER_EXPO = 1 / 8  # the error estimate is O(h^8)
 _EXPO = _ORDER_EXPO - 0.75 * _BETA
+# Hairer's stiffness test: h lambda above _STIFF_HLAMBDA on _STIFF_SUSTAIN
+# accepted steps, the count reset by _NONSTIFF_RESET steps below it
+_STIFF_HLAMBDA = 6.1
+_STIFF_SUSTAIN = 15
+_NONSTIFF_RESET = 6
+# the error a Radau trial reports when its Newton iteration failed on finite
+# values: the rejection shrinks h by _MIN_FACTOR
+_NEWTON_FAILED = 1e8
 _FIXEDPOINT_SUSTAIN = 10  # consecutive accepted steps with |f| below fixedpoint_norm
 _EPS = float(np.finfo(float).eps)
 # floor of the error norms that the step factors divide by: a tiny error's
@@ -136,8 +184,14 @@ class Trajectory:
     terminal_event: str
     n_accepted: int = 0
     n_rejected: int = 0
-    n_field_calls: int = 0
+    n_field_calls: int = 0  # counted at each call, the Radau step's Newton iterations included
     blowup: BlowupFit | None = None
+    stiff_at: float | None = None  # the time the stiffness test switched the run to Radau IIA
+    n_accepted_radau: int = 0  # of n_accepted, the Radau IIA steps
+
+    @property
+    def n_accepted_dop853(self) -> int:
+        return self.n_accepted - self.n_accepted_radau
 
     @property
     def final_state(self) -> np.ndarray:
@@ -204,8 +258,112 @@ def _error_norm(k, h, scale):
     return abs(h) * n5 / math.sqrt((n5 + 0.01 * n3) * scale.size)
 
 
-def integrate(field_fn, x0, horizon: float, config: IntegratorConfig | None = None) -> Trajectory:
-    """Integrate y' = field_fn(y) from t=0 to the horizon or a terminal event."""
+class _RadauStep:
+    """Trial steps of Radau IIA (order 5) with simplified Newton on the
+    transformed system.  The Jacobian is kept across steps and evaluated anew
+    after a step whose iteration converged slowly (more than two iterations at
+    a rate above 1e-3) or before a retry of one that failed on a stale
+    Jacobian; the two inverses of the Newton matrices are formed anew when h
+    or the Jacobian changes."""
+
+    def __init__(self, field_fn, jacobian, y, rel_tol, abs_tol):
+        self.field_fn, self.jacobian = field_fn, jacobian
+        # RADAU5's tolerances: the third-order estimate overstates the error
+        # of the fifth-order step, so it is held to 0.1 rel_tol^(2/3)
+        self.rel_tol = 0.1 * rel_tol ** (2 / 3)
+        self.abs_tol = abs_tol * (self.rel_tol / rel_tol)
+        self.newton_tol = max(10 * _EPS / self.rel_tol, min(0.03, self.rel_tol**0.5))
+        self.jac, self.current_jac = jacobian(y), True
+        self.h_inv = None  # the h of the inverses; None once they are stale
+        self.z = None  # the last accepted step's stage increments (3, n), and its h
+        self.h_last = 0.0
+        self.n_calls = 0
+
+    def _invert(self, h):
+        if self.h_inv != h:
+            eye = np.eye(self.jac.shape[0])
+            self.inv_real = np.linalg.inv((_MU_REAL / h) * eye - self.jac)
+            self.inv_complex = np.linalg.inv((_MU_COMPLEX / h) * eye - self.jac)
+            self.h_inv = h
+
+    def _newton(self, y, h, z, scale):
+        """(converged, iterations, z, rate, finite) of the simplified Newton
+        iteration on the stage increments z (3, n), y + z[i] the stage
+        values, started at the given z."""
+        w = _RADAU_TI.dot(z)
+        stages = np.empty_like(z)
+        dw = np.empty_like(z)
+        dw_norm_old = rate = None
+        for it in range(1, _NEWTON_MAXITER + 1):
+            for i in range(3):
+                stages[i] = self.field_fn(y + z[i])
+            self.n_calls += 3
+            if not np.isfinite(stages).all():
+                return False, it, z, rate, False
+            dw[0] = self.inv_real.dot(stages.T.dot(_RADAU_TI[0]) - (_MU_REAL / h) * w[0])
+            dwc = self.inv_complex.dot(stages.T.dot(_RADAU_TI_COMPLEX) - (_MU_COMPLEX / h) * (w[1] + 1j * w[2]))
+            dw[1], dw[2] = dwc.real, dwc.imag
+            dw_norm = _rms((dw / scale).ravel())
+            if dw_norm_old is not None:
+                rate = dw_norm / dw_norm_old
+                if rate >= 1 or rate ** (_NEWTON_MAXITER - it + 1) / (1 - rate) * dw_norm > self.newton_tol:
+                    return False, it, z, rate, True
+            w += dw
+            z = _RADAU_T.dot(w)
+            if dw_norm == 0 or rate is not None and rate / (1 - rate) * dw_norm < self.newton_tol:
+                return True, it, z, rate, True
+            dw_norm_old = dw_norm
+        return False, _NEWTON_MAXITER, z, rate, True
+
+    def trial(self, y, f, h, rejected_last):
+        """(y1, f1, err) of one trial step of size h from y, where f =
+        field_fn(y).  err is NaN when a field value was not finite and
+        _NEWTON_FAILED when the iteration failed; f1 = field_fn(y1) only
+        when err <= 1, and then the step is taken as accepted."""
+        if self.z is None:
+            z0 = np.zeros((3, y.size))
+        else:  # the last step's collocation polynomial at this step's stages
+            x = 1.0 + (h / self.h_last) * _RADAU_C
+            z0 = self.z.T.dot(_RADAU_P).dot(np.cumprod(np.tile(x, (3, 1)), axis=0)).T - self.z[-1]
+        scale = self.abs_tol + self.rel_tol * np.abs(y)
+        while True:
+            self._invert(h)
+            converged, iters, z, rate, finite = self._newton(y, h, z0, scale)
+            if converged or self.current_jac:
+                break
+            self.jac, self.current_jac, self.h_inv = self.jacobian(y), True, None
+        if not converged:
+            return y, f, _NEWTON_FAILED if finite else math.nan
+        y1 = y + z[-1]
+        ze = z.T.dot(_RADAU_E) / h
+        scale = np.maximum(np.abs(y), np.abs(y1))
+        scale *= self.rel_tol
+        scale += self.abs_tol
+        e = self.inv_real.dot(f + ze)
+        err = _rms(e / scale)
+        if rejected_last and err > 1.0:  # Hairer's second estimate, which damps a stiff component of the first
+            err = _rms(self.inv_real.dot(self.field_fn(y + e) + ze) / scale)
+            self.n_calls += 1
+        if not err <= 1.0:
+            return y1, f, err
+        f1 = self.field_fn(y1)
+        self.n_calls += 1
+        if not np.isfinite(f1).all():
+            return y1, f, math.nan
+        self.z, self.h_last = z, h
+        if iters > 2 and rate > 1e-3:
+            self.jac, self.current_jac, self.h_inv = self.jacobian(y1), True, None
+        else:
+            self.current_jac = False
+        return y1, f1, err
+
+
+def integrate(field_fn, x0, horizon: float, config: IntegratorConfig | None = None, jacobian=None) -> Trajectory:
+    """Integrate y' = field_fn(y) from t=0 to the horizon or a terminal event.
+
+    jacobian(y), the (n, n) matrix of field_fn's derivatives at y, turns on
+    the stiffness test and, once it fires, the Radau IIA step.
+    """
     cfg = config or IntegratorConfig()
     y = np.array(x0, dtype=float)
     t = 0.0
@@ -241,12 +399,17 @@ def integrate(field_fn, x0, horizon: float, config: IntegratorConfig | None = No
         event = FIXED_POINT
     chose_step = event is None
     h = _initial_step(field_fn, y, f, cfg.rel_tol, cfg.abs_tol, horizon) if chose_step else 0.0
+    n_calls = 1 + chose_step
     facold = _ERR_FLOOR  # the last accepted step's error, floored
     h_acc = 0.0  # the last accepted step's size; 0 until one was accepted
     rejected_last = False
     nonfinite_last = False  # the latest trial was rejected with a non-finite error
     k = np.empty((13, y.size))
     rel_tol, abs_tol = cfg.rel_tol, cfg.abs_tol
+    order_expo, expo, beta = _ORDER_EXPO, _EXPO, _BETA
+    radau = stiff_at = None
+    n_radau = 0
+    stiff_count = nonstiff_count = 0
 
     while event is None and t < horizon:
         if n_acc + n_rej >= _MAX_STEPS:
@@ -261,16 +424,20 @@ def integrate(field_fn, x0, horizon: float, config: IntegratorConfig | None = No
             event = NONFINITE if nonfinite_last or math.isnan(h) else STEP_UNDERFLOW
             break
 
-        y1 = _dop853_step(field_fn, y, f, h, k)
-        scale = np.maximum(np.abs(y), np.abs(y1))
-        scale *= rel_tol
-        scale += abs_tol
-        # a non-finite field at the end point rejects the trial: no step could start there
-        err = _error_norm(k, h, scale) if np.isfinite(k[12]).all() else math.nan
+        if radau is None:
+            y1 = _dop853_step(field_fn, y, f, h, k)
+            n_calls += 12
+            scale = np.maximum(np.abs(y), np.abs(y1))
+            scale *= rel_tol
+            scale += abs_tol
+            # a non-finite field at the end point rejects the trial: no step could start there
+            err = _error_norm(k, h, scale) if np.isfinite(k[12]).all() else math.nan
+        else:
+            y1, f1, err = radau.trial(y, f, h, rejected_last)
 
         if not err <= 1.0:  # also rejects a NaN error from a non-finite trial state
             n_rej += 1
-            h *= max(_MIN_FACTOR, _SAFETY * err**-_ORDER_EXPO)
+            h *= max(_MIN_FACTOR, _SAFETY * err**-order_expo)
             rejected_last = True
             nonfinite_last = not math.isfinite(err)
             continue
@@ -278,26 +445,45 @@ def integrate(field_fn, x0, horizon: float, config: IntegratorConfig | None = No
         # accepted
         n_acc += 1
         t = stop if lands else t + h
-        y = y1
-        f = k[12].copy()  # a rejected next trial overwrites k[12]; its retry starts from f
+        if radau is None:
+            if jacobian is not None:
+                # Hairer's stiffness test, on the twelfth stage and the field at y1
+                z12 = y + h * _A[11].dot(k[:11])
+                den = _norm(y1 - z12)
+                if den > 0.0 and h * _norm(k[12] - k[11]) > _STIFF_HLAMBDA * den:
+                    stiff_count, nonstiff_count = stiff_count + 1, 0
+                else:
+                    nonstiff_count += 1
+                    if nonstiff_count == _NONSTIFF_RESET:
+                        stiff_count = 0
+            y = y1
+            f = k[12].copy()  # a rejected next trial overwrites k[12]; its retry starts from f
+        else:
+            n_radau += 1
+            y, f = y1, f1
 
         if err == 0.0:
             factor = _MAX_FACTOR
         else:
-            factor = min(_MAX_FACTOR, _SAFETY * err**-_EXPO * facold**_BETA)
+            factor = min(_MAX_FACTOR, _SAFETY * err**-expo * facold**beta)
         if rejected_last:
             factor = min(factor, 1.0)
         if h_acc > 0.0:
             # Gustafsson's predictive factor (RADAU5): the last two accepted
             # steps' errors forecast the next, so steps that must keep
             # shrinking, as near a blow-up, shrink before a trial is rejected
-            factor = min(factor, _SAFETY * (h / h_acc) * (facold / max(err, _ERR_FLOOR) ** 2) ** _ORDER_EXPO)
+            factor = min(factor, _SAFETY * (h / h_acc) * (facold / max(err, _ERR_FLOOR) ** 2) ** order_expo)
         h_acc = h
         h *= max(_MIN_FACTOR, factor)
         if lands:  # the step was cut short to land, so the controller's h may be too small
             h = max(h, h_free)
         facold = max(err, _ERR_FLOOR)
         rejected_last = nonfinite_last = False
+        if stiff_count == _STIFF_SUSTAIN and radau is None:
+            # the controller starts afresh with the third-order error estimate
+            radau, stiff_at = _RadauStep(field_fn, jacobian, y, rel_tol, abs_tol), t
+            order_expo = expo = 0.25
+            beta, h_acc, facold = 0.0, 0.0, _ERR_FLOOR
 
         if samples is None:
             record(t, y)
@@ -320,10 +506,10 @@ def integrate(field_fn, x0, horizon: float, config: IntegratorConfig | None = No
         terminal_event=event or HORIZON,
         n_accepted=n_acc,
         n_rejected=n_rej,
-        # the field at x0, one call to choose the first step, twelve per trial
-        # and one to measure the degree on BLOWUP
-        n_field_calls=1 + chose_step + 12 * (n_acc + n_rej) + (event == BLOWUP),
+        n_field_calls=n_calls + (radau.n_calls if radau else 0) + (event == BLOWUP),
         blowup=blow,
+        stiff_at=stiff_at,
+        n_accepted_radau=n_radau,
     )
 
 

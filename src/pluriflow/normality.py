@@ -96,7 +96,10 @@ def spectrum_distance(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def normality_flow(e0: np.ndarray, horizon: float, config: engine.IntegratorConfig | None = None):
-    """Integrate E' = 4 [E, [E, E^t]]; returns the engine trajectory plus a decoder."""
+    """Integrate E' = 4 [E, [E, E^t]]; returns the engine trajectory plus a decoder.
+
+    The engine gets the field's Jacobian too: near a normal limit the flow
+    turns stiff, and the run switches to the Radau IIA step there."""
     e0 = np.asarray(e0, dtype=float)
     n = e0.shape[0]
 
@@ -109,6 +112,17 @@ def normality_flow(e0: np.ndarray, horizon: float, config: engine.IntegratorConf
         p *= 4.0
         return p.ravel()
 
+    units = np.eye(n * n).reshape(n * n, n, n)
+
+    def jacobian(x):
+        # the field's derivative along each matrix unit D: with C = [E, E^t]
+        # and C' = D E^t + E D^t - D^t E - E^t D, it is 4 ([D, C] + [E, C'])
+        e = x.reshape(n, n)
+        et, dt = e.T, np.swapaxes(units, 1, 2)
+        comm = e.dot(et) - et.dot(e)
+        dcomm = units @ et + e @ dt - dt @ e - et @ units
+        return (4.0 * (units @ comm - comm @ units + e @ dcomm - dcomm @ e)).reshape(n * n, n * n).T
+
     cfg = config or engine.IntegratorConfig(fixedpoint_norm=1e-12)
-    traj = engine.integrate(field, e0.ravel(), horizon, cfg)
+    traj = engine.integrate(field, e0.ravel(), horizon, cfg, jacobian=jacobian)
     return traj, (lambda x: x.reshape(n, n))

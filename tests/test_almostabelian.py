@@ -622,19 +622,25 @@ def test_diagnostics_one_row(shrink):
 # --- oracles of the exact solution -------------------------------------------
 
 
-def _near_kernel_inputs():
-    """(theta, data): a = 2 and A = diag(-1 x6, R(theta)), R(theta) the rotation
-    generator on the last plane, so k = 3 and c0 = 1; v0 = 0.2 e1 + 0.5 e7.  The
-    pair +-i theta of A lies theta^2 / 2 below c0 in S0, so theta <= 1e-5 counts
-    as ker A (case v) and theta >= 1e-3 does not (case vi).  lam tends to about
-    sqrt(2 c0) / 0.5, and the engine's steps to t = 1e3 grow with lam^2: at
-    0.1 e7 the oracle tests take 25 times as many."""
+def _near_kernel_data(theta, v7=0.5):
+    """a = 2 and A = diag(-1 x6, R(theta)), R(theta) the rotation generator on
+    the last plane, so k = 3 and c0 = 1; v0 = 0.2 e1 + v7 e7.  The pair
+    +-i theta of A lies theta^2 / 2 below c0 in S0, so theta <= 1e-5 counts
+    as ker A (case v) and theta >= 1e-3 does not (case vi).  lam tends to
+    about sqrt(2 c0) / v7, and the fast modes of the field scale with lam^2."""
     v0 = np.zeros(8)
-    v0[0], v0[6] = 0.2, 0.5
+    v0[0], v0[6] = 0.2, v7
+    A = np.diag([-1.0] * 6 + [0.0, 0.0])
+    A[6:, 6:] = [[0.0, -theta], [theta, 0.0]]
+    return aa.AlmostAbelianData(2.0, v0, A, HermitianFrame.pairwise(8).J)
+
+
+def _near_kernel_inputs():
+    """(theta, data) for the theta family of _near_kernel_data, v0 = 0.2 e1 +
+    0.5 e7: the dense field, which has no Jacobian, still integrates it
+    explicitly."""
     for theta in (1e-1, 1e-3, 1e-5, 1e-7, 1e-12):
-        A = np.diag([-1.0] * 6 + [0.0, 0.0])
-        A[6:, 6:] = [[0.0, -theta], [theta, 0.0]]
-        yield theta, aa.AlmostAbelianData(2.0, v0, A, HermitianFrame.pairwise(8).J)
+        yield theta, _near_kernel_data(theta)
 
 
 def _oracle_inputs(rng):
@@ -642,6 +648,9 @@ def _oracle_inputs(rng):
 
     yield from table_one_representatives().values()
     yield from (data for _, data in _near_kernel_inputs())
+    # little weight on the kernel plane: lam^2 tends to about 200, the field
+    # turns stiff, and the oracle's run switches to the Radau step
+    yield _near_kernel_data(1e-5, v7=0.1)
     for m in (2, 4, 8):
         for _ in range(2):
             yield random_skt_almost_abelian(rng, m=m, allow_zero_a=True)
@@ -659,7 +668,8 @@ def _assert_rows_match_oracle(data, mode, horizon):
     cfg = engine.IntegratorConfig()
     exact = aa.integrate_reduced_flow(data, mode, horizon).raw
     flow = aa.ReducedFlow(data, mode)
-    oracle = engine.integrate(flow.field, data.to_state(), horizon, replace(cfg, sample_times=exact.times))
+    oracle = engine.integrate(flow.field, data.to_state(), horizon, replace(cfg, sample_times=exact.times),
+                              jacobian=flow.jacobian)
     assert oracle.terminal_event == exact.terminal_event
     if mode == aa.A_NORM_FIXED:
         assert np.all(exact.states[:, 0] == exact.states[0, 0])  # (a, A) frozen: lam = 1 exactly
@@ -684,6 +694,25 @@ def test_normalized_flow_matches_closed_form(rng):
 def test_exact_state_matches_engine_oracle(rng):
     for data in _oracle_inputs(rng):
         _assert_rows_match_oracle(data, aa.UNNORMALIZED, 1e3)
+
+
+def test_reduced_jacobian_matches_central_differences(rng):
+    from pluriflow.verification import table_one_representatives
+
+    datas = list(table_one_representatives().values())
+    datas += [random_skt_almost_abelian(rng, m=m, allow_zero_a=True) for m in range(2, 9, 2) for _ in range(3)]
+    datas.append(_near_kernel_data(1e-5, v7=0.1))
+    for data in datas:
+        r0, h = data.to_state()[0], 1e-5
+        for mode in (aa.UNNORMALIZED, aa.A_NORM_FIXED):
+            flow = aa.ReducedFlow(data, mode)
+            for lam in (1.0, 0.37, 2.9):
+                x = np.concatenate([[lam * r0], rng.standard_normal(data.m)])
+                jac = flow.jacobian(x)
+                assert jac.shape == (data.m + 1, data.m + 1)
+                fd = np.array([(flow.field(x + h * u) - flow.field(x - h * u)) / (2 * h) for u in np.eye(x.size)]).T
+                # the field is cubic: the central quotient is off by h^2 times its third derivative
+                assert np.abs(jac - fd).max() <= 1e-7 * np.abs(jac).max(), (mode, lam)
 
 
 def _dense_field(data0, mode):

@@ -229,3 +229,148 @@ def test_twelve_field_calls_per_trial(field, x0, event, fixedpoint_norm):
     # one more to measure the degree on BLOWUP
     assert calls[0] == 1 + stepped + 12 * trials + (event == engine.BLOWUP)
     assert traj.n_field_calls == calls[0]
+
+
+# --- the stiffness test and the Radau IIA step ---------------------------------
+
+_MU_STIFF = 1e3
+
+
+def _van_der_pol_stiff(y):
+    return np.array([y[1], _MU_STIFF * (1.0 - y[0] ** 2) * y[1] - y[0]])
+
+
+def _van_der_pol_stiff_jacobian(y):
+    return np.array([[0.0, 1.0], [-2.0 * _MU_STIFF * y[0] * y[1] - 1.0, _MU_STIFF * (1.0 - y[0] ** 2)]])
+
+
+def _normality_field_and_jacobian(e0):
+    from pluriflow import normality
+
+    captured = {}
+
+    def capture(field, x0, horizon, config, jacobian=None):
+        captured["field"], captured["jacobian"] = field, jacobian
+        return engine.Trajectory(times=np.zeros(1), states=x0[None, :], terminal_event=engine.HORIZON)
+
+    integrate = engine.integrate
+    engine.integrate = capture
+    try:
+        normality.normality_flow(e0, horizon=1.0)
+    finally:
+        engine.integrate = integrate
+    return captured["field"], captured["jacobian"]
+
+
+def test_radau_tableau_equals_scipys():
+    from scipy.integrate._ivp import radau
+
+    assert np.array_equal(engine._RADAU_C, radau.C) and np.array_equal(engine._RADAU_E, radau.E)
+    assert engine._MU_REAL == radau.MU_REAL and engine._MU_COMPLEX == radau.MU_COMPLEX
+    assert np.array_equal(engine._RADAU_T, radau.T) and np.array_equal(engine._RADAU_TI, radau.TI)
+    assert np.array_equal(engine._RADAU_TI_COMPLEX, radau.TI_COMPLEX)
+    assert np.array_equal(engine._RADAU_P, radau.P) and engine._NEWTON_MAXITER == radau.NEWTON_MAXITER
+
+
+def test_stiff_van_der_pol_switches_and_matches_scipy_radau():
+    # mu = 1e3 from (2, 0): the slow branch is stiff at once, and the run
+    # crosses the first fast transition, near t = 807, by t = 1000
+    y0 = np.array([2.0, 0.0])
+    traj = engine.integrate(_van_der_pol_stiff, y0, 1000.0, jacobian=_van_der_pol_stiff_jacobian)
+    assert traj.terminal_event == engine.HORIZON and traj.stiff_at is not None and traj.stiff_at < 1.0
+    assert traj.n_accepted_dop853 < 100 < traj.n_accepted_radau
+    ref = solve_ivp(lambda t, y: _van_der_pol_stiff(y), (0, 1000.0), y0, method="Radau",
+                    jac=lambda t, y: _van_der_pol_stiff_jacobian(y), rtol=1e-10, atol=1e-12)
+    assert np.all(np.abs(traj.final_state - ref.y[:, -1]) <= 1e-8 * np.abs(ref.y[:, -1]))
+
+
+def test_stiff_normality_tail_matches_scipy_radau():
+    # the 5x5 normality flow turns stiff near its normal limit: from the state
+    # where the test fired, the tail agrees with scipy's Radau
+    e0 = np.random.default_rng(8).standard_normal((5, 5))
+    field, jacobian = _normality_field_and_jacobian(e0)
+    cfg = engine.IntegratorConfig(fixedpoint_norm=1e-12)
+    traj = engine.integrate(field, e0.ravel(), 40.0, cfg, jacobian=jacobian)
+    assert traj.stiff_at is not None and traj.n_accepted_radau > 0
+    start = int(np.searchsorted(traj.times, traj.stiff_at))
+    ref = solve_ivp(lambda t, y: field(y), (traj.stiff_at, 40.0), traj.states[start], method="Radau",
+                    jac=lambda t, y: jacobian(y), rtol=1e-12, atol=1e-14)
+    assert np.linalg.norm(traj.final_state - ref.y[:, -1]) <= 1e-8 * np.linalg.norm(ref.y[:, -1])
+
+
+def test_jacobian_run_is_the_explicit_run_up_to_the_switch():
+    for field, jacobian, y0, horizon in [
+        (_van_der_pol_stiff, _van_der_pol_stiff_jacobian, np.array([2.0, 0.0]), 2.0),
+        (*_normality_field_and_jacobian(np.random.default_rng(8).standard_normal((5, 5))),
+         np.random.default_rng(8).standard_normal((5, 5)).ravel(), 40.0),
+    ]:
+        plain = engine.integrate(field, y0, horizon)
+        stiff = engine.integrate(field, y0, horizon, jacobian=jacobian)
+        assert plain.stiff_at is None and plain.n_accepted_radau == 0
+        n = int(np.searchsorted(stiff.times, stiff.stiff_at)) + 1  # the rows up to the switch
+        assert stiff.times[n - 1] == stiff.stiff_at and n == stiff.n_accepted_dop853 + 1
+        assert np.array_equal(stiff.times[:n], plain.times[:n])
+        assert np.array_equal(stiff.states[:n], plain.states[:n])
+
+
+def _never_called(y):
+    raise AssertionError("the stiffness test fired")
+
+
+def test_jacobian_run_is_bit_for_bit_when_the_test_never_fires(rng):
+    from pluriflow import nilflow
+    from pluriflow.sampling import random_two_step_skt
+
+    # the Jordan block's collapse is algebraic, never stiff
+    jordan = np.array([0.0, 1.0, 0.0, 0.0])
+    field = _normality_field_and_jacobian(jordan.reshape(2, 2))[0]
+    # a unit-norm 2-step flow to its soliton
+    mu, frame = random_two_step_skt(rng, blocks=2, dim_z=2)
+    flow = nilflow.NilFlow(nilflow.NilpotentSplitting.from_bracket(mu, frame), normalized=True)
+    x0 = flow.encode(mu)
+    for f, y0, horizon, cfg in [
+        (field, jordan, 1e16, engine.IntegratorConfig()),
+        (flow.field, x0 / np.linalg.norm(x0), 1e3, engine.IntegratorConfig(fixedpoint_norm=1e-10)),
+    ]:
+        plain = engine.integrate(f, y0, horizon, cfg)
+        stiff = engine.integrate(f, y0, horizon, cfg, jacobian=_never_called)
+        assert stiff.stiff_at is None and stiff.n_accepted_radau == 0
+        assert np.array_equal(stiff.times, plain.times) and np.array_equal(stiff.states, plain.states)
+        assert (stiff.terminal_event, stiff.n_accepted, stiff.n_rejected, stiff.n_field_calls) == (
+            plain.terminal_event, plain.n_accepted, plain.n_rejected, plain.n_field_calls)
+
+
+@pytest.mark.parametrize("horizon, samples", [(1000.0, None), (500.0, np.linspace(0.0, 500.0, 11))])
+def test_field_calls_are_counted_through_the_radau_step(horizon, samples):
+    calls = [0]
+
+    def f(y):
+        calls[0] += 1
+        return _van_der_pol_stiff(y)
+
+    cfg = engine.IntegratorConfig(sample_times=samples)
+    traj = engine.integrate(f, np.array([2.0, 0.0]), horizon, cfg, jacobian=_van_der_pol_stiff_jacobian)
+    assert traj.n_accepted_radau > 0 and traj.n_rejected > 0
+    assert traj.n_field_calls == calls[0]
+    if samples is not None:
+        assert np.array_equal(traj.times, samples)
+
+
+def test_radau_step_keeps_the_terminal_events():
+    # y' = -y + y^3 / 100 - 1000 (y - z) couples a stiff mode to a slow cubic:
+    # the run switches, then blows up at the slow mode's extinction time
+    def f(y):
+        return np.array([-1000.0 * (y[0] - y[1]), 0.05 * y[1] ** 3])
+
+    def jac(y):
+        return np.array([[-1000.0, 1000.0], [0.0, 0.15 * y[1] ** 2]])
+
+    traj = engine.integrate(f, np.array([0.0, 1.0]), 100.0, jacobian=jac)
+    assert traj.stiff_at is not None and traj.terminal_event == engine.BLOWUP
+    assert abs(traj.blowup.t_est - 10.0) < 1e-6
+    # and a stiff decay to a fixed point ends on FIXED_POINT
+    cfg = engine.IntegratorConfig(fixedpoint_norm=1e-10)
+    decay = engine.integrate(lambda y: -np.array([1000.0, 1.0]) * y, np.ones(2), 1e15, cfg,
+                             jacobian=lambda y: np.diag([-1000.0, -1.0]))
+    assert decay.stiff_at is not None and decay.terminal_event == engine.FIXED_POINT
+    assert np.abs(decay.final_state).max() < 1e-9

@@ -133,9 +133,9 @@ def test_normality_field_matches_oracle_bit_for_bit(rng, monkeypatch):
     fields = []
     integrate = engine.integrate
 
-    def capture(field, y0, horizon, config):
+    def capture(field, y0, horizon, config, jacobian=None):
         fields.append(field)
-        return integrate(field, y0, horizon, config)
+        return integrate(field, y0, horizon, config, jacobian=jacobian)
 
     monkeypatch.setattr(engine, "integrate", capture)
     for n in range(2, 11):
@@ -145,12 +145,41 @@ def test_normality_field_matches_oracle_bit_for_bit(rng, monkeypatch):
             assert np.array_equal(fields[-1](x), _field_oracle(n)(x))
 
 
+def test_normality_jacobian_matches_central_differences(rng, monkeypatch):
+    jacobians = []
+    integrate = engine.integrate
+
+    def capture(field, y0, horizon, config, jacobian=None):
+        jacobians.append(jacobian)
+        return integrate(field, y0, horizon, config, jacobian=jacobian)
+
+    monkeypatch.setattr(engine, "integrate", capture)
+    for n in range(2, 11):
+        normality_flow(np.eye(n), horizon=1e-3)
+        field, h = _field_oracle(n), 1e-5
+        for _ in range(3):
+            x = rng.standard_normal(n * n)
+            jac = jacobians[-1](x)
+            fd = np.array([(field(x + h * u) - field(x - h * u)) / (2 * h) for u in np.eye(n * n)]).T
+            # the field is cubic: the central quotient is off by h^2 times its third derivative
+            assert np.abs(jac - fd).max() <= 1e-7 * np.abs(jac).max(), n
+
+
 def test_normality_flow_matches_oracle_trajectory(rng):
+    # the explicit oracle run is the flow's run bit for bit up to the
+    # stiffness switch; on the tail, where the flow takes the Radau IIA step,
+    # both runs agree within their tolerances
     e0 = rng.standard_normal((5, 5))
     traj, _ = normality_flow(e0, horizon=40.0)
     ref = engine.integrate(_field_oracle(5), e0.ravel(), 40.0, engine.IntegratorConfig(fixedpoint_norm=1e-12))
-    assert np.array_equal(traj.times, ref.times)
-    assert np.array_equal(traj.states, ref.states)
+    assert traj.stiff_at is not None and ref.stiff_at is None
+    n = traj.n_accepted_dop853 + 1
+    assert traj.times[n - 1] == traj.stiff_at
+    assert np.array_equal(traj.times[:n], ref.times[:n])
+    assert np.array_equal(traj.states[:n], ref.states[:n])
+    assert traj.final_time == ref.final_time == 40.0
+    assert np.linalg.norm(traj.final_state - ref.final_state) <= 1e-9 * np.linalg.norm(ref.final_state)
+    assert traj.n_accepted < ref.n_accepted / 2
 
 
 def test_spectrum_distance_handles_collisions():
