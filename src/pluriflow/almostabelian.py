@@ -414,7 +414,13 @@ class ReducedFlow:
         vv = float(v.dot(v))
         lam2 = 1.0 if self.mode == A_NORM_FIXED else (x[0] / self._r0) ** 2
         c = 0.0 if self.mode == A_NORM_FIXED else lam2 * self.c - 0.5 * vv
-        return np.concatenate([[c * x[0]], lam2 * self._s0.dot(v) + (c - 0.5 * vv) * v])
+        out = np.empty_like(x)
+        out[0] = c * x[0]
+        dv = out[1:]  # lam2 S0 v + (c - |v|^2 / 2) v, written in place
+        self._s0.dot(v, out=dv)
+        dv *= lam2
+        dv += (c - 0.5 * vv) * v
+        return out
 
     def jacobian(self, x: np.ndarray) -> np.ndarray:
         """The field's (m + 1) x (m + 1) Jacobian at x = (r, v).  With lam^2

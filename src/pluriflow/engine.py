@@ -204,10 +204,10 @@ class Trajectory:
 
 def normalize_projection(f: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Remove the radial component of f at x so the Euclidean norm is conserved."""
-    nx2 = float(np.dot(x, x))
+    nx2 = float(x.dot(x))
     if nx2 == 0.0:
         raise ValueError("cannot project at the zero state")
-    return f - (np.dot(f, x) / nx2) * x
+    return f - (f.dot(x) / nx2) * x
 
 
 def _norm(v):
@@ -242,7 +242,10 @@ def _dop853_step(field_fn, y, f, h, k):
     """
     k[0] = f
     for s in range(1, 12):
-        k[s] = field_fn(y + h * _A[s].dot(k[:s]))
+        t = _A[s].dot(k[:s])  # the stage input y + h A[s] k, in place
+        t *= h
+        t += y
+        k[s] = field_fn(t)
     y1 = y + h * _B.dot(k[:12])
     k[12] = field_fn(y1)
     return y1

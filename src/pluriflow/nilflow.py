@@ -66,10 +66,10 @@ def ricci_endomorphism(mu: LieBracket) -> np.ndarray:
     <Ric X, Y> = -1/2 sum_ij <mu(X,e_i),e_j><mu(Y,e_i),e_j>
                  + 1/4 sum_ij <mu(e_i,e_j),X><mu(e_i,e_j),Y>.
     """
-    c = mu.coeffs
-    m1 = np.tensordot(c, c, axes=([1, 2], [1, 2]))
-    m2 = np.tensordot(c, c, axes=([0, 1], [0, 1]))
-    return -0.5 * m1 + 0.25 * m2
+    d = mu.dim
+    c1 = mu.coeffs.reshape(d, d * d)  # [X, (i, j)]
+    c2 = mu.coeffs.reshape(d * d, d)  # [(i, j), X]
+    return -0.5 * c1.dot(c1.T) + 0.25 * c2.T.dot(c2)
 
 
 def ricci_koszul(mu: LieBracket) -> np.ndarray:

@@ -218,6 +218,27 @@ def test_reduced_field_fixed_points_and_scaling(steady, shrink):
     assert_allclose(dA, (shrink.a**2 / 4.0) * shrink.A)
 
 
+def _concatenated_field(flow, x):
+    """ReducedFlow.field as one np.concatenate of its two parts: the same
+    operations in the same order as the in-place form."""
+    v = x[1:]
+    vv = float(v.dot(v))
+    lam2 = 1.0 if flow.mode == aa.A_NORM_FIXED else (x[0] / flow._r0) ** 2
+    c = 0.0 if flow.mode == aa.A_NORM_FIXED else lam2 * flow.c - 0.5 * vv
+    return np.concatenate([[c * x[0]], lam2 * flow._s0.dot(v) + (c - 0.5 * vv) * v])
+
+
+@pytest.mark.parametrize("mode", [aa.UNNORMALIZED, aa.A_NORM_FIXED])
+def test_reduced_field_is_bitwise_the_concatenated_formula(rng, mode):
+    for m in (2, 4, 8):
+        data = random_skt_almost_abelian(rng, m=m)
+        flow = aa.ReducedFlow(data, mode)
+        x = data.to_state()
+        for y in (x, x * (1.0 + 0.1 * rng.standard_normal(x.size))):
+            f = flow.field(y)
+            assert f.dtype == y.dtype and np.array_equal(f.view(np.uint64), _concatenated_field(flow, y).view(np.uint64))
+
+
 def test_reduced_field_cubic_homogeneity(rng):
     data = random_skt_almost_abelian(rng, m=4)
     s = 1.7

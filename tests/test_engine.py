@@ -86,6 +86,33 @@ def test_convergence_order_is_eight():
     assert abs(slope - 8.0) < 0.3
 
 
+def test_dop853_step_is_bitwise_the_stage_expression():
+    # the stage inputs y + h * A[s] k, each formed as a new array, give the
+    # step the same bits as the in-place form
+    rng = np.random.default_rng(3)
+    m = rng.standard_normal((6, 6))
+
+    def f(y):
+        return m.dot(np.sin(y)) - 0.3 * y * y
+
+    def reference(y, h):
+        k = np.empty((13, y.size))
+        k[0] = f(y)
+        for s in range(1, 12):
+            k[s] = f(y + h * engine._A[s].dot(k[:s]))
+        y1 = y + h * engine._B.dot(k[:12])
+        k[12] = f(y1)
+        return y1, k
+
+    for h in (0.37, 1e-3):
+        y = rng.standard_normal(6)
+        k = np.empty((13, 6))
+        y1 = engine._dop853_step(f, y, f(y), h, k)
+        y1_ref, k_ref = reference(y, h)
+        assert np.array_equal(y1.view(np.uint64), y1_ref.view(np.uint64))
+        assert np.array_equal(k.view(np.uint64), k_ref.view(np.uint64))
+
+
 def test_tableau_equals_scipys_dop853():
     ref = dop853_coefficients
     assert all(np.array_equal(engine._A[s], ref.A[s, :s]) for s in range(12))

@@ -41,6 +41,14 @@ def test_ricci_matches_koszul_oracle(rng):
         assert np.abs(nf.ricci_endomorphism(mu) - nf.ricci_koszul(mu)).max() < 1e-11
 
 
+def test_ricci_is_bitwise_the_tensordot_formula(rng):
+    for blocks, dim_z in ((1, 2), (2, 2), (3, 4)):
+        mu, _ = random_two_step_skt(rng, blocks=blocks, dim_z=dim_z)
+        c = mu.coeffs
+        want = -0.5 * np.tensordot(c, c, axes=([1, 2], [1, 2])) + 0.25 * np.tensordot(c, c, axes=([0, 1], [0, 1]))
+        assert np.array_equal(nf.ricci_endomorphism(mu).view(np.uint64), want.view(np.uint64))
+
+
 def koszul_loop(mu):
     """Oracle: Ric(x, y) = sum_i <R(e_i, e_x) e_y, e_i>, one curvature vector at a time."""
     d = mu.dim

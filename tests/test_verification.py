@@ -6,10 +6,46 @@ from hypothesis import strategies as st
 from pluriflow import normality, verification
 
 
+def _chunk_stacks(rng):
+    """Oracle: the sweep drawn and built chunk by chunk, with one
+    standard_normal call per size and family, as the suite once drew it."""
+    for lo in range(0, verification.APPENDIX_COUNT, verification.APPENDIX_CHUNK):
+        modes = np.arange(lo, min(lo + verification.APPENDIX_CHUNK, verification.APPENDIX_COUNT)) % 4
+        sizes = rng.integers(2, 11, size=modes.size)
+        for n in np.flatnonzero(np.bincount(sizes)).tolist():
+            counts = np.bincount(modes[sizes == n], minlength=4)
+            plain = rng.standard_normal((counts[0] + counts[3], n, n))
+            x = rng.standard_normal((counts[1], n + 2, n))
+            y = rng.standard_normal((counts[2], 2 * n + 1, n))
+            normal = verification._conjugates(x[:, :n], x[:, n], x[:, n + 1, 0])
+            near = verification._conjugates(y[:, :n], y[:, n]) + 1e-9 * y[:, n + 1 :]
+            yield np.concatenate([plain, normal, near])
+
+
+def _by_size(stacks):
+    """{n: the matrices of size n as rows of bits, in sorted order}."""
+    rows = {}
+    for s in stacks:
+        rows.setdefault(s.shape[-1], []).append(s.reshape(len(s), -1).view(np.uint64))
+    return {n: np.unique(np.concatenate(r), axis=0) for n, r in rows.items()}
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2025935879])
+def test_pooled_appendix_stacks_hold_the_chunk_oracles_matrices(seed):
+    pooled = list(verification._appendix_stacks(np.random.default_rng(seed)))
+    got, want = _by_size(pooled), _by_size(_chunk_stacks(np.random.default_rng(seed)))
+    assert got.keys() == want.keys()
+    for n in want:
+        assert np.array_equal(got[n], want[n]), n
+    # no two draws coincide, so the sorted rows count every matrix
+    assert sum(len(r) for r in want.values()) == sum(len(s) for s in pooled) == verification.APPENDIX_COUNT
+
+
 def test_appendix_stacks_are_bounded_by_the_chunk():
+    # one stack per size and pool of APPENDIX_POOL chunks
     stacks = list(verification._appendix_stacks(np.random.default_rng(1)))
     assert sum(len(s) for s in stacks) == verification.APPENDIX_COUNT
-    assert max(len(s) for s in stacks) <= verification.APPENDIX_CHUNK
+    assert max(len(s) for s in stacks) <= verification.APPENDIX_POOL * verification.APPENDIX_CHUNK
     for s in stacks:
         assert s.ndim == 3 and s.shape[1] == s.shape[2] and 2 <= s.shape[1] <= 10
 
