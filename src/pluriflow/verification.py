@@ -75,8 +75,9 @@ def _chunk_draws(rng, size):
     for n, per_n in shapes.items():
         draws[n] = []
         for s in per_n:
-            draws[n].append(flat[at : at + math.prod(s)].reshape(s))
-            at += math.prod(s)
+            k = math.prod(s)
+            draws[n].append(flat[at : at + k].reshape(s))
+            at += k
     return draws
 
 
