@@ -237,8 +237,9 @@ def _dop853_step(field_fn, y, f, h, k):
     """One DOP853 trial step of size h from y, where f = field_fn(y).
 
     Fills the stages k (13, n) in place with twelve field calls: k[:12] are
-    the stages, and k[12] is the field at the eighth-order end point, which
-    is returned (FSAL).
+    the stages, and k[12] is the field at the eighth-order end point (FSAL).
+    Returns that end point and the twelfth stage's input, which the
+    stiffness test reads.
     """
     k[0] = f
     for s in range(1, 12):
@@ -248,7 +249,7 @@ def _dop853_step(field_fn, y, f, h, k):
         k[s] = field_fn(t)
     y1 = y + h * _B.dot(k[:12])
     k[12] = field_fn(y1)
-    return y1
+    return y1, t
 
 
 def _error_norm(k, h, scale):
@@ -428,7 +429,7 @@ def integrate(field_fn, x0, horizon: float, config: IntegratorConfig | None = No
             break
 
         if radau is None:
-            y1 = _dop853_step(field_fn, y, f, h, k)
+            y1, z12 = _dop853_step(field_fn, y, f, h, k)
             n_calls += 12
             scale = np.maximum(np.abs(y), np.abs(y1))
             scale *= rel_tol
@@ -451,7 +452,6 @@ def integrate(field_fn, x0, horizon: float, config: IntegratorConfig | None = No
         if radau is None:
             if jacobian is not None:
                 # Hairer's stiffness test, on the twelfth stage and the field at y1
-                z12 = y + h * _A[11].dot(k[:11])
                 den = _norm(y1 - z12)
                 if den > 0.0 and h * _norm(k[12] - k[11]) > _STIFF_HLAMBDA * den:
                     stiff_count, nonstiff_count = stiff_count + 1, 0

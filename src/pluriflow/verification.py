@@ -7,6 +7,8 @@ module, so both run the identical checks.
 from __future__ import annotations
 
 import math
+import os
+import threading
 
 import numpy as np
 
@@ -39,10 +41,13 @@ TABLE1_NORM_HORIZON = 120.0  # run length of suite_table1's normalized flow
 # draw of the sizes and one standard_normal call for all of its matrices.  The
 # chunks fix the random stream.  It reports them in pools of APPENDIX_POOL
 # chunks: per pool and size, one stacked QR and product per normal family, and
-# one normality_report.  On a 2-vCPU VM (numpy 2.4), at suite seed 7, the
-# sweep takes 0.12 s in pools of 4 against 0.17 s chunk by chunk, and its peak
-# RSS rises by 6.8 MB against 6.2 MB; pools of 8 are no faster, and whole
-# per-size stacks rise by 16.5 MB.
+# one normality_report.  The pools are drawn in turn and built and reported on
+# one thread per CPU, at most one per pool (_appendix_sweep).  On a 2-vCPU VM
+# (numpy 2.4, OPENBLAS_NUM_THREADS=2), at suite seed 7, the sweep takes 0.19 s
+# on two threads against 0.24 s on one (medians of 15 alternating rounds), and
+# its peak RSS rises by 9.0 MB against 7.8 MB, two pools being in flight at
+# once.  On one thread, pools of 8 were no faster than pools of 4, and whole
+# per-size stacks raised the peak RSS by 16.5 MB.
 APPENDIX_CHUNK = 256
 APPENDIX_POOL = 4
 
@@ -81,23 +86,36 @@ def _chunk_draws(rng, size):
     return draws
 
 
-def _appendix_stacks(rng):
-    """The APPENDIX_COUNT matrices of suite_appendix's sweep, in stacks (k, n, n)
-    of one size n in 2..10 and at most APPENDIX_POOL * APPENDIX_CHUNK matrices.
-    Matrix i is plain for i = 0, 3 mod 4, exactly normal for i = 1 (a
-    conjugate of the angle block) and normal plus a 1e-9 perturbation for
-    i = 2."""
+def _pool_draws(rng):
+    """The draw part of suite_appendix's sweep: per pool of APPENDIX_POOL
+    chunks, in turn, {n: the chunks' draws of size n}.  Drawn in this order,
+    the pools consume the random stream as one serial sweep does."""
     step = APPENDIX_POOL * APPENDIX_CHUNK
     for lo in range(0, APPENDIX_COUNT, step):
         pooled = {}
         for c in range(lo, min(lo + step, APPENDIX_COUNT), APPENDIX_CHUNK):
             for n, draws in _chunk_draws(rng, min(APPENDIX_CHUNK, APPENDIX_COUNT - c)).items():
                 pooled.setdefault(n, []).append(draws)
-        for n in sorted(pooled):
-            plain, x, y = (np.concatenate(family) for family in zip(*pooled[n]))
-            normal = _conjugates(x[:, :n], x[:, n], x[:, n + 1, 0])  # QR seed, diagonal, angle
-            near = _conjugates(y[:, :n], y[:, n]) + 1e-9 * y[:, n + 1 :]  # QR seed, diagonal, perturbation
-            yield np.concatenate([plain, normal, near])
+        yield pooled
+
+
+def _pool_stacks(pooled):
+    """The stacks (k, n, n) of one pool's draws, one per size n in increasing
+    order.  Matrix i is plain for i = 0, 3 mod 4, exactly normal for i = 1 (a
+    conjugate of the angle block) and normal plus a 1e-9 perturbation for
+    i = 2."""
+    for n in sorted(pooled):
+        plain, x, y = (np.concatenate(family) for family in zip(*pooled[n]))
+        normal = _conjugates(x[:, :n], x[:, n], x[:, n + 1, 0])  # QR seed, diagonal, angle
+        near = _conjugates(y[:, :n], y[:, n]) + 1e-9 * y[:, n + 1 :]  # QR seed, diagonal, perturbation
+        yield np.concatenate([plain, normal, near])
+
+
+def _appendix_stacks(rng):
+    """The APPENDIX_COUNT matrices of suite_appendix's sweep, in stacks (k, n, n)
+    of one size n in 2..10 and at most APPENDIX_POOL * APPENDIX_CHUNK matrices."""
+    for pooled in _pool_draws(rng):
+        yield from _pool_stacks(pooled)
 
 
 def normality_bounds_hold(rep: normality.NormalityReport, n: int):
@@ -114,14 +132,73 @@ def normality_bounds_hold(rep: normality.NormalityReport, n: int):
     return henrici & converse & (np.abs(rep.sym_gap - gap / 2) <= r)
 
 
-def suite_appendix(seed: int = 0) -> dict:
-    """Eigenvalue-norm inequality sweep plus normality-flow spot checks."""
-    min_gap = 0.0
-    agree = True
-    for stack in _appendix_stacks(np.random.default_rng(seed)):
+def _report_pool(pooled):
+    """(min_gap, agree, count) of one pool: the least gap, starting from 0.0
+    so that no NaN and no -0.0 is kept, whether all its matrices obey
+    normality_bounds_hold, and how many it holds."""
+    min_gap, agree, count = 0.0, True, 0
+    for stack in _pool_stacks(pooled):
         rep = normality.normality_report(stack)
         min_gap = min(min_gap, float(rep.frobenius_gap.min()), float(rep.sym_gap.min()))
         agree &= bool(normality_bounds_hold(rep, stack.shape[-1]).all())
+        count += len(stack)
+    return min_gap, agree, count
+
+
+def _sweep_workers(pools: int) -> int:
+    """Threads for a sweep of `pools` pools: the CPUs this process may run on,
+    at most one per pool."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    return max(1, min(cpus, pools))
+
+
+def _appendix_sweep(rng):
+    """(min_gap, agree) of the sweep's APPENDIX_COUNT matrices.
+
+    Each worker takes the next pool's draw under a lock, so the pools come off
+    the random stream in the serial order, and then builds and reports it
+    outside the lock: np.linalg.eigvals, the largest cost, releases the GIL.
+    The calling thread is one of the workers; with one CPU it is the only one
+    and no thread is started.  A min starting from 0.0 and an all do not
+    depend on the order of the pools.  The first exception a worker meets
+    stops the others taking pools and is raised here, after every helper
+    thread has been joined."""
+    draws = _pool_draws(rng)
+    lock = threading.Lock()
+    results, errors = [], []
+
+    def work():
+        try:
+            while True:
+                with lock:
+                    pooled = None if errors else next(draws, None)
+                if pooled is None:
+                    return
+                results.append(_report_pool(pooled))
+        except BaseException as exc:  # raised again in the calling thread
+            errors.append(exc)
+
+    pools = -(-APPENDIX_COUNT // (APPENDIX_POOL * APPENDIX_CHUNK))
+    helpers = [threading.Thread(target=work) for _ in range(_sweep_workers(pools) - 1)]
+    try:
+        for thread in helpers:
+            thread.start()
+        work()
+    finally:
+        for thread in helpers:
+            if thread.ident is not None:  # started
+                thread.join()
+    if errors:
+        raise errors[0]
+    count = sum(r[2] for r in results)
+    if count != APPENDIX_COUNT:
+        raise RuntimeError(f"the appendix sweep reported {count} of {APPENDIX_COUNT} matrices")
+    return min([0.0, *(r[0] for r in results)]), all(r[1] for r in results)
+
+
+def suite_appendix(seed: int = 0) -> dict:
+    """Eigenvalue-norm inequality sweep plus normality-flow spot checks."""
+    min_gap, agree = _appendix_sweep(np.random.default_rng(seed))
 
     # Jordan block collapses to the zero matrix; the decay is algebraic
     # (|E| ~ t^(-1/2) by cubic homogeneity), so run to a far horizon and

@@ -80,7 +80,7 @@ def test_convergence_order_is_eight():
     for h in hs:
         y = np.array([1.0])
         for _ in range(round(2.0 / h)):
-            y = engine._dop853_step(f, y, f(y), h, k)
+            y, _ = engine._dop853_step(f, y, f(y), h, k)
         errs.append(abs(y[0] - np.exp(-2.0)))
     slope = np.polyfit(np.log(hs), np.log(errs), 1)[0]
     assert abs(slope - 8.0) < 0.3
@@ -88,7 +88,7 @@ def test_convergence_order_is_eight():
 
 def test_dop853_step_is_bitwise_the_stage_expression():
     # the stage inputs y + h * A[s] k, each formed as a new array, give the
-    # step the same bits as the in-place form
+    # step and its twelfth stage input the same bits as the in-place form
     rng = np.random.default_rng(3)
     m = rng.standard_normal((6, 6))
 
@@ -99,17 +99,19 @@ def test_dop853_step_is_bitwise_the_stage_expression():
         k = np.empty((13, y.size))
         k[0] = f(y)
         for s in range(1, 12):
-            k[s] = f(y + h * engine._A[s].dot(k[:s]))
+            z = y + h * engine._A[s].dot(k[:s])
+            k[s] = f(z)
         y1 = y + h * engine._B.dot(k[:12])
         k[12] = f(y1)
-        return y1, k
+        return y1, z, k
 
     for h in (0.37, 1e-3):
         y = rng.standard_normal(6)
         k = np.empty((13, 6))
-        y1 = engine._dop853_step(f, y, f(y), h, k)
-        y1_ref, k_ref = reference(y, h)
+        y1, z12 = engine._dop853_step(f, y, f(y), h, k)
+        y1_ref, z12_ref, k_ref = reference(y, h)
         assert np.array_equal(y1.view(np.uint64), y1_ref.view(np.uint64))
+        assert np.array_equal(z12.view(np.uint64), z12_ref.view(np.uint64))
         assert np.array_equal(k.view(np.uint64), k_ref.view(np.uint64))
 
 
@@ -338,6 +340,38 @@ def test_jacobian_run_is_the_explicit_run_up_to_the_switch():
         assert stiff.times[n - 1] == stiff.stiff_at and n == stiff.n_accepted_dop853 + 1
         assert np.array_equal(stiff.times[:n], plain.times[:n])
         assert np.array_equal(stiff.states[:n], plain.states[:n])
+
+
+def test_stiffness_test_reads_the_twelfth_stage_input_of_the_step(monkeypatch):
+    # the step's twelfth stage input is the stiffness test's former
+    # z12 = y + h A[11] k[:11], recomputed after the step, bit for bit; a run
+    # that reads the recomputed value is the same run
+    step = engine._dop853_step
+    compared = [0]
+
+    def old_expression(field_fn, y, f, h, k):
+        y1, z12 = step(field_fn, y, f, h, k)
+        z12_old = y + h * engine._A[11].dot(k[:11])
+        assert np.array_equal(z12.view(np.uint64), z12_old.view(np.uint64))
+        compared[0] += 1
+        return y1, z12_old
+
+    e0 = np.random.default_rng(8).standard_normal((5, 5))
+    for field, jacobian, y0, horizon in [
+        (_van_der_pol_stiff, _van_der_pol_stiff_jacobian, np.array([2.0, 0.0]), 1000.0),
+        (*_normality_field_and_jacobian(e0), e0.ravel(), 40.0),
+    ]:
+        kept = engine.integrate(field, y0, horizon, jacobian=jacobian)
+        monkeypatch.setattr(engine, "_dop853_step", old_expression)
+        compared[0] = 0
+        old = engine.integrate(field, y0, horizon, jacobian=jacobian)
+        monkeypatch.setattr(engine, "_dop853_step", step)
+        assert kept.stiff_at is not None and kept.stiff_at == old.stiff_at
+        assert compared[0] >= kept.n_accepted_dop853 > 0  # every DOP853 trial
+        assert np.array_equal(kept.times.view(np.uint64), old.times.view(np.uint64))
+        assert np.array_equal(kept.states.view(np.uint64), old.states.view(np.uint64))
+        assert (kept.terminal_event, kept.n_accepted, kept.n_rejected, kept.n_field_calls) == (
+            old.terminal_event, old.n_accepted, old.n_rejected, old.n_field_calls)
 
 
 def _never_called(y):

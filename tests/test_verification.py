@@ -1,9 +1,14 @@
+import os
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pluriflow import normality, verification
+from pluriflow.verification import normality_bounds_hold
 
 
 def _chunk_stacks(rng):
@@ -48,6 +53,106 @@ def test_appendix_stacks_are_bounded_by_the_chunk():
     assert max(len(s) for s in stacks) <= verification.APPENDIX_POOL * verification.APPENDIX_CHUNK
     for s in stacks:
         assert s.ndim == 3 and s.shape[1] == s.shape[2] and 2 <= s.shape[1] <= 10
+
+
+def _serial_sweep(rng):
+    """Oracle: the sweep on the calling thread alone, stack by stack."""
+    min_gap, agree = 0.0, True
+    for stack in verification._appendix_stacks(rng):
+        rep = normality.normality_report(stack)
+        min_gap = min(min_gap, float(rep.frobenius_gap.min()), float(rep.sym_gap.min()))
+        agree &= bool(normality_bounds_hold(rep, stack.shape[-1]).all())
+    return min_gap, agree
+
+
+def _bits(report):
+    """The suite's dict with each float as its bit pattern."""
+    return {k: np.float64(v).view(np.uint64) if isinstance(v, float) else v for k, v in report.items()}
+
+
+@pytest.mark.parametrize("seed", [0, 376, 2025935879])
+def test_threaded_appendix_sweep_is_the_serial_sweep_bit_for_bit(seed, monkeypatch):
+    threaded = verification.suite_appendix(seed)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    monkeypatch.setattr(threading, "Thread", None)  # one CPU starts no helper thread
+    one_cpu = verification.suite_appendix(seed)
+    monkeypatch.undo()
+    monkeypatch.setattr(verification, "_appendix_sweep", _serial_sweep)
+    serial = verification.suite_appendix(seed)
+    assert _bits(threaded) == _bits(one_cpu) == _bits(serial)
+
+
+def test_sweep_workers_are_capped_by_cpus_and_pools(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4096)))
+    assert [verification._sweep_workers(p) for p in (1, 2, 10)] == [1, 2, 10]
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5})
+    assert [verification._sweep_workers(p) for p in (1, 2, 10)] == [1, 2, 3]
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    assert verification._sweep_workers(10) == 1
+
+
+def test_many_helpers_switching_often_give_the_serial_sweep(monkeypatch):
+    # more workers than cores, and thread switches every microsecond: a pool
+    # drawn twice, lost or reported out of its draw would show in the count
+    # check or in the result
+    started = []
+
+    class Recorded(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)))
+    monkeypatch.setattr(threading, "Thread", Recorded)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        swept = verification._appendix_sweep(np.random.default_rng(0))
+    finally:
+        sys.setswitchinterval(interval)
+    assert swept == _serial_sweep(np.random.default_rng(0))
+    # one worker per pool, the calling thread among them; all joined
+    assert len(started) == 9 and not any(t.is_alive() for t in started)
+
+
+@pytest.mark.parametrize("k", [1, 7, 60])
+def test_a_failed_pool_fails_the_suite(k, monkeypatch):
+    report, calls, lock = normality.normality_report, [0], threading.Lock()
+
+    def fail_on_kth_call(e):
+        with lock:
+            calls[0] += 1
+            if calls[0] == k:
+                raise FloatingPointError(f"call {k}")
+        return report(e)
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(normality, "normality_report", fail_on_kth_call)
+    with pytest.raises(FloatingPointError, match=f"call {k}"):
+        verification.suite_appendix(0)
+
+
+def test_a_helper_threads_failure_is_raised_in_the_calling_thread(monkeypatch):
+    report, helper_failed = normality.normality_report, threading.Event()
+
+    def fail_in_a_helper(e):
+        if threading.current_thread() is not threading.main_thread():
+            helper_failed.set()
+            raise FloatingPointError("helper")
+        assert helper_failed.wait(10.0)  # the helper reports a pool first
+        return report(e)
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(normality, "normality_report", fail_in_a_helper)
+    with pytest.raises(FloatingPointError, match="helper"):
+        verification.suite_appendix(0)
+
+
+def test_a_sweep_that_loses_matrices_fails(monkeypatch):
+    pool_stacks = verification._pool_stacks
+    monkeypatch.setattr(verification, "_pool_stacks", lambda pooled: list(pool_stacks(pooled))[1:])
+    with pytest.raises(RuntimeError, match="of 10000 matrices"):
+        verification.suite_appendix(0)
 
 
 @pytest.mark.parametrize("seed", [0, 2025935879])
