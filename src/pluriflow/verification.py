@@ -42,14 +42,15 @@ TABLE1_NORM_HORIZON = 120.0  # run length of suite_table1's normalized flow
 # chunks fix the random stream.  It reports them in pools of APPENDIX_POOL
 # chunks: per pool and size, one stacked QR and product per normal family, and
 # one normality_report.  The pools are drawn in turn and built and reported on
-# one thread per CPU, at most one per pool (_appendix_sweep).  On a 2-vCPU VM
-# (numpy 2.4, OPENBLAS_NUM_THREADS=2), at suite seed 7, the sweep takes 0.19 s
-# on two threads against 0.24 s on one (medians of 15 alternating rounds), and
-# its peak RSS rises by 9.0 MB against 7.8 MB, two pools being in flight at
-# once.  On one thread, pools of 8 were no faster than pools of 4, and whole
-# per-size stacks raised the peak RSS by 16.5 MB.
+# one thread per CPU, at most one per pool (_appendix_sweep).  Each numpy call
+# hands the GIL between the threads, so fewer, larger pools waste less of
+# them.  On a 2-vCPU VM (numpy 2.4, OPENBLAS_NUM_THREADS=2), at suite seed 7,
+# medians of 15 alternating rounds: pools of 10 (4 pools) take 0.135 s on two
+# threads and 0.227 s on one; pools of 4 (10 pools) 0.176 s and 0.235 s.  The
+# sweep's peak RSS rises by 12.4 MB on two threads in pools of 10, against
+# 8.0 MB on one in pools of 4.
 APPENDIX_CHUNK = 256
-APPENDIX_POOL = 4
+APPENDIX_POOL = 10
 
 
 def _conjugates(seeds, diagonals, angles=None):
