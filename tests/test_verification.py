@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pluriflow import normality, verification
-from pluriflow.verification import normality_bounds_hold
 
 
 def _chunk_stacks(rng):
@@ -61,7 +60,7 @@ def _serial_sweep(rng):
     for stack in verification._appendix_stacks(rng):
         rep = normality.normality_report(stack)
         min_gap = min(min_gap, float(rep.frobenius_gap.min()), float(rep.sym_gap.min()))
-        agree &= bool(normality_bounds_hold(rep, stack.shape[-1]).all())
+        agree &= bool(verification.normality_bounds_hold(rep, stack.shape[-1]).all())
     return min_gap, agree
 
 
