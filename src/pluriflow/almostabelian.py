@@ -49,7 +49,6 @@ __all__ = [
     "gauge_matrix",
     "ReducedFlow",
     "integrate_reduced_flow",
-    "extinction_time",
     "ReducedTrajectory",
     "soliton_certificate",
     "classify",
@@ -598,12 +597,6 @@ def integrate_reduced_flow(
     return ReducedTrajectory(data0=data0, k=flow.k, raw=raw)
 
 
-def extinction_time(data: AlmostAbelianData) -> float:
-    """T of the unnormalized reduced flow from data, inf when it is immortal;
-    finite exactly when classify says FINITE."""
-    return ReducedFlow(data).T
-
-
 @dataclass
 class SolitonCertificate:
     kind: SolitonKind
@@ -669,13 +662,14 @@ class ClassificationReport:
     k: int
     unimodular: bool
     predicted_T: str
+    extinction_time: float  # T of the unnormalized reduced flow, inf when immortal
     predicted_limit: str
     soliton_type_at_limit: SolitonKind
 
 
 def classify(data: AlmostAbelianData) -> ClassificationReport:
     """Asymptotic regime of the reduced flow by (k, a_0, v_0 vs Im A_0), the last
-    read off ReducedFlow's split of S_0, as extinction_time and limit are."""
+    read off ReducedFlow's split of S_0, as its T and limit are."""
     is_skt, k = _skt_k(data)
     if not is_skt:
         raise ValueError("classification requires a pluriclosed structure")
@@ -694,8 +688,9 @@ def classify(data: AlmostAbelianData) -> ClassificationReport:
         case, t_pred, lim, kind = "iii", "INFINITE", "ZERO", SolitonKind.EXPANDING
     elif k == 2:
         case, t_pred, lim, kind = "iv", "INFINITE", "DATA_DEPENDENT", SolitonKind.STEADY
-    elif ReducedFlow(data).top_weight:
+    elif (flow := ReducedFlow(data)).top_weight:
         case, t_pred, lim, kind = "v", "INFINITE", "NONZERO", SolitonKind.STEADY
     else:
         case, t_pred, lim, kind = "vi", "FINITE", "BLOWUP", SolitonKind.SHRINKING
-    return ClassificationReport(case, k, unimodular, t_pred, lim, kind)
+    # for k <= 2, c_0 = (k/4 - 1/2) a^2 <= 0 and ReducedFlow's T is inf
+    return ClassificationReport(case, k, unimodular, t_pred, flow.T if k > 2 else math.inf, lim, kind)

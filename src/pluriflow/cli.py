@@ -89,7 +89,7 @@ def _check_almost_abelian(data: aa.AlmostAbelianData, tol: float) -> dict:
             "k": report.k,
             "unimodular": report.unimodular,
             "predicted_T": report.predicted_T,
-            "extinction_time": aa.extinction_time(data),
+            "extinction_time": report.extinction_time,
             "predicted_limit": report.predicted_limit,
             "soliton_type_at_limit": report.soliton_type_at_limit.value,
         }

@@ -41,14 +41,14 @@ TABLE1_NORM_HORIZON = 120.0  # run length of suite_table1's normalized flow
 # draw of the sizes and one standard_normal call for all of its matrices.  The
 # chunks fix the random stream.  It reports them in pools of APPENDIX_POOL
 # chunks: per pool and size, one stacked QR and product per normal family, and
-# one normality_report.  The pools are drawn in turn and built and reported on
-# one thread per CPU, at most one per pool (_appendix_sweep).  Each numpy call
-# hands the GIL between the threads, so fewer, larger pools waste less of
-# them.  On a 2-vCPU VM (numpy 2.4, OPENBLAS_NUM_THREADS=2), at suite seed 7,
-# medians of 15 alternating rounds: pools of 10 (4 pools) take 0.135 s on two
-# threads and 0.227 s on one; pools of 4 (10 pools) 0.176 s and 0.235 s.  The
-# sweep's peak RSS rises by 12.4 MB on two threads in pools of 10, against
-# 8.0 MB on one in pools of 4.
+# one normality_report.  The pools are drawn in turn and built and reported by
+# a ThreadPoolExecutor of one worker per CPU, at most one per pool
+# (_appendix_sweep).  Each numpy call hands the GIL between the workers, so
+# fewer, larger pools waste less of them.  On a 2-vCPU VM (numpy 2.4,
+# OPENBLAS_NUM_THREADS=2), at suite seed 7, medians of 15 alternating rounds:
+# pools of 10 (4 pools) take 0.135 s on two workers and 0.227 s on one; pools
+# of 4 (10 pools) 0.176 s and 0.235 s.  The sweep's peak RSS rises by 12.4 MB
+# on two workers in pools of 10, against 8.0 MB on one in pools of 4.
 APPENDIX_CHUNK = 256
 APPENDIX_POOL = 10
 
@@ -112,13 +112,6 @@ def _pool_stacks(pooled):
         yield np.concatenate([plain, normal, near])
 
 
-def _appendix_stacks(rng):
-    """The APPENDIX_COUNT matrices of suite_appendix's sweep, in stacks (k, n, n)
-    of one size n in 2..10 and at most APPENDIX_POOL * APPENDIX_CHUNK matrices."""
-    for pooled in _pool_draws(rng):
-        yield from _pool_stacks(pooled)
-
-
 def normality_bounds_hold(rep: normality.NormalityReport, n: int):
     """Whether the report of an n x n matrix E, or of each in a stack, obeys
     three theorems up to roundoff r = 8 n eps |E|^2.  Take a Schur form
@@ -156,41 +149,25 @@ def _sweep_workers(pools: int) -> int:
 def _appendix_sweep(rng):
     """(min_gap, agree) of the sweep's APPENDIX_COUNT matrices.
 
-    Each worker takes the next pool's draw under a lock, so the pools come off
-    the random stream in the serial order, and then builds and reports it
-    outside the lock: np.linalg.eigvals, the largest cost, releases the GIL.
-    The calling thread is one of the workers; with one CPU it is the only one
-    and no thread is started.  A min starting from 0.0 and an all do not
-    depend on the order of the pools.  The first exception a worker meets
-    stops the others taking pools and is raised here, after every helper
-    thread has been joined."""
-    draws = _pool_draws(rng)
-    lock = threading.Lock()
-    results, errors = [], []
+    Each task takes the next pool's draw under a lock, so only the pools being
+    reported are drawn (mapping over _pool_draws would draw them all at once)
+    and they come off the random stream in the serial order, and then builds
+    and reports it outside the lock: np.linalg.eigvals, the largest cost,
+    releases the GIL.  A min starting from 0.0 and an all do not depend on
+    the order of the pools.  A failed task's exception is raised here, the
+    first in task order, once the executor has joined every worker."""
+    from concurrent.futures import ThreadPoolExecutor  # imports logging: kept off `import pluriflow.cli`
 
-    def work():
-        try:
-            while True:
-                with lock:
-                    pooled = None if errors else next(draws, None)
-                if pooled is None:
-                    return
-                results.append(_report_pool(pooled))
-        except BaseException as exc:  # raised again in the calling thread
-            errors.append(exc)
+    draws, lock = _pool_draws(rng), threading.Lock()
+
+    def task(_):
+        with lock:
+            pooled = next(draws)
+        return _report_pool(pooled)
 
     pools = -(-APPENDIX_COUNT // (APPENDIX_POOL * APPENDIX_CHUNK))
-    helpers = [threading.Thread(target=work) for _ in range(_sweep_workers(pools) - 1)]
-    try:
-        for thread in helpers:
-            thread.start()
-        work()
-    finally:
-        for thread in helpers:
-            if thread.ident is not None:  # started
-                thread.join()
-    if errors:
-        raise errors[0]
+    with ThreadPoolExecutor(_sweep_workers(pools)) as executor:
+        results = list(executor.map(task, range(pools)))
     count = sum(r[2] for r in results)
     if count != APPENDIX_COUNT:
         raise RuntimeError(f"the appendix sweep reported {count} of {APPENDIX_COUNT} matrices")

@@ -485,7 +485,7 @@ def test_verdicts_do_not_depend_on_the_data_scale(name):
         data = get_entry(name).data
         data = data.replace(a=s * data.a, v=s * data.v, A=s * data.A)
         cert, rep = aa.soliton_certificate(data), aa.classify(data)
-        return (cert.kind, rep.table_case, rep.unimodular), cert.alpha / s**2, aa.extinction_time(data) * s**2
+        return (cert.kind, rep.table_case, rep.unimodular), cert.alpha / s**2, rep.extinction_time * s**2
 
     labels, alpha, t = verdicts(1.0)
     for s in (1e3, 1e-3, 1e-6, 1e-9, 1e-12):
@@ -513,13 +513,15 @@ def test_classify_invariant_under_scaling_and_unitary(rng, shrink, steady):
 
     reps = table_one_representatives()
     for data in (random_skt_almost_abelian(rng, m=6), shrink, steady, reps["v"], reps["vi"]):
-        base, T = aa.classify(data).table_case, aa.extinction_time(data)
+        rep = aa.classify(data)
+        base, T = rep.table_case, rep.extinction_time
         for s in (1e-3, 1.0, 1e3):
             for _ in range(4):
                 q = random_unitary_commuting(rng, data.m)
                 moved = aa.AlmostAbelianData(s * data.a, s * q @ data.v, s * q @ data.A @ q.T, data.J1)
-                assert aa.classify(moved).table_case == base, s
-                assert_allclose(aa.extinction_time(moved) * s * s, T, rtol=1e-12, err_msg=str(s))
+                moved_rep = aa.classify(moved)
+                assert moved_rep.table_case == base, s
+                assert_allclose(moved_rep.extinction_time * s * s, T, rtol=1e-12, err_msg=str(s))
 
 
 def test_classify_rejects_nilpotent():
@@ -803,15 +805,26 @@ def test_natural_flow_matches_dense_flow(rng):
 def test_extinction_time_matches_classification(shrink, steady, rng):
     from pluriflow.verification import table_one_representatives
 
-    assert aa.extinction_time(shrink) == 0.5
-    assert aa.extinction_time(steady) == np.inf
+    assert aa.classify(shrink).extinction_time == 0.5
+    assert aa.classify(steady).extinction_time == np.inf
     for case, data in table_one_representatives().items():
-        T = aa.extinction_time(data)
+        T = aa.classify(data).extinction_time
         assert abs(T - 13 / 24) <= 1e-15 if case == "vi" else T == np.inf, (case, T)
     for m in (2, 4, 8):
         for _ in range(30):
             data = random_skt_almost_abelian(rng, m=m, allow_zero_a=True)
-            assert (aa.extinction_time(data) < np.inf) == (aa.classify(data).predicted_T == "FINITE")
+            rep = aa.classify(data)
+            assert (rep.extinction_time < np.inf) == (rep.predicted_T == "FINITE")
+
+
+def test_classified_extinction_time_is_the_reduced_flows(rng):
+    # for k <= 2 classify builds no flow and sets T = inf, as the flow's c0 <= 0 does
+    from pluriflow.verification import table_one_representatives
+
+    inputs = list(table_one_representatives().values())
+    inputs += [random_skt_almost_abelian(rng, m=m, allow_zero_a=True) for m in (2, 4, 8) for _ in range(30)]
+    for data in inputs:
+        assert aa.classify(data).extinction_time == aa.ReducedFlow(data).T
 
 
 def test_limit_labels_follow_the_classification():
@@ -832,10 +845,11 @@ def test_limit_labels_follow_the_classification():
 
 
 def test_near_kernel_verdicts_agree_and_keep_the_input():
-    # one split of S0 decides ker A for classify, extinction_time, limit and the
+    # one split of S0 decides ker A for classify, its extinction_time, limit and the
     # BLOWUP event, and v0's weight on a near-kernel plane is kept, not dropped
     for theta, data in _near_kernel_inputs():
-        rep, flow, T = aa.classify(data), aa.ReducedFlow(data), aa.extinction_time(data)
+        rep, flow = aa.classify(data), aa.ReducedFlow(data)
+        T = rep.extinction_time
         assert rep.table_case == ("v" if theta <= 1e-5 else "vi"), theta
         finite = rep.predicted_T == "FINITE"
         assert finite == (T < np.inf) == (flow.limit == "BLOWUP") == (rep.predicted_limit == "BLOWUP"), theta

@@ -8,10 +8,11 @@ import warnings
 import numpy as np
 import pytest
 
+from pluriflow import almostabelian as aa
 from pluriflow import cli, nilflow
 from pluriflow.brackets import LieBracket, basis_change_action
 from pluriflow.catalog import catalog_names, get_entry
-from pluriflow.sampling import random_two_step_skt
+from pluriflow.sampling import random_skt_almost_abelian, random_two_step_skt
 from pluriflow.serialize import dumps_json, format_float, write_csv
 
 
@@ -140,6 +141,20 @@ def test_check_reports_extinction_time():
     steady = json.loads(run_cli(["check", "catalog:steady10"]).stdout)["classification"]
     assert shrink["extinction_time"] == 0.5 and shrink["predicted_T"] == "FINITE"
     assert steady["extinction_time"] == float("inf") and steady["predicted_T"] == "INFINITE"
+
+
+def test_check_builds_one_reduced_flow(monkeypatch, capsys):
+    built = []
+
+    class Counted(aa.ReducedFlow):
+        def __init__(self, *args, **kw):
+            built.append(self)
+            super().__init__(*args, **kw)
+
+    monkeypatch.setattr(aa, "ReducedFlow", Counted)
+    assert cli.main(["check", "catalog:shrink10"]) == 0
+    assert json.loads(capsys.readouterr().out)["classification"]["extinction_time"] == 0.5
+    assert len(built) == 1
 
 
 def test_flow_blowup_summary(tmp_path):
@@ -343,6 +358,10 @@ def test_flow_rejects_non_pluriclosed_almost_abelian(tmp_path):
     assert out.stderr.strip().splitlines() == [f"{path}: initial condition is not pluriclosed"]
 
 
+def _scaled(data, s):
+    return data.replace(a=s * data.a, v=s * data.v, A=s * data.A).to_json_dict()
+
+
 _NAN, _INF = float("nan"), float("inf")
 _SHRINK10 = get_entry("shrink10").data.to_json_dict()
 _AA = {"a": 1.0, "v": [0.1, 0.0], "A": [[-0.5, 0.0], [0.0, -0.5]], "J1": [[0.0, -1.0], [1.0, 0.0]]}
@@ -360,6 +379,9 @@ _NONFINITE_INPUTS = {
         {**_SHRINK10, "a": 1e155 * _SHRINK10["a"], "A": [[1e155 * x for x in row] for row in _SHRINK10["A"]]},
         "the reduced flow overflows: a row is not finite",
     ),
+    # finite input whose squares overflow, so that its k reads 0 and S_0 is NaN:
+    # random SKT data (m = 4) scaled by 1e155
+    "big_k0": (_scaled(random_skt_almost_abelian(np.random.default_rng(0), m=4), 1e155), "arithmetic overflow"),
 }
 
 
@@ -379,7 +401,7 @@ def test_nonfinite_and_overflowing_input_exits_1(tmp_path, command, name):
     assert len(lines) == 1 and message in lines[0], lines
 
 
-@pytest.mark.parametrize("name", ["big_c", "big_v", "big_a"])
+@pytest.mark.parametrize("name", ["big_c", "big_v", "big_a", "big_k0"])
 def test_check_refuses_arithmetic_overflow(tmp_path, name):
     path = tmp_path / f"{name}.json"
     path.write_text(json.dumps(_NONFINITE_INPUTS[name][0]))
@@ -610,6 +632,13 @@ def test_json_numbers_of_every_type_load(tmp_path, capsys):
 
 def test_cli_import_loads_no_scipy():
     code = 'import sys, pluriflow.cli; print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))'
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert out.returncode == 0 and out.stdout.strip() == "[]", out.stdout + out.stderr
+
+
+def test_cli_import_loads_no_thread_pool_or_logging():
+    # the appendix sweep imports concurrent.futures, which imports logging, when it runs
+    code = 'import sys, pluriflow.cli; print(sorted(m for m in sys.modules if m.split(".")[0] in ("concurrent", "logging")))'
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert out.returncode == 0 and out.stdout.strip() == "[]", out.stdout + out.stderr
 

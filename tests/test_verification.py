@@ -26,6 +26,13 @@ def _chunk_stacks(rng):
             yield np.concatenate([plain, normal, near])
 
 
+def _appendix_stacks(rng):
+    """The APPENDIX_COUNT matrices of suite_appendix's sweep, in stacks (k, n, n)
+    of one size n in 2..10 and at most APPENDIX_POOL * APPENDIX_CHUNK matrices."""
+    for pooled in verification._pool_draws(rng):
+        yield from verification._pool_stacks(pooled)
+
+
 def _by_size(stacks):
     """{n: the matrices of size n as rows of bits, in sorted order}."""
     rows = {}
@@ -36,7 +43,7 @@ def _by_size(stacks):
 
 @pytest.mark.parametrize("seed", [0, 1, 2025935879])
 def test_pooled_appendix_stacks_hold_the_chunk_oracles_matrices(seed):
-    pooled = list(verification._appendix_stacks(np.random.default_rng(seed)))
+    pooled = list(_appendix_stacks(np.random.default_rng(seed)))
     got, want = _by_size(pooled), _by_size(_chunk_stacks(np.random.default_rng(seed)))
     assert got.keys() == want.keys()
     for n in want:
@@ -47,7 +54,7 @@ def test_pooled_appendix_stacks_hold_the_chunk_oracles_matrices(seed):
 
 def test_appendix_stacks_are_bounded_by_the_chunk():
     # one stack per size and pool of APPENDIX_POOL chunks
-    stacks = list(verification._appendix_stacks(np.random.default_rng(1)))
+    stacks = list(_appendix_stacks(np.random.default_rng(1)))
     assert sum(len(s) for s in stacks) == verification.APPENDIX_COUNT
     assert max(len(s) for s in stacks) <= verification.APPENDIX_POOL * verification.APPENDIX_CHUNK
     for s in stacks:
@@ -57,7 +64,7 @@ def test_appendix_stacks_are_bounded_by_the_chunk():
 def _serial_sweep(rng):
     """Oracle: the sweep on the calling thread alone, stack by stack."""
     min_gap, agree = 0.0, True
-    for stack in verification._appendix_stacks(rng):
+    for stack in _appendix_stacks(rng):
         rep = normality.normality_report(stack)
         min_gap = min(min_gap, float(rep.frobenius_gap.min()), float(rep.sym_gap.min()))
         agree &= bool(verification.normality_bounds_hold(rep, stack.shape[-1]).all())
@@ -73,7 +80,6 @@ def _bits(report):
 def test_threaded_appendix_sweep_is_the_serial_sweep_bit_for_bit(seed, monkeypatch):
     threaded = verification.suite_appendix(seed)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-    monkeypatch.setattr(threading, "Thread", None)  # one CPU starts no helper thread
     one_cpu = verification.suite_appendix(seed)
     monkeypatch.undo()
     monkeypatch.setattr(verification, "_appendix_sweep", _serial_sweep)
@@ -110,9 +116,9 @@ def test_many_helpers_switching_often_give_the_serial_sweep(monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert swept == _serial_sweep(np.random.default_rng(0))
-    # one worker per pool, the calling thread among them; all joined
+    # at most one worker per pool; all joined
     pools = -(-verification.APPENDIX_COUNT // (verification.APPENDIX_POOL * verification.APPENDIX_CHUNK))
-    assert len(started) == pools - 1 and not any(t.is_alive() for t in started)
+    assert 1 <= len(started) <= min(64, pools) and not any(t.is_alive() for t in started)
 
 
 @pytest.mark.parametrize("k", [1, 7, 30])
@@ -133,19 +139,29 @@ def test_a_failed_pool_fails_the_suite(k, monkeypatch):
 
 
 def test_a_helper_threads_failure_is_raised_in_the_calling_thread(monkeypatch):
-    report, helper_failed = normality.normality_report, threading.Event()
+    report = normality.normality_report
 
     def fail_in_a_helper(e):
         if threading.current_thread() is not threading.main_thread():
-            helper_failed.set()
             raise FloatingPointError("helper")
-        assert helper_failed.wait(10.0)  # the helper reports a pool first
         return report(e)
 
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     monkeypatch.setattr(normality, "normality_report", fail_in_a_helper)
     with pytest.raises(FloatingPointError, match="helper"):
         verification.suite_appendix(0)
+
+
+def test_a_failed_sweep_leaves_no_worker_running(monkeypatch):
+    def fail(e):
+        raise FloatingPointError("pool")
+
+    before = threading.active_count()
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(normality, "normality_report", fail)
+    with pytest.raises(FloatingPointError, match="pool"):
+        verification.suite_appendix(0)
+    assert threading.active_count() == before
 
 
 def test_a_sweep_that_loses_matrices_fails(monkeypatch):
@@ -167,7 +183,7 @@ def test_appendix_normal_draws_are_normal_to_roundoff(seed, monkeypatch):
         return e
 
     monkeypatch.setattr(verification, "_conjugates", keep_normal)
-    for _ in verification._appendix_stacks(np.random.default_rng(seed)):
+    for _ in _appendix_stacks(np.random.default_rng(seed)):
         pass
     # matrix i of the sweep is exactly normal for i = 1 mod 4
     assert sum(len(e) for e in normal) == verification.APPENDIX_COUNT // 4
