@@ -309,7 +309,8 @@ _TAU_GRID = np.linspace(0.0, 1.0, 129)
 # exact kernels the gap is roundoff, below 2e-15 under J-unitary rotations and scalings.
 _TOP_RTOL = 1e-10
 _IMAGE_RTOL = 1e-8  # relative weight of v0 on ker A0 above which v0 leaves Im A0
-# 1 / (i + j + 2)! for the Taylor series of _exp_dd; the terms left out are below 1e-21
+# 1 / (i + j + 2)! for the Taylor series of _exp_dd in p^i q^j, i, j < 20: with
+# 0 >= p >= q >= -1 the terms left out are below 1e-21
 _DD_TERMS = np.array([[1.0 / math.factorial(i + j + 2) for j in range(20)] for i in range(20)])
 
 
@@ -318,18 +319,28 @@ def _phi1(x):
     return np.where(x == 0.0, 1.0, np.expm1(x) / np.where(x == 0.0, 1.0, x))
 
 
+def _powers(z):
+    """z^0, ..., z^19 (the rows of _DD_TERMS) for each entry of z (n,), by
+    running products, so z^n carries n - 1 roundings; |z| <= 1 here."""
+    out = np.empty((z.size, _DD_TERMS.shape[0]))
+    out[:, 0] = 1.0
+    out[:, 1:] = z[:, None]
+    return np.cumprod(out, axis=1, out=out)
+
+
 def _exp_dd(x, y):
     """exp[0, x, y] = int e^(s x + u y) over s, u >= 0, s + u <= 1: shifted by the
-    top point to 0 >= p >= q, sum p^i q^j / (i + j + 2)! while q >= -1, else
-    (exp[0, p] - exp[p, q]) / -q, which cancels at most two bits."""
+    top point to 0 >= p >= q, sum p^i q^j / (i + j + 2)! while q >= -1, the
+    powers by running products (_powers), else (exp[0, p] - exp[p, q]) / -q,
+    which cancels at most two bits."""
     hi = np.maximum(0.0, np.maximum(x, y))
     a, b, c = -hi, x - hi, y - hi
     q = np.minimum(np.minimum(a, b), c)
     p = np.maximum(np.minimum(a, b), np.minimum(np.maximum(a, b), c))
     qf = np.minimum(q, -1.0)
     out = (_phi1(p) - np.exp(p) * _phi1(qf - p)) / -qf
-    near, n = q >= -1.0, np.arange(_DD_TERMS.shape[0])
-    out[near] = ((p[near][:, None] ** n @ _DD_TERMS) * q[near][:, None] ** n).sum(axis=1)
+    near = q >= -1.0
+    out[near] = ((_powers(p[near]) @ _DD_TERMS) * _powers(q[near])).sum(axis=1)
     return np.exp(hi) * out
 
 
@@ -337,9 +348,15 @@ def _root(g, lo, hi=None):
     """Where g(tau) = (value, slope), increasing, crosses 0 above lo, g(lo) <= 0:
     the bracket's upper end starts at hi (by default max(1, 2 lo)) and doubles
     until g > 0 there, then Newton steps from it, the first on that same
-    evaluation, bisecting where one leaves the bracket.  A value within 4 eps
-    of 0 is a root: g is a log, resolved to its last bits, and past that point
-    Newton only wanders."""
+    evaluation, bisecting where they leave the bracket.  Each Newton step is
+    taken in log tau, tau e^(-g / (tau g')), and in tau, and the farther one
+    that stays in the bracket is kept: that is the step in tau right of the
+    root (g > 0), the step in log tau left of it.  g = log(t(tau) / t) is near
+    linear in log tau while t(tau) grows like a power of tau, and the log
+    norm, or log(T - t(tau)), near linear in tau once it moves exponentially,
+    where a step in log tau alone falls short of the root.  A value
+    within 4 eps of 0 is a root: g is a log, resolved to its last bits, and
+    past that point Newton only wanders."""
     tol = 4.0 * engine._EPS
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         hi = np.maximum(1.0, 2.0 * lo) if hi is None else hi
@@ -352,9 +369,12 @@ def _root(g, lo, hi=None):
             val, slope = g(hi)
         x = step = hi
         for _ in range(200):
-            lo, hi = np.where(val > 0, lo, x), np.where(val > 0, x, hi)
-            step = x - val / slope
-            step = np.where((step >= lo) & (step <= hi), step, 0.5 * (lo + hi))
+            right = val > 0
+            lo, hi = np.where(right, lo, x), np.where(right, x, hi)
+            linear, geometric = x - val / slope, x * np.exp(-val / (x * slope))
+            far, near = np.where(right, linear, geometric), np.where(right, geometric, linear)
+            step = np.where((near >= lo) & (near <= hi), near, 0.5 * (lo + hi))
+            step = np.where((far >= lo) & (far <= hi), far, step)
             if np.all((np.abs(step - x) <= tol * x) | (np.abs(val) <= tol)):
                 break
             x = step
@@ -463,16 +483,24 @@ class ReducedFlow:
         return tau * _phi1(x) + tau * tau * (_exp_dd(x[:, None], 2.0 * (self.sigma - self.c) * tau[:, None]) @ self._b2)
 
     def tau_at(self, t):
-        """tau at the times 0 < t < T: the root of _horizon_g(t), with the
-        bracket from _tau0(t)."""
-        return t if self.mode == A_NORM_FIXED else _root(self._horizon_g(t), 0.0 * t, self._tau0(t))
+        """tau at the times 0 < t < T: the root of _horizon_g(t, late), late
+        where t >= T / 2, with the bracket from _tau0(t)."""
+        if self.mode == A_NORM_FIXED:
+            return t
+        tau, late = np.empty_like(t), t >= 0.5 * self.T
+        for form in (False, True):
+            if (part := late == form).any():
+                tau[part] = _root(self._horizon_g(t[part], form), 0.0 * t[part], self._tau0(t[part]))
+        return tau
 
-    def _horizon_g(self, t):
-        """g(tau) = log(t(tau) / t), or, when T is finite, log((T - t) /
-        (T - t(tau))), with its slope from dt/dtau = lam^-2.  T - t(tau) is
-        the extinction time of the state at tau: [1 + w^t (c0 - S0)^+ w / 2] /
-        (2 c0 lam^2), since the state's (c, S) are lam^2 (c0, S0)."""
-        if self.T < math.inf:
+    def _horizon_g(self, t, late):
+        """g(tau) = log(t(tau) / t), or, when late (t >= T / 2), log((T - t) /
+        (T - t(tau))), with its slope from dt/dtau = lam^-2.  T - t(tau) is the
+        extinction time of the state at tau: [1 + w^t (c0 - S0)^+ w / 2] /
+        (2 c0 lam^2), since the state's (c, S) are lam^2 (c0, S0).  The first
+        form resolves t(tau) to the relative accuracy of t, the second T -
+        t(tau) to that of T - t, which is finer once t >= T / 2."""
+        if late:
 
             def g(tau):
                 _, w, dt = self._at(tau)

@@ -73,7 +73,9 @@ def write_csv(path_or_file, columns: dict):
     """Write named columns (equal-length arrays) as CSV with 17-digit floats.
 
     The text is format_float's, cell for cell: a finite table goes through
-    one "%.17g" row template, any other row by row through format_float."""
+    one "%.17g" row template, with each column whose cells are all equal
+    formatted once into it, and any other table row by row through
+    format_float."""
     names = list(columns)
     cols = [np.asarray(columns[n], dtype=float) for n in names]
     lengths = {n: len(c) for n, c in zip(names, cols)}
@@ -84,8 +86,9 @@ def write_csv(path_or_file, columns: dict):
         with np.errstate(invalid="ignore"):  # a signaling NaN stays a NaN
             table = np.stack(cols, axis=1) + 0.0  # -0.0 + 0.0 is 0.0: a zero prints as 0 whatever its sign
         if np.isfinite(table).all():
-            row = ",".join(["%.17g"] * len(cols)) + "\n"
-            text += (row * len(cols[0])) % tuple(table.ravel().tolist())
+            same = (table == table[0]).all(axis=0)  # equal cells print alike: every zero is +0.0 here
+            row = ",".join("%.17g" % x if c else "%.17g" for x, c in zip(table[0].tolist(), same)) + "\n"
+            text += (row * len(cols[0])) % tuple(table[:, ~same].ravel().tolist())
         else:
             text += "".join(",".join(map(format_float, r)) + "\n" for r in table.tolist())
     if hasattr(path_or_file, "write"):

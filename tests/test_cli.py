@@ -314,6 +314,14 @@ def test_write_csv_matches_the_per_value_writer(rng):
         {"bits": bits[:1500], "more": bits[1500:]},
         {"n": np.array([2**53 + 1, 2**62 + 12345, -(2**63), 7], dtype=np.int64), "b": [True, False, True, True]},
         {"t": np.linspace(0.0, 1.0, 129)},
+        # constant columns are formatted once into the row template
+        {"a": np.full(7, 0.1), "b": np.full(7, -3e300), "c": np.full(7, 5e-324)},
+        {"t": np.linspace(0.0, 1.0, 5), "a": np.arange(5.0)},
+        {"t": [1.5], "a": [-0.0], "b": [2.0]},
+        {"t": np.linspace(0.0, 1.0, 129), "c": np.append(np.full(128, 7.0), np.nextafter(7.0, 8.0))},
+        {"z": np.array([0.0, -0.0, 0.0, -0.0]), "w": np.full(4, -0.0), "t": np.arange(4.0)},
+        {"n": np.full(3, 2**53 + 1, dtype=np.int64), "k": np.arange(3), "b": np.ones(3, dtype=bool)},
+        {"c": np.full(3, 2.5), "x": np.array([np.nan, 1.0, 2.0]), "i": np.full(3, np.inf)},
         {"t": [], "a": np.array([])},
         {},
     ]
