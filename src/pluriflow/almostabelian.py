@@ -598,7 +598,11 @@ def integrate_reduced_flow(
     flow = ReducedFlow(data0, mode)
     event, t_end = engine.HORIZON, float(horizon)
     if mode == UNNORMALIZED and flow.T < math.inf:
-        tau_b = _root(flow._log_norm, np.zeros(1))
+        # log |x| tends to a line of slope c - m, which starts the bracket
+        # near the root, where doubling from 1 spent most of the evaluations
+        lo, rate = np.zeros(1), flow.c - flow._m
+        hi = np.maximum(1.0, -flow._log_norm(lo)[0] / rate) if rate > 0 else None
+        tau_b = _root(flow._log_norm, lo, hi)
         t_b = float(flow.times(tau_b)[0])
         if t_b <= t_end:
             event, tau_end, t_end = engine.BLOWUP, tau_b, t_b

@@ -7,7 +7,6 @@ Lie-algebra actions on brackets are written against it.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,8 +14,6 @@ import numpy as np
 from .serialize import json_int, json_number
 
 __all__ = [
-    "InnerProductConvention",
-    "DEFAULT_CONVENTION",
     "LieBracket",
     "bracket_eval",
     "jacobi_residual",
@@ -33,23 +30,6 @@ __all__ = [
 
 # Relative singular-value cutoff for all numerical rank decisions.
 RANK_RTOL = 1e-9
-
-
-class InnerProductConvention(enum.Enum):
-    """Pairing convention for the inner product on bracket space.
-
-    ORDERED_PAIRS sums the coefficient products over all ordered index pairs
-    (i, j); UNORDERED_PAIRS only over i < j, i.e. half the ordered value.
-    """
-
-    ORDERED_PAIRS = "ordered"
-    UNORDERED_PAIRS = "unordered"
-
-
-# Pinned so that the moment map m(mu) = (4/|mu|^2) Ric(mu) satisfies the
-# defining identity <m(mu), A> |mu|^2 = <pi(A) mu, mu>.  The unordered
-# convention fails that identity by a factor of two (see tests).
-DEFAULT_CONVENTION = InnerProductConvention.ORDERED_PAIRS
 
 
 @dataclass(frozen=True)
@@ -164,21 +144,21 @@ def infinitesimal_action(a: np.ndarray, mu: LieBracket) -> LieBracket:
     return LieBracket(out)
 
 
-def bracket_inner_product(
-    mu: LieBracket,
-    nu: LieBracket,
-    convention: InnerProductConvention = DEFAULT_CONVENTION,
-) -> float:
+def bracket_inner_product(mu: LieBracket, nu: LieBracket) -> float:
+    """Sum of the coefficient products over all ordered index pairs (i, j).
+
+    The pairing is pinned: only with it does the moment map
+    m(mu) = (4/|mu|^2) Ric(mu) satisfy its defining identity
+    <m(mu), A> |mu|^2 = <pi(A) mu, mu>.  The sum over i < j alone is half of
+    it and fails the identity by a factor of two; suite_identities scores both.
+    """
     if mu.dim != nu.dim:
         raise ValueError("brackets must share the same dimension")
-    full = float(np.einsum("ijk,ijk->", mu.coeffs, nu.coeffs))
-    if convention is InnerProductConvention.UNORDERED_PAIRS:
-        return 0.5 * full
-    return full
+    return float(np.einsum("ijk,ijk->", mu.coeffs, nu.coeffs))
 
 
-def bracket_norm(mu: LieBracket, convention: InnerProductConvention = DEFAULT_CONVENTION) -> float:
-    return float(np.sqrt(bracket_inner_product(mu, mu, convention)))
+def bracket_norm(mu: LieBracket) -> float:
+    return float(np.sqrt(bracket_inner_product(mu, mu)))
 
 
 def nullspace(m: np.ndarray) -> np.ndarray:

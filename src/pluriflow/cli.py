@@ -232,7 +232,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     c = sub.add_parser("check", help="algebraic SKT/soliton/classification checks")
     c.add_argument("input", help="JSON file or catalog:NAME")
-    c.add_argument("--tol", type=_positive, default=_CHECK_TOL)
+    c.add_argument(
+        "--tol",
+        type=_positive,
+        default=_CHECK_TOL,
+        help="relative cutoff of the 2-step SKT verdict (dc_residual / |mu|^2) and of the almost-abelian soliton "
+        "certificate; the almost-abelian SKT verdict always reads its closure at 1e-9",
+    )
     c.add_argument("--require-skt", action="store_true", help="exit 2 if the input is not SKT")
     c.set_defaults(fn=cmd_check)
 

@@ -19,7 +19,6 @@ import numpy as np
 from . import engine
 from .brackets import (
     RANK_RTOL,
-    InnerProductConvention,
     LieBracket,
     bracket_inner_product,
     bracket_norm,
@@ -37,7 +36,6 @@ __all__ = [
     "p_endomorphism_nil",
     "moment_map",
     "functional_F",
-    "verify_moment_convention",
     "NilFlow",
     "integrate_nil_flow",
     "NilTrajectory",
@@ -159,29 +157,6 @@ def functional_F(split: NilpotentSplitting, mu: LieBracket | None = None) -> flo
     return 16.0 * float(np.sum(p * p)) / n2**2
 
 
-def verify_moment_convention(mu: LieBracket, rng=None, trials: int = 32) -> dict:
-    """Max residual of <m(mu),A>|mu|^2 = <pi(A)mu,mu> for both pairing conventions.
-
-    Pins the bracket-space inner product: the convention shipped as default
-    must drive this residual to roundoff.  Each trial draws one symmetric A
-    from rng and scores both conventions on it.
-    """
-    rng = np.random.default_rng(0) if rng is None else rng
-    d = mu.dim
-    ric = ricci_endomorphism(mu)
-    n2 = {conv: bracket_inner_product(mu, mu, conv) for conv in InnerProductConvention}
-    out = dict.fromkeys(InnerProductConvention, 0.0)
-    for _ in range(trials):
-        a = rng.standard_normal((d, d))
-        a = 0.5 * (a + a.T)
-        pa = infinitesimal_action(a, mu)
-        for conv in InnerProductConvention:
-            lhs = float(np.sum((4.0 / n2[conv]) * ric * a)) * n2[conv]
-            rhs = bracket_inner_product(pa, mu, conv)
-            out[conv] = max(out[conv], abs(lhs - rhs) / max(1.0, abs(rhs)))
-    return out
-
-
 class NilFlow:
     """Vector field of the (optionally norm-normalized) 2-step bracket flow.
 
@@ -189,7 +164,7 @@ class NilFlow:
     is its j-map: for each centre basis vector z_k the skew matrix j_k on v with
     <j_k x, y> = <[x, y], z_k>, taken in the splitting's orthonormal V and Z
     bases.  A state stacks the strict upper triangles of j_1, ..., j_dimz,
-    scaled by sqrt(2), so its Euclidean norm is the ORDERED_PAIRS bracket norm.
+    scaled by sqrt(2), so its Euclidean norm is the bracket norm.
     On it Ric|_v = 1/2 sum_k j_k^2 = -1/2 s^t s, with s the j_k stacked as rows,
     P is the J_v-invariant part of Ric|_v with J_v = V^t J V, and the field is
     j_k' = j_k P + P j_k.

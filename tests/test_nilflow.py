@@ -5,7 +5,6 @@ from numpy.testing import assert_allclose
 from pluriflow import engine, hermitian
 from pluriflow import nilflow as nf
 from pluriflow.brackets import (
-    InnerProductConvention,
     LieBracket,
     basis_change_action,
     bracket_inner_product,
@@ -148,10 +147,22 @@ def test_moment_map_zero_bracket_raises():
 
 
 def test_convention_pin():
+    # <m(mu), A> |mu|^2 = <pi(A) mu, mu>, m(mu) = (4/|mu|^2) Ric, holds for the
+    # ordered pairing; its half, the sum over i < j alone, misses by a factor of two
     mu, _ = kodaira_bracket()
-    res = nf.verify_moment_convention(mu)
-    assert res[InnerProductConvention.ORDERED_PAIRS] < 1e-12
-    assert res[InnerProductConvention.UNORDERED_PAIRS] > 0.1
+    rng = np.random.default_rng(0)
+    ric = nf.ricci_endomorphism(mu)
+    n2 = bracket_inner_product(mu, mu)
+    worst = {1.0: 0.0, 0.5: 0.0}  # by the pairing's scale against the ordered one
+    for _ in range(32):
+        a = rng.standard_normal((mu.dim, mu.dim))
+        a = 0.5 * (a + a.T)
+        full = bracket_inner_product(infinitesimal_action(a, mu), mu)
+        for s in worst:
+            lhs, rhs = float(np.sum((4.0 / (s * n2)) * ric * a)) * (s * n2), s * full
+            worst[s] = max(worst[s], abs(lhs - rhs) / max(1.0, abs(rhs)))
+    assert worst[1.0] < 1e-12
+    assert worst[0.5] > 0.1
 
 
 def test_functional_scale_invariance_and_lower_bound(rng):
