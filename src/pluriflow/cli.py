@@ -130,6 +130,21 @@ def _overflowed(report) -> bool:
     return isinstance(report, float) and not math.isfinite(report)
 
 
+def _out_of_memory_is_one_line(cmd):
+    """Wrap cmd so that a MemoryError, which a large enough input brings
+    about, ends it with one line naming the input and exit 1."""
+
+    @functools.wraps(cmd)
+    def run(args) -> int:
+        try:
+            return cmd(args)
+        except MemoryError:
+            raise SystemExit(f"{args.input}: out of memory") from None
+
+    return run
+
+
+@_out_of_memory_is_one_line
 def cmd_check(args) -> int:
     # finite input can still overflow; the report below refuses it, so numpy's
     # floating-point warnings would only repeat that on stderr
@@ -143,6 +158,7 @@ def cmd_check(args) -> int:
     return 0
 
 
+@_out_of_memory_is_one_line
 def cmd_flow(args) -> int:
     kind, data = _load_input(args.input)
     samples = np.linspace(0.0, args.horizon, args.samples) if args.samples else None

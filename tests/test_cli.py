@@ -433,6 +433,24 @@ def test_normalized_flow_names_the_overflow(tmp_path):
     assert out.stderr.strip().splitlines() == [f"{path}: arithmetic overflow: the bracket's norm is not finite"]
 
 
+def test_out_of_memory_exits_1_with_one_line(tmp_path, monkeypatch, capsys):
+    # a MemoryError stands in for the dense d^4 arrays of a large input
+    path = tmp_path / "kodaira.json"
+    path.write_text(json.dumps({"dim": 4, "entries": [{"i": 1, "j": 2, "k": 3, "c": 1.0}]}))
+
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "is_skt_general", out_of_memory)
+    monkeypatch.setattr(nilflow, "integrate_nil_flow", out_of_memory)
+    for command in ("check", "flow"):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, str(path)])
+        # SystemExit with a message prints it to stderr and exits 1
+        assert exc.value.code == f"{path}: out of memory"
+        assert capsys.readouterr().out == ""
+
+
 # [e1, e3] = [e2, e4] = e5 on R^6 with the pairwise J: 2-step, centre span(e5, e6),
 # J integrable, and max|dc| / |mu|^2 = 1/2, so not pluriclosed at any scale
 _NON_SKT_TWO_STEP = [(1, 3, 5), (2, 4, 5)]

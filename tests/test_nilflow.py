@@ -12,6 +12,7 @@ from pluriflow.brackets import (
     center,
     derivation_space,
     infinitesimal_action,
+    jacobi_residual,
 )
 from pluriflow.catalog import kodaira_bracket
 from pluriflow.hermitian import HermitianFrame
@@ -291,6 +292,8 @@ def test_equivariance_of_moment_map(rng):
 
 # d = 4 with its single pair, and every (blocks, dim_z) split of perfbench's nil_flow workload (d = 6..14)
 NIL_SPLITS = [(1, 2), (2, 2), (2, 4), (3, 4), (4, 4), (4, 6)]
+# a split for each even d = 4..16
+SPLITS_TO_16 = NIL_SPLITS + [(4, 8)]
 
 
 @pytest.mark.parametrize("blocks, dim_z", NIL_SPLITS)
@@ -340,6 +343,27 @@ def index_field(flow, x):
     p = 0.5 * (ric - j_v @ ric @ j_v)
     out = np.sqrt(2.0) * (j @ p + p @ j)[:, iu, ju].ravel()
     return engine.normalize_projection(out, x) if flow.normalized else out
+
+
+def matmul_field(flow, x):
+    """Oracle: NilFlow.field's products written with the @ operator."""
+    dim_z, dim_v, _ = flow._shape
+    t = (x.reshape(dim_z, -1) @ flow._unpack_t).reshape(-1, dim_v)
+    tp = (t @ (t.T @ t)).reshape(dim_z, -1)
+    out = (tp[:, : dim_v * dim_v] @ flow._pack).ravel()
+    return engine.normalize_projection(out, x) if flow.normalized else out
+
+
+@pytest.mark.parametrize("blocks, dim_z", NIL_SPLITS[1:])
+def test_field_is_bitwise_the_matmul_products(rng, blocks, dim_z):
+    mu, frame = rotated_two_step(rng, blocks, dim_z)
+    split = nf.NilpotentSplitting.from_bracket(mu, frame)
+    x0 = nf.NilFlow(split).encode(mu)
+    states = [x0] + [s * rng.standard_normal(x0.size) for s in (1e-3, 1.0, 1e3) for _ in range(20)]
+    for normalized in (False, True):
+        flow = nf.NilFlow(split, normalized=normalized)
+        for x in states:
+            assert np.array_equal(flow.field(x), matmul_field(flow, x))
 
 
 @pytest.mark.parametrize("blocks, dim_z", NIL_SPLITS)
@@ -441,6 +465,29 @@ def test_jmap_skt_residual_on_flow_states(rng):
         assert np.array_equal(traj.diagnostics()["skt_residual"], traj.flow.skt_residual(traj.raw.states))
 
 
+@pytest.mark.parametrize("blocks, dim_z", SPLITS_TO_16)
+def test_skt_residual_does_not_depend_on_the_stack_size(rng, monkeypatch, blocks, dim_z):
+    # a budget of 1 byte takes one state at a time, 1 << 40 all states at once
+    mu, frame = rotated_two_step(rng, blocks, dim_z)
+    flow = nf.NilFlow(nf.NilpotentSplitting.from_bracket(mu, frame))
+    x0 = flow.encode(mu)
+    states = np.vstack([x0, 3.7 * x0 + rng.standard_normal((300, x0.size))])
+    want = flow.skt_residual(states)
+    for budget in (1, 1 << 40):
+        monkeypatch.setattr(nf, "_SKT_BYTES", budget)
+        assert np.array_equal(flow.skt_residual(states), want)
+
+
+@pytest.mark.parametrize("blocks, dim_z", NIL_SPLITS[1:])
+def test_skt_residual_of_a_trajectory_does_not_depend_on_the_stack_size(rng, monkeypatch, blocks, dim_z):
+    mu, frame = random_two_step_skt(rng, blocks=blocks, dim_z=dim_z)
+    traj = nf.integrate_nil_flow(mu, frame, 1e3, "unit_norm")
+    want = traj.diagnostics()["skt_residual"]
+    for budget in (1, 1 << 40):
+        monkeypatch.setattr(nf, "_SKT_BYTES", budget)
+        assert np.array_equal(traj.flow.skt_residual(traj.raw.states), want)
+
+
 def test_diagnostics_build_no_dense_bracket(rng, monkeypatch):
     mu, frame = rotated_two_step(rng, 2, 4)
     traj = nf.integrate_nil_flow(mu, frame, 10.0, "unit_norm")
@@ -463,6 +510,54 @@ def test_integrate_refuses_overflow_and_nan_residual(monkeypatch):
     for normalization in ("none", "unit_norm"):
         with pytest.raises(ValueError, match="not pluriclosed"):
             nf.integrate_nil_flow(mu, frame, 1.0, normalization)
+
+
+def test_integrate_reads_no_jacobi_residual_on_a_two_step_bracket(rng, monkeypatch):
+    def forbidden(mu):
+        raise AssertionError("an accepted splitting needs no Jacobi check")
+
+    monkeypatch.setattr(nf, "jacobi_residual", forbidden)
+    for blocks, dim_z in NIL_SPLITS:
+        mu, frame = rotated_two_step(rng, blocks, dim_z)
+        for normalization in ("none", "unit_norm"):
+            traj = nf.integrate_nil_flow(mu, frame, 1.0, normalization)
+            assert traj.raw.terminal_event in (engine.HORIZON, engine.FIXED_POINT)
+
+
+def _refusal(mu, frame):
+    """integrate_nil_flow's message on mu, or None when it flows."""
+    try:
+        nf.integrate_nil_flow(mu, frame, 1e-3, "unit_norm")
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def _refusal_with_jacobi_first(mu, frame):
+    """The refusal when the Jacobi identity is checked before the splitting."""
+    if jacobi_residual(mu) > nf._JACOBI_TOL * bracket_inner_product(mu, mu):
+        return "bracket violates the Jacobi identity"
+    return _refusal(mu, frame)
+
+
+def test_refusals_at_the_splitting_tolerance_keep_the_jacobi_first_outcome(rng):
+    # a 2-step bracket plus eps max|c| (v_a ^ v_b -> v_c), which takes the
+    # derived algebra off the centre: the splitting refuses it above
+    # eps = 1e-9, and the Jacobi identity fails at the largest eps
+    messages = set()
+    for blocks, dim_z in SPLITS_TO_16[1:]:
+        for _ in range(4):
+            mu, frame = rotated_two_step(rng, blocks, dim_z)
+            v = nf.NilpotentSplitting.from_bracket(mu, frame).v_basis
+            a, b, c = v[:, rng.choice(v.shape[1], 3, replace=False)].T
+            wedge = np.einsum("i,j,k->ijk", a, b, c)
+            for eps in (1e-12, 1e-10, 1e-9, 1e-8, 1e-6):
+                nu = LieBracket(mu.coeffs + eps * np.abs(mu.coeffs).max() * (wedge - wedge.transpose(1, 0, 2)))
+                want = _refusal_with_jacobi_first(nu, frame)
+                assert _refusal(nu, frame) == want
+                messages.add(want)
+    assert None in messages and "bracket violates the Jacobi identity" in messages
+    assert any(m and "not 2-step" in m for m in messages)
 
 
 @pytest.mark.parametrize("blocks, dim_z", NIL_SPLITS)
