@@ -308,7 +308,7 @@ _TAU_GRID = np.linspace(0.0, 1.0, 129)
 # lies theta^2 / 2 below c0, so theta up to about sqrt(2e-10 scale) counts as 0.  On
 # exact kernels the gap is roundoff, below 2e-15 under J-unitary rotations and scalings.
 _TOP_RTOL = 1e-10
-_IMAGE_RTOL = 1e-8  # relative weight of v0 on ker A0 above which v0 leaves Im A0
+_IMAGE_RTOL = 1e-8  # weight of v0 on ker A0, over max(r0, |v0|), above which v0 leaves Im A0
 # 1 / (i + j + 2)! for the Taylor series of _exp_dd in p^i q^j, i, j < 20: with
 # 0 >= p >= q >= -1 the terms left out are below 1e-21
 _DD_TERMS = np.array([[1.0 / math.factorial(i + j + 2) for j in range(20)] for i in range(20)])
@@ -408,7 +408,8 @@ class ReducedFlow:
         self.sigma, self._q = np.linalg.eigh(self._s0)
         self._beta, gap = self._q.T @ data0.v, self.c - self.sigma
         top = gap <= _TOP_RTOL * max(abs(self.c), np.abs(self.sigma).max(initial=0.0))
-        self.top_weight = bool(np.linalg.norm(self._beta[top]) > _IMAGE_RTOL * np.linalg.norm(data0.v))
+        # read at the data's scale: against |v0| alone, roundoff in v0 = 0 would count
+        self.top_weight = bool(np.linalg.norm(self._beta[top]) > _IMAGE_RTOL * max(self._r0, np.linalg.norm(data0.v)))
         if not self.top_weight:
             self._beta[top] = 0.0
         self._b2 = self._beta**2

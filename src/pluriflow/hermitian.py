@@ -25,13 +25,11 @@ __all__ = [
     "endomorphism_from_form",
     "bismut_ricci_general",
     "bismut_ricci_endomorphism",
-    "is_static",
-    "generalized_kahler_check",
     "skt_closure_residual",
     "skt_closure_holds",
 ]
 
-_TOL = 1e-9  # the (1,1)-type, static, SKT closure and generalized Kahler decisions, at the data's scale
+_TOL = 1e-9  # the (1,1)-type and SKT closure decisions, at the data's scale
 
 
 @dataclass(frozen=True)
@@ -180,24 +178,3 @@ def bismut_ricci_endomorphism(mu: LieBracket, frame: HermitianFrame) -> np.ndarr
     rho11 = one_one_part(bismut_ricci_general(mu, frame), frame)
     return endomorphism_from_form(rho11, frame)
 
-
-def is_static(mu: LieBracket, frame: HermitianFrame):
-    """Return alpha if (rho^B)^(1,1) = alpha * omega within _TOL |mu|^2 (rho^B
-    is quadratic in mu; ordered-pair norm), else None; the zero bracket gives 0."""
-    rho11 = one_one_part(bismut_ricci_general(mu, frame), frame)
-    w = frame.omega
-    alpha = float(np.einsum("ij,ij->", rho11, w) / np.einsum("ij,ij->", w, w))
-    if np.abs(rho11 - alpha * w).max() <= _TOL * bracket_inner_product(mu, mu):
-        return alpha
-    return None
-
-
-def generalized_kahler_check(a, v, A, J1) -> bool:
-    """Compatibility with a generalized Kahler pair: matrix SKT criterion and v = 0,
-    at the data's own scale: [A, J1] against max |A|, |v| against max(|a|, |A|)."""
-    v = np.asarray(v, dtype=float)
-    A = np.asarray(A, dtype=float)
-    J1 = np.asarray(J1, dtype=float)
-    if np.abs(A @ J1 - J1 @ A).max() > 1e-9 * np.abs(A).max():
-        raise ValueError("A must commute with J1 (integrability of both structures)")
-    return skt_closure_holds(a, A) and float(np.linalg.norm(v)) <= _TOL * max(abs(a), float(np.linalg.norm(A)))

@@ -12,7 +12,6 @@ as its oracles.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import combinations
 
 import numpy as np
 
@@ -53,8 +52,8 @@ _FIXEDPOINT_NORM = 1e-10  # absolute |field| below which a unit-norm run ends on
 _REFINE_TOL = 1e-13  # |field| plus sphere defect at which refine_fixed_point stops
 _SKT_TOL = 1e-8  # scale-normalized SKT residual from which integrate_nil_flow refuses x0
 _JACOBI_TOL = 1e-8  # jacobi_residual / |mu|^2 from which integrate_nil_flow refuses mu0 as no Lie bracket
-# NilFlow.skt_residual works on stacks of states whose pair matrices S fit in
-# this many bytes together, and on one state at a time when a single S does not.
+# NilFlow.skt_residual works on stacks of states whose pair matrices G fit in
+# this many bytes together, and on one state at a time when a single G does not.
 _SKT_BYTES = 1 << 18
 
 
@@ -195,6 +194,7 @@ class NilFlow:
         self._unpack_t = np.concatenate([u, u @ self._j_v], axis=1).reshape(pairs.size, -1)
         # 2 U^t, times the -1/4 of P = -1/4 t^t t that field leaves out of t^t t
         self._pack = -0.5 * self._unpack.T
+        self._skt_plan = None  # (M, plan) of skt_residual, built on first use
 
     def encode(self, mu: LieBracket) -> np.ndarray:
         """State of a bracket whose derived algebra lies in the splitting's z."""
@@ -231,51 +231,55 @@ class NilFlow:
         return out
 
     def skt_residual(self, states: np.ndarray) -> np.ndarray:
-        """Max coefficient of d(c) over |x|^2 for each state of a stack (..., n).
+        """Max coefficient of d(c) on V over |x|^2 for each state of a stack (..., n).
 
-        Equal to hermitian.skt_residual of the decoded bracket over its squared
-        norm, and 0 for the zero state.  On a 2-step algebra with J z = z the
-        only non-zero part of the torsion is c(z_k, x, y) = -<[Jx, Jy], z_k>, so
-        t[i,j,k,l] = sum_m C[i,j,m] c[m,k,l] = sum_k A_k[i,j] Ct_k[k,l] in the
-        ambient basis, with A_k = -V j_k V^t and Ct_k = -J^t A_k J.  Take a_k and
-        c_k as the strict upper triangles of A_k and Ct_k, and
-        S = sum_k (a_k c_k^t + c_k a_k^t) on pairs; then the 4-form d(c) has
-        dc[i,j,k,l] = S[ik,jl] - S[ij,kl] - S[il,jk] for i < j < k < l.
-        States go through in stacks whose S fit _SKT_BYTES; each state's S is
-        its own product, so the result does not depend on the stack size.
+        On a 2-step algebra with J z = z the only non-zero part of the torsion
+        is c(z_k, x, y) = -<[Jx, Jy], z_k>, so d(c) lies in the 4-forms of v
+        and is sum_k alpha_k ^ beta_k there, with alpha_k = -j_k and beta_k =
+        J_v^t j_k J_v.  With X the state's rows and M the map from a row to
+        sqrt(2) times the strict upper triangle of J_v^t j J_v, the pair matrix
+        S = sum_k (a_k b_k^t + b_k a_k^t) of their strict upper triangles is
+        -(G + G^t) / 2 with G = X^t (X M), and for a < b < c < d
+        dc[a,b,c,d] = S[ac,bd] - S[ab,cd] - S[ad,bc].  So the six entries of
+        G are gathered by a plan over the 4-subsets of v, built on first use;
+        below dim_v = 4 there are none and the residual is 0.  States go
+        through in stacks whose G fit _SKT_BYTES; each state's G is its own
+        product, so the result does not depend on the stack size.
         """
+        if self._skt_plan is None:
+            self._skt_plan = self._build_skt_plan()
+        m, plan = self._skt_plan
         states = np.asarray(states, dtype=float)
         flat = states.reshape(-1, states.shape[-1])
-        d = self.split.frame.dim
-        iu, ju = np.triu_indices(d, k=1)
-        pair = np.zeros((d, d), dtype=np.intp)
-        pair[iu, ju] = np.arange(iu.size)
-
-        def pair_map(w):
-            # column (a, b): the pair entries of W E_ab W^t for the skew unit E_ab
-            wa, wb = w[:, self._iu], w[:, self._ju]
-            return (wa[:, None] * wb[None] - wb[:, None] * wa[None])[iu, ju].T / _SQRT2
-
-        v = self.split.v_basis
-        to_a, to_c = -pair_map(v), pair_map(self.split.frame.J.T @ v)
-        i, j, k, l = np.array(list(combinations(range(d), 4)), dtype=np.intp).T
-        # flat indices into S of (ik, jl), (ij, kl) and (il, jk), all in range
-        plan = np.stack([pair[p] * iu.size + pair[q] for p, q in (((i, k), (j, l)), ((i, j), (k, l)), ((i, l), (j, k)))])
-
+        pairs = self._iu.size
         out = np.empty(len(flat))
-        stack = max(1, _SKT_BYTES // (8 * iu.size**2))
+        stack = max(1, _SKT_BYTES // (8 * pairs**2))
         for lo in range(0, len(flat), stack):
-            x = flat[lo : lo + stack].reshape(-1, self._shape[0], self._iu.size)
-            a, c = x @ to_a, x @ to_c
-            # S as one product over the stacked (a, c) and (c, a), which beats adding M^t to M = a^t c
-            s = np.concatenate([a, c], axis=1).transpose(0, 2, 1) @ np.concatenate([c, a], axis=1)
-            g = np.take(s.reshape(len(x), -1), plan, axis=1, mode="clip")
-            out[lo : lo + len(x)] = np.abs(g[:, 0] - g[:, 1] - g[:, 2]).max(axis=1)
-            # free this stack's S and g before the next stack's are made: both
-            # stacks' at once would set the peak memory of a run
-            del s, g
+            x = flat[lo : lo + stack].reshape(-1, self._shape[0], pairs)
+            g = np.swapaxes(x, 1, 2) @ (x @ m)
+            e = np.take(g.reshape(len(x), -1), plan, axis=1, mode="clip")  # plan is in range
+            # -2 dc on every 4-subset; an empty plan (dim_v < 4) leaves 0
+            out[lo : lo + len(x)] = np.abs(e[:, 0] + e[:, 1] - e[:, 2] - e[:, 3] - e[:, 4] - e[:, 5]).max(axis=1, initial=0.0)
+            # free this stack's G and gathers before the next stack's are made:
+            # both stacks' at once would set the peak memory of a run
+            del g, e
         n2 = np.einsum("ti,ti->t", flat, flat)
-        return (out / np.where(n2 > 0.0, n2, 1.0)).reshape(states.shape[:-1])
+        return (0.5 * out / np.where(n2 > 0.0, n2, 1.0)).reshape(states.shape[:-1])
+
+    def _build_skt_plan(self) -> tuple[np.ndarray, np.ndarray]:
+        """M, and the flat indices into G of (ac, bd), (bd, ac), (ab, cd),
+        (cd, ab), (ad, bc) and (bc, ad) for each 4-subset a < b < c < d of v."""
+        iu, ju, dim_v = self._iu, self._ju, self._shape[-1]
+        pairs = iu.size
+        # J_v^t j J_v for the j of each unit row
+        b = self._j_v.T @ self._unpack.reshape(pairs, dim_v, dim_v) @ self._j_v
+        pair = np.zeros((dim_v, dim_v), dtype=np.intp)
+        pair[iu, ju] = np.arange(pairs)
+        ab, cd = np.nonzero(ju[:, None] < iu[None, :])  # pairs (a, b), (c, d) with b < c
+        ac, bd = pair[iu[ab], iu[cd]], pair[ju[ab], ju[cd]]
+        ad, bc = pair[iu[ab], ju[cd]], pair[ju[ab], iu[cd]]
+        plan = np.stack([p * pairs + q for p, q in ((ac, bd), (bd, ac), (ab, cd), (cd, ab), (ad, bc), (bc, ad))])
+        return _SQRT2 * b[:, iu, ju], plan
 
 
 @dataclass

@@ -524,6 +524,19 @@ def test_classify_invariant_under_scaling_and_unitary(rng, shrink, steady):
                 assert_allclose(moved_rep.extinction_time * s * s, T, rtol=1e-12, err_msg=str(s))
 
 
+def test_ker_a_weight_is_read_at_the_data_scale(shrink):
+    # shrink10 has v = 0; a v on ker A within 1e-8 |(a, A)| is roundoff and
+    # keeps case (vi), T = 1/2 (against |v| alone, 1e-17 read (v), T = inf)
+    for s in (1e-3, 1.0, 1e3):
+        for tail, case in ((1e-17, "vi"), (1e-12, "vi"), (1e-9, "vi"), (1e-7, "v"), (1e-3, "v")):
+            v = np.zeros(shrink.m)
+            v[-1] = s * tail
+            data = shrink.replace(a=s * shrink.a, v=v, A=s * shrink.A)
+            rep, flow = aa.classify(data), aa.ReducedFlow(data)
+            assert rep.table_case == case and flow.top_weight == (case == "v"), (s, tail)
+            assert_allclose(rep.extinction_time * s * s, 0.5 if case == "vi" else np.inf, rtol=1e-12, err_msg=str((s, tail)))
+
+
 def test_classify_rejects_nilpotent():
     with pytest.raises(ValueError):
         aa.classify(aa.AlmostAbelianData(0.0, np.array([1.0, 0.0]), np.zeros((2, 2)), HermitianFrame.pairwise(2).J))

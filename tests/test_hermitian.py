@@ -11,22 +11,13 @@ from pluriflow.hermitian import (
     bismut_ricci_general,
     endomorphism_from_form,
     exterior_derivative_c,
-    generalized_kahler_check,
     is_skt_general,
-    is_static,
     nijenhuis_residual,
     one_one_part,
     skt_residual,
     torsion_three_form,
 )
 from pluriflow.sampling import random_skt_almost_abelian, random_two_step_skt
-
-
-def ten_dim(v_tail):
-    from pluriflow.catalog import get_entry
-
-    entry = get_entry("steady10" if v_tail else "shrink10")
-    return entry.data
 
 
 def test_frame_validation():
@@ -197,59 +188,3 @@ def test_bismut_p_matches_nilpotent_route(rng):
     mu, frame = random_two_step_skt(rng, blocks=2, dim_z=2)
     split = NilpotentSplitting.from_bracket(mu, frame)
     assert np.abs(bismut_ricci_endomorphism(mu, frame) - p_endomorphism_nil(split)).max() < 1e-11
-
-
-def test_is_static_examples():
-    frame = HermitianFrame.pairwise(4)
-    assert is_static(LieBracket.zero(4), frame) == 0.0
-    steady = ten_dim(1.0)
-    assert abs(is_static(build_bracket(steady), hermitian_frame(steady))) < 1e-12
-    shrink = ten_dim(0.0)
-    assert is_static(build_bracket(shrink), hermitian_frame(shrink)) is None
-
-
-def test_generalized_kahler_check():
-    sab = s_ab_data(1.0, np.pi / 2)
-    assert generalized_kahler_check(sab.a, sab.v, sab.A, sab.J1)
-    steady = ten_dim(1.0)
-    assert not generalized_kahler_check(steady.a, steady.v, steady.A, steady.J1)
-    shrink = ten_dim(0.0)
-    assert generalized_kahler_check(shrink.a, shrink.v, shrink.A, shrink.J1)
-
-
-_SCALES = (1e3, 1.0, 1e-3, 1e-5, 1e-6, 1e-9, 1e-10, 1e-12)
-
-
-def _scaled(data, s):
-    return data.replace(a=s * data.a, v=s * data.v, A=s * data.A)
-
-
-def test_generalized_kahler_check_does_not_depend_on_the_data_scale():
-    # with a floor of 1 on [A, J1] and absolute cutoffs on the closure
-    # residual and on |v|, steady10 and the generic draw read True at 1e-10
-    from pluriflow.catalog import get_entry
-    from pluriflow.sampling import random_generic_almost_abelian
-
-    wants = (("s_ab(1, pi/2)", True), ("shrink10", True), ("steady10", False))
-    cases = [(get_entry(name).data, want) for name, want in wants]
-    cases.append((random_generic_almost_abelian(np.random.default_rng(1), m=4), False))
-    for data, want in cases:
-        for s in _SCALES:
-            d = _scaled(data, s)
-            assert generalized_kahler_check(d.a, d.v, d.A, d.J1) is want, s
-
-
-@pytest.mark.parametrize("name", ["shrink10", "steady10", "s_ab(1, pi/2)"])
-def test_is_static_does_not_depend_on_the_data_scale(name):
-    # rho^B is quadratic in the bracket; against an absolute cutoff shrink10
-    # read static at 1e-5 with alpha = 4e-11
-    from pluriflow.catalog import get_entry
-
-    data = get_entry(name).data
-    want = is_static(build_bracket(data), hermitian_frame(data))
-    for s in _SCALES:
-        d = _scaled(data, s)
-        got = is_static(build_bracket(d), hermitian_frame(d))
-        assert (got is None) == (want is None), s
-        if want is not None:
-            assert abs(got / s**2 - want) <= 1e-12, s

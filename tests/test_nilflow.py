@@ -1,3 +1,6 @@
+from itertools import combinations
+from math import comb
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -439,9 +442,17 @@ def test_refine_fixed_point_d12(rng):
 
 
 def _assert_skt_column_matches_oracle(flow, states):
-    # at d = 4, dc = 0 on the 4-forms of v and the dense oracle reads roundoff
+    # the dense d(c) of hermitian, pulled back by V on its four indices and
+    # read on the 4-subsets of v; below dim_v = 4 there are none
     got = flow.skt_residual(states)
-    want = [hermitian.skt_residual(flow.decode(x), flow.split.frame) / np.dot(x, x) for x in states]
+    v, frame = flow.split.v_basis, flow.split.frame
+    subsets = tuple(np.array(list(combinations(range(v.shape[1]), 4)), dtype=np.intp).reshape(-1, 4).T)
+    want = []
+    for x in states:
+        mu = flow.decode(x)
+        dc = hermitian.exterior_derivative_c(mu, hermitian.torsion_three_form(mu, frame))
+        dc_v = np.einsum("ijkl,ia,jb,kc,ld->abcd", dc, v, v, v, v, optimize=True)
+        want.append(np.abs(dc_v[subsets]).max(initial=0.0) / np.dot(x, x))
     assert_allclose(got, want, rtol=1e-14, atol=1e-15)
 
 
@@ -486,6 +497,44 @@ def test_skt_residual_of_a_trajectory_does_not_depend_on_the_stack_size(rng, mon
     for budget in (1, 1 << 40):
         monkeypatch.setattr(nf, "_SKT_BYTES", budget)
         assert np.array_equal(traj.flow.skt_residual(traj.raw.states), want)
+
+
+def heisenberg_plus_abelian(d):
+    """Heisenberg (+) R^(d-3), [e_1, e_2] = e_d: v = span(e_1, e_2) is 2-dimensional."""
+    c = np.zeros((d, d, d))
+    c[0, 1, d - 1], c[1, 0, d - 1] = 1.0, -1.0
+    return LieBracket(c), HermitianFrame.pairwise(d)
+
+
+@pytest.mark.parametrize("case", ["kodaira", 6, 12, 40])
+def test_skt_residual_is_exactly_zero_below_four_dimensions_of_v(case):
+    # d(c) lies in the 4-forms of v, which are 0 at dim_v = 2
+    mu, frame = kodaira_bracket() if case == "kodaira" else heisenberg_plus_abelian(case)
+    for normalization in ("none", "unit_norm"):
+        traj = nf.integrate_nil_flow(mu, frame, 10.0, normalization)
+        assert traj.flow.split.dim_v == 2
+        assert np.all(traj.diagnostics()["skt_residual"] == 0.0)
+
+
+def test_skt_plan_is_built_once_per_flow_and_only_by_the_residual(rng, monkeypatch):
+    calls = []
+    build = nf.NilFlow._build_skt_plan
+
+    def counted(self):
+        calls.append(self)
+        return build(self)
+
+    monkeypatch.setattr(nf.NilFlow, "_build_skt_plan", counted)
+    mu, frame = rotated_two_step(rng, 3, 4)
+    split = nf.NilpotentSplitting.from_bracket(mu, frame)
+    nf.soliton_limit_certificate(mu, frame, split)
+    assert calls == []
+    traj = nf.integrate_nil_flow(mu, frame, 10.0, "unit_norm")
+    traj.diagnostics()
+    traj.flow.skt_residual(traj.raw.states)
+    assert calls == [traj.flow]
+    # one plan entry per 4-subset of v, for each of the six entries of G
+    assert traj.flow._skt_plan[1].shape == (6, comb(6, 4))
 
 
 def test_diagnostics_build_no_dense_bracket(rng, monkeypatch):
