@@ -112,11 +112,25 @@ def bracket_eval(mu: LieBracket, x, y) -> np.ndarray:
 
 
 def jacobi_residual(mu: LieBracket) -> float:
-    """Max over basis triples of |mu(mu(e_i,e_j),e_k) + cyclic|."""
+    """Max over basis triples of |mu(mu(e_i,e_j),e_k) + cyclic|.
+
+    With t[i,j,k,l] = sum_m c[i,j,m] c[m,k,l], the cyclic sum at first index
+    i is t[i] + t[:, i] (first two axes swapped) + t[:, :, i], three matrix
+    products, so no (d, d, d, d) array is formed.  The per-i maxima go to an
+    array, whose max propagates a NaN.
+    """
     c = mu.coeffs
-    t = np.einsum("ijm,mkl->ijkl", c, c)
-    cyc = t + t.transpose(1, 2, 0, 3) + t.transpose(2, 0, 1, 3)
-    return float(np.sqrt((cyc**2).sum(axis=-1)).max())
+    d = mu.dim
+    rows, cols = c.reshape(d * d, d), c.reshape(d, d * d)
+    peaks = np.empty(d)
+    for i in range(d):
+        cyc = (
+            c[i].dot(cols).reshape(d, d, d)
+            + c[:, i].dot(cols).reshape(d, d, d).transpose(1, 0, 2)
+            + rows.dot(c[:, i, :]).reshape(d, d, d)
+        )
+        peaks[i] = np.sqrt((cyc**2).sum(axis=-1)).max()
+    return float(peaks.max())
 
 
 def basis_change_action(h: np.ndarray, mu: LieBracket) -> LieBracket:

@@ -2,8 +2,10 @@
 
 The complex structure J lives on the same canonical orthonormal basis as the
 brackets; the fundamental form is omega(X, Y) = <JX, Y>.  Forms are stored as
-fully antisymmetric dense tensors (matrix for 2-forms, rank-3/4 tensors for
-the Bismut torsion and its exterior derivative).
+fully antisymmetric dense tensors: a matrix for 2-forms, a rank-3 tensor for
+the Bismut torsion.  Its exterior derivative is a rank-4 tensor only in the
+oracle exterior_derivative_c; skt_residual reads it one (d, d, d) slice at a
+time.
 """
 
 from __future__ import annotations
@@ -80,13 +82,20 @@ class HermitianFrame:
 
 
 def nijenhuis_residual(mu: LieBracket, frame: HermitianFrame) -> float:
-    """Max over basis pairs of |N_J(e_i, e_j)|; zero iff J is integrable."""
-    c, j = mu.coeffs, frame.J
+    """Max over basis pairs of |N_J(e_i, e_j)|; zero iff J is integrable.
+
+    Each of N_J's three J-terms contracts two of c's indices with J, as two
+    matrix products over a reshaped c: its first index by jt.dot, its middle
+    one by a matmul batched over the first, its last one by .dot(jt).
+    """
+    c, jt = mu.coeffs, frame.J.T
+    d = mu.dim
+    z = jt.dot(c.reshape(d, d * d)).reshape(d, d, d)  # z[i,n,k] = sum_m J[m,i] c[m,n,k]
     n = (
         c
-        + np.einsum("kl,mi,mjl->ijk", j, j, c, optimize=True)
-        + np.einsum("kl,mj,iml->ijk", j, j, c, optimize=True)
-        - np.einsum("mi,nj,mnk->ijk", j, j, c, optimize=True)
+        + z.reshape(d * d, d).dot(jt).reshape(d, d, d)
+        + np.matmul(jt, c).reshape(d * d, d).dot(jt).reshape(d, d, d)
+        - np.matmul(jt, z)
     )
     return float(np.sqrt((n**2).sum(axis=-1)).max())
 
@@ -111,9 +120,32 @@ def exterior_derivative_c(mu: LieBracket, c3: np.ndarray) -> np.ndarray:
 
 
 def skt_residual(mu: LieBracket, frame: HermitianFrame) -> float:
-    """Max coefficient of d(c); zero iff the Hermitian structure is pluriclosed."""
+    """Max coefficient of d(c); zero iff the Hermitian structure is pluriclosed.
+
+    d(c) is read one first index i at a time, so no (d, d, d, d) array is
+    formed.  With t as in exterior_derivative_c, its six terms read t with i
+    in slot 0 or slot 2: s0 = t[i] and s2 = t[:, :, i], each one matrix
+    product, added in the same order.  The per-i maxima go to an array, whose
+    max propagates a NaN as the dense max does.
+    """
+    c = mu.coeffs
     c3 = torsion_three_form(mu, frame)
-    return float(np.abs(exterior_derivative_c(mu, c3)).max())
+    d = mu.dim
+    flat_c, flat_c3 = c.reshape(d * d, d), c3.reshape(d, d * d)
+    peaks = np.empty(d)
+    for i in range(d):
+        s0 = c[i].dot(flat_c3).reshape(d, d, d)
+        s2 = flat_c.dot(c3[:, i, :]).reshape(d, d, d)
+        dc = (
+            -s0
+            + s0.transpose(1, 0, 2)
+            - s0.transpose(1, 2, 0)
+            - s2
+            + s2.transpose(0, 2, 1)
+            - s2.transpose(2, 0, 1)
+        )
+        peaks[i] = np.abs(dc).max()
+    return float(peaks.max())
 
 
 def is_skt_general(mu: LieBracket, frame: HermitianFrame, tol: float = 1e-9):

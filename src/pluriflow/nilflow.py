@@ -332,7 +332,7 @@ def integrate_nil_flow(
     the refusal, and then its message wins.  A splitting it accepts needs no
     check: the derived algebra lies in the centre z up to _SPLIT_TOL, so every
     double bracket [[x, y], w] lies in [z, w] = 0 up to that tolerance.  This
-    spares the dense d^4 tensor of jacobi_residual.
+    spares jacobi_residual's O(d^5) products.
     """
     try:
         split = NilpotentSplitting.from_bracket(mu0, frame)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -67,6 +69,56 @@ def test_jacobi_violation_is_positive():
     # mu(e1,e2) = e1, mu(e1,e3) = e2: the cyclic sum is -e2 on (e1,e2,e3)
     mu = LieBracket.from_entries(4, [(0, 1, 0, 1.0), (0, 2, 1, 1.0)])
     assert jacobi_residual(mu) > 0.5
+
+
+def _dense_jacobi_residual(mu):
+    """The cyclic sum as one (d, d, d, d) einsum: jacobi_residual's oracle."""
+    c = mu.coeffs
+    t = np.einsum("ijm,mkl->ijkl", c, c)
+    cyc = t + t.transpose(1, 2, 0, 3) + t.transpose(2, 0, 1, 3)
+    return float(np.sqrt((cyc**2).sum(axis=-1)).max())
+
+
+@pytest.mark.parametrize("blocks, dim_z", [(2, 2), (2, 4), (3, 4), (4, 4), (4, 6), (4, 8)])
+def test_sliced_jacobi_residual_is_the_dense_one_on_two_step_inputs(rng, blocks, dim_z):
+    # the splits of perfbench's check workload; every double bracket is 0
+    for _ in range(5):
+        mu, _ = random_two_step_skt(rng, blocks=blocks, dim_z=dim_z)
+        assert jacobi_residual(mu) == _dense_jacobi_residual(mu) == 0.0
+
+
+def test_sliced_jacobi_residual_matches_the_dense_one_on_generic_brackets(rng):
+    for d in range(2, 22, 2):
+        for _ in range(4):
+            mu = random_bracket(rng, d)
+            assert_allclose(jacobi_residual(mu), _dense_jacobi_residual(mu), rtol=1e-15, atol=0)
+
+
+@pytest.mark.parametrize("scale", [1e200, np.inf])
+def test_sliced_jacobi_residual_overflows_as_the_dense_one(scale):
+    # [e1, e2] = e3; [e1, e2] = e1 with [e1, e3] = e2; [e1, e2] = e3 with [e3, e4] = e1
+    for entries in ([(0, 1, 2)], [(0, 1, 0), (0, 2, 1)], [(0, 1, 2), (2, 3, 0)]):
+        t = np.zeros((4, 4, 4))
+        for i, j, k in entries:
+            t[i, j, k], t[j, i, k] = scale, -scale
+        mu = object.__new__(LieBracket)  # an inf coefficient fails the antisymmetry check
+        object.__setattr__(mu, "coeffs", t)
+        with np.errstate(all="ignore"):
+            got, want = jacobi_residual(mu), _dense_jacobi_residual(mu)
+        assert np.array_equal(got, want, equal_nan=True)
+
+
+def test_jacobi_residual_forms_no_d4_array(rng):
+    d = 40
+    mu = random_bracket(rng, d)
+    tracemalloc.start()
+    try:
+        jacobi_residual(mu)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one (d, d, d, d) array takes d * d^3 * 8 bytes
+    assert peak < 10 * d**3 * 8
 
 
 def test_basis_change_identity_and_scaling(rng):

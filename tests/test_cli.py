@@ -10,7 +10,7 @@ import pytest
 
 from pluriflow import almostabelian as aa
 from pluriflow import cli, nilflow
-from pluriflow.brackets import LieBracket, basis_change_action
+from pluriflow.brackets import LieBracket, basis_change_action, jacobi_residual
 from pluriflow.catalog import catalog_names, get_entry
 from pluriflow.sampling import random_skt_almost_abelian, random_two_step_skt
 from pluriflow.serialize import dumps_json, format_float, write_csv
@@ -125,6 +125,19 @@ def test_flow_rejects_non_lie_bracket(tmp_path):
     assert out.returncode == 1
     assert out.stdout == ""
     assert out.stderr.strip().splitlines() == [f"{path}: bracket violates the Jacobi identity"]
+
+
+def test_flow_refuses_a_large_non_lie_bracket_in_one_line(tmp_path, monkeypatch, capsys):
+    # test_flow_rejects_non_lie_bracket's bracket on R^48: the splitting
+    # refuses it, and jacobi_residual, one (d, d, d) slice at a time, names why
+    path = tmp_path / "non_lie48.json"
+    path.write_text(json.dumps({"dim": 48, "entries": [{"i": 1, "j": 2, "k": 3, "c": 1}, {"i": 3, "j": 4, "k": 1, "c": 1}]}))
+    calls = []
+    monkeypatch.setattr(nilflow, "jacobi_residual", lambda mu: calls.append(mu.dim) or jacobi_residual(mu))
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["flow", str(path), "--horizon", "1"])
+    assert exc.value.code == f"{path}: bracket violates the Jacobi identity"
+    assert calls == [48] and capsys.readouterr().out == ""
 
 
 def test_check_nilpotent_bracket(tmp_path):
@@ -434,7 +447,7 @@ def test_normalized_flow_names_the_overflow(tmp_path):
 
 
 def test_out_of_memory_exits_1_with_one_line(tmp_path, monkeypatch, capsys):
-    # a MemoryError stands in for the dense d^4 arrays of a large input
+    # a MemoryError stands in for an input too large for the memory the process may use
     path = tmp_path / "kodaira.json"
     path.write_text(json.dumps({"dim": 4, "entries": [{"i": 1, "j": 2, "k": 3, "c": 1.0}]}))
 

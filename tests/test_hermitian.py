@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -188,3 +190,85 @@ def test_bismut_p_matches_nilpotent_route(rng):
     mu, frame = random_two_step_skt(rng, blocks=2, dim_z=2)
     split = NilpotentSplitting.from_bracket(mu, frame)
     assert np.abs(bismut_ricci_endomorphism(mu, frame) - p_endomorphism_nil(split)).max() < 1e-11
+
+
+# the (blocks, dim_z) splits of perfbench's check workload, d = 6..16
+CHECK_SPLITS = [(2, 2), (2, 4), (3, 4), (4, 4), (4, 6), (4, 8)]
+
+
+def _dense_skt_residual(mu, frame):
+    """Max coefficient of the dense (d, d, d, d) d(c): skt_residual's oracle."""
+    return float(np.abs(exterior_derivative_c(mu, torsion_three_form(mu, frame))).max())
+
+
+def _einsum_nijenhuis_residual(mu, frame):
+    """N_J as three einsums: nijenhuis_residual's oracle."""
+    c, j = mu.coeffs, frame.J
+    n = (
+        c
+        + np.einsum("kl,mi,mjl->ijk", j, j, c, optimize=True)
+        + np.einsum("kl,mj,iml->ijk", j, j, c, optimize=True)
+        - np.einsum("mi,nj,mnk->ijk", j, j, c, optimize=True)
+    )
+    return float(np.sqrt((n**2).sum(axis=-1)).max())
+
+
+def _generic_bracket(rng, d):
+    t = rng.standard_normal((d, d, d))
+    return LieBracket(t - t.transpose(1, 0, 2))
+
+
+def _unchecked_bracket(t):
+    """A LieBracket holding t as given: an infinite coefficient fails the
+    constructor's antisymmetry check (inf - inf is NaN)."""
+    mu = object.__new__(LieBracket)
+    object.__setattr__(mu, "coeffs", t)
+    return mu
+
+
+@pytest.mark.parametrize("blocks, dim_z", CHECK_SPLITS)
+def test_sliced_skt_residual_is_the_dense_one_bit_for_bit_on_two_step_inputs(rng, blocks, dim_z):
+    for _ in range(5):
+        mu, frame = random_two_step_skt(rng, blocks=blocks, dim_z=dim_z)
+        assert skt_residual(mu, frame) == _dense_skt_residual(mu, frame)
+        assert nijenhuis_residual(mu, frame) == _einsum_nijenhuis_residual(mu, frame)
+
+
+def test_sliced_residuals_match_the_dense_ones_on_generic_brackets(rng):
+    for d in range(2, 22, 2):
+        pairwise = HermitianFrame.pairwise(d)
+        for _ in range(4):
+            mu = _generic_bracket(rng, d)
+            q = np.linalg.qr(rng.standard_normal((d, d)))[0]
+            rotated = HermitianFrame(q @ pairwise.J @ q.T)
+            assert_allclose(skt_residual(mu, rotated), _dense_skt_residual(mu, rotated), rtol=1e-15, atol=0)
+            assert_allclose(nijenhuis_residual(mu, rotated), _einsum_nijenhuis_residual(mu, rotated), rtol=1e-15, atol=0)
+            assert nijenhuis_residual(mu, pairwise) == _einsum_nijenhuis_residual(mu, pairwise)
+
+
+@pytest.mark.parametrize("scale", [1e200, np.inf])
+def test_sliced_residuals_overflow_as_the_dense_ones(scale):
+    # [e1, e2] = e3; [e1, e2] = e1 with [e1, e3] = e2; [e1, e2] = e3 with [e1, e3] = e4
+    frame = HermitianFrame.pairwise(4)
+    for entries in ([(0, 1, 2)], [(0, 1, 0), (0, 2, 1)], [(0, 1, 2), (0, 2, 3)]):
+        t = np.zeros((4, 4, 4))
+        for i, j, k in entries:
+            t[i, j, k], t[j, i, k] = scale, -scale
+        mu = _unchecked_bracket(t)
+        with np.errstate(all="ignore"):
+            got = [skt_residual(mu, frame), nijenhuis_residual(mu, frame)]
+            want = [_dense_skt_residual(mu, frame), _einsum_nijenhuis_residual(mu, frame)]
+        assert np.array_equal(got, want, equal_nan=True)
+
+
+def test_skt_residual_forms_no_d4_array(rng):
+    d = 40
+    mu = _generic_bracket(rng, d)
+    tracemalloc.start()
+    try:
+        skt_residual(mu, HermitianFrame.pairwise(d))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one (d, d, d, d) array takes d * d^3 * 8 bytes
+    assert peak < 10 * d**3 * 8
