@@ -15,7 +15,6 @@ from .serialize import json_int, json_number
 
 __all__ = [
     "LieBracket",
-    "bracket_eval",
     "jacobi_residual",
     "basis_change_action",
     "infinitesimal_action",
@@ -68,9 +67,6 @@ class LieBracket:
             t[j, i, k] -= c
         return cls(t)
 
-    def __call__(self, x, y):
-        return bracket_eval(self, x, y)
-
     # --- JSON interchange -------------------------------------------------
     # {"dim": d, "entries": [{"i": i, "j": j, "k": k, "c": c}, ...]} with
     # 1-based indices and i < j.
@@ -100,15 +96,6 @@ class LieBracket:
                 raise ValueError(f"entry index k={k} out of range")
             entries.append((i - 1, j - 1, k - 1, c))
         return cls.from_entries(dim, entries)
-
-
-def bracket_eval(mu: LieBracket, x, y) -> np.ndarray:
-    """Evaluate mu(x, y) for vectors x, y of length dim."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.shape != (mu.dim,) or y.shape != (mu.dim,):
-        raise ValueError(f"vectors must have length {mu.dim}")
-    return np.einsum("ijk,i,j->k", mu.coeffs, x, y)
 
 
 def jacobi_residual(mu: LieBracket) -> float:

@@ -104,11 +104,11 @@ def _check_nilpotent(mu: LieBracket, frame: HermitianFrame, tol: float) -> dict:
         "skt": {"is_skt": ok, "dc_residual": res},
     }
     try:
-        split = nilflow.NilpotentSplitting.from_bracket(mu, frame)
-        cert = nilflow.soliton_limit_certificate(mu, frame, split=split)
+        flow = nilflow.NilFlow(nilflow.NilpotentSplitting.from_bracket(mu, frame))
+        x = flow.encode(mu)
+        cert = flow.soliton_certificate(x)
         out["soliton"] = {"alpha": cert.alpha, "residual": cert.residual}
-        p = nilflow.p_endomorphism_nil(split)
-        out["tr_P"] = float(np.trace(p))
+        out["tr_P"] = float(np.trace(flow.p_block(x)))
     except ValueError as exc:
         out["note"] = str(exc)
     return out
@@ -182,8 +182,7 @@ def cmd_flow(args) -> int:
     if raw.blowup is not None:
         summary += f" T_est={format_float(raw.blowup.t_est)}"
     if kind == "nilpotent" and raw.terminal_event == engine.FIXED_POINT:
-        nu = traj.flow.decode(raw.final_state)
-        cert = nilflow.soliton_limit_certificate(nu, traj.flow.split.frame, split=traj.flow.split)
+        cert = traj.flow.soliton_certificate(raw.final_state)
         summary += f" soliton_residual={format_float(cert.residual)}"
     summary += f" accepted={raw.n_accepted} rejected={raw.n_rejected} field_calls={raw.n_field_calls}"
     print(summary, file=sys.stderr)

@@ -102,7 +102,9 @@ def nijenhuis_residual(mu: LieBracket, frame: HermitianFrame) -> float:
 
 def torsion_three_form(mu: LieBracket, frame: HermitianFrame) -> np.ndarray:
     """Bismut torsion c(X,Y,Z) = -<[JX,JY],Z> - <[JY,JZ],X> - <[JZ,JX],Y>."""
-    b = np.einsum("ai,bj,abk->ijk", frame.J, frame.J, mu.coeffs, optimize=True)
+    d, jt = mu.dim, frame.J.T
+    z = jt.dot(mu.coeffs.reshape(d, d * d)).reshape(d, d, d)  # z[i,b,k] = sum_a J[a,i] c[a,b,k]
+    b = np.matmul(jt, z)  # b[i,j,k] = sum_b J[b,j] z[i,b,k] = <[J e_i, J e_j], e_k>
     return -b - b.transpose(1, 2, 0) - b.transpose(2, 0, 1)
 
 

@@ -103,9 +103,9 @@ class NilpotentSplitting:
         zb = center(mu)
         if zb.shape[1] == d:
             raise ValueError("bracket is abelian; the flow is trivial")
-        pz = zb @ zb.T
         # 2-step: the derived algebra must land in the center
-        img_defect = np.abs(np.einsum("ijk,kl->ijl", mu.coeffs, np.eye(d) - pz)).max()
+        c2 = mu.coeffs.reshape(d * d, d)
+        img_defect = np.abs(c2 - (c2 @ zb) @ zb.T).max()
         scale = max(np.abs(mu.coeffs).max(), 1e-300)
         if img_defect > _SPLIT_TOL * scale:
             raise ValueError("bracket is not 2-step nilpotent (derived algebra exceeds the center)")
@@ -156,6 +156,12 @@ def functional_F(split: NilpotentSplitting, mu: LieBracket | None = None) -> flo
     return 16.0 * float(np.sum(p * p)) / n2**2
 
 
+@dataclass
+class NilSolitonCertificate:
+    alpha: float
+    residual: float
+
+
 class NilFlow:
     """Vector field of the (optionally norm-normalized) 2-step bracket flow.
 
@@ -197,15 +203,25 @@ class NilFlow:
         self._skt_plan = None  # (M, plan) of skt_residual, built on first use
 
     def encode(self, mu: LieBracket) -> np.ndarray:
-        """State of a bracket whose derived algebra lies in the splitting's z."""
+        """State of a bracket; ValueError when its decoding misses mu by more than
+        _SPLIT_TOL max |c|, as mu then leaves v ^ v -> z, which no state holds."""
         v, z = self.split.v_basis, self.split.z_basis
         # j[k, a, b] = <j_k v_b, v_a> = <[v_b, v_a], z_k>
         j = v.T @ (mu.coeffs @ z).transpose(2, 1, 0) @ v
-        return _SQRT2 * j[:, self._iu, self._ju].ravel()
+        x = _SQRT2 * j[:, self._iu, self._ju].ravel()
+        defect = self._coeffs(x)
+        defect -= mu.coeffs
+        if np.abs(defect, out=defect).max() > _SPLIT_TOL * np.abs(mu.coeffs).max():
+            raise ValueError("bracket is not 2-step on the splitting (it leaves v ^ v -> z)")
+        return x
 
     def decode(self, x: np.ndarray) -> LieBracket:
+        return LieBracket(self._coeffs(x))
+
+    def _coeffs(self, x: np.ndarray) -> np.ndarray:
+        """The structure constants (d, d, d) of a state."""
         v, z = self.split.v_basis, self.split.z_basis
-        return LieBracket((v @ self.jmaps(x) @ v.T).transpose(2, 1, 0) @ z.T)
+        return (v @ self.jmaps(x) @ v.T).transpose(2, 1, 0) @ z.T
 
     def jmaps(self, x: np.ndarray) -> np.ndarray:
         """The skew matrices j_k of a state (..., n) as an array (..., dim_z, dim_v, dim_v)."""
@@ -220,15 +236,29 @@ class NilFlow:
         return -0.25 * (np.swapaxes(t, -1, -2) @ t)
 
     def field(self, x: np.ndarray) -> np.ndarray:
+        out = self._bracket_field(x)
+        if self.normalized:
+            out = engine.normalize_projection(out, x)
+        return out
+
+    def _bracket_field(self, x: np.ndarray) -> np.ndarray:
+        """The unnormalized field -pi(P) mu at the state x of mu."""
         dim_z, dim_v, _ = self._shape
         # ndarray.dot, not @: the same BLAS products, with less overhead per call
         t = x.reshape(dim_z, -1).dot(self._unpack_t).reshape(-1, dim_v)
         # row k holds -4 j_k P in its first dim_v^2 entries, and -4 j_k J_v P after them
         tp = t.dot(t.T.dot(t)).reshape(dim_z, -1)
-        out = tp[:, : dim_v * dim_v].dot(self._pack).ravel()
-        if self.normalized:
-            out = engine.normalize_projection(out, x)
-        return out
+        return tp[:, : dim_v * dim_v].dot(self._pack).ravel()
+
+    def soliton_certificate(self, x: np.ndarray) -> NilSolitonCertificate:
+        """Certificate -pi(P) nu = alpha nu that the bracket nu of state x is a
+        soliton: with f = -pi(P) nu the unnormalized field at x, alpha = <f, x> /
+        |x|^2 and the residual is |f - alpha x| / |x| (README, "The derivation space")."""
+        if (n2 := float(x @ x)) == 0.0:
+            return NilSolitonCertificate(alpha=0.0, residual=0.0)
+        f = self._bracket_field(x)
+        alpha = float(f @ x) / n2
+        return NilSolitonCertificate(alpha=alpha, residual=float(np.linalg.norm(f - alpha * x) / np.sqrt(n2)))
 
     def skt_residual(self, states: np.ndarray) -> np.ndarray:
         """Max coefficient of d(c) on V over |x|^2 for each state of a stack (..., n).
@@ -293,9 +323,6 @@ class NilTrajectory:
     def times(self):
         return self.raw.times
 
-    def brackets(self):
-        return [self.flow.decode(x) for x in self.raw.states]
-
     def diagnostics(self) -> dict:
         """Columns: t, mu_norm, F, tr_P, center_drift, skt_residual.
 
@@ -328,24 +355,23 @@ def integrate_nil_flow(
 ) -> NilTrajectory:
     """Integrate the 2-step pluriclosed bracket flow; normalization in {'none', 'unit_norm'}.
 
-    The Jacobi identity is read only when the splitting refuses mu0, to name
-    the refusal, and then its message wins.  A splitting it accepts needs no
-    check: the derived algebra lies in the centre z up to _SPLIT_TOL, so every
+    The Jacobi identity is read only when the splitting or NilFlow.encode
+    refuses mu0, to name the refusal, and then its message wins.  A bracket
+    both accept needs no check: it is v ^ v -> z up to _SPLIT_TOL, so every
     double bracket [[x, y], w] lies in [z, w] = 0 up to that tolerance.  This
     spares jacobi_residual's O(d^5) products.
     """
+    normalized = normalization == "unit_norm"
     try:
-        split = NilpotentSplitting.from_bracket(mu0, frame)
+        flow = NilFlow(NilpotentSplitting.from_bracket(mu0, frame), normalized=normalized)
+        x0 = flow.encode(mu0)
     except ValueError:
         if jacobi_residual(mu0) > _JACOBI_TOL * bracket_inner_product(mu0, mu0):
             raise ValueError("bracket violates the Jacobi identity") from None
         raise
     if normalization not in ("none", "unit_norm"):
         raise ValueError(f"unknown normalization {normalization!r}")
-    normalized = normalization == "unit_norm"
     cfg = config or engine.IntegratorConfig()
-    flow = NilFlow(split, normalized=normalized)
-    x0 = flow.encode(mu0)
     if not flow.skt_residual(x0) < _SKT_TOL:  # a NaN residual is refused too
         raise ValueError("initial condition is not pluriclosed")
     if normalized:
@@ -407,30 +433,13 @@ def gradient_equivalence_check(nu: LieBracket, split: NilpotentSplitting) -> dic
     return {"angle": ang, "ratio": float(ratio), "field_norm": float(np.linalg.norm(fld)), "critical": False}
 
 
-@dataclass
-class NilSolitonCertificate:
-    alpha: float
-    residual: float
-
-
 def soliton_limit_certificate(nu: LieBracket, frame: HermitianFrame, split: NilpotentSplitting) -> NilSolitonCertificate:
-    """Certificate that nu is an algebraic soliton P = alpha Id + D, D a
-    derivation and P the projected Ricci form of nu on the splitting, by
-    -pi(P) nu = alpha nu: the field at nu's state x is -pi(P) nu, so alpha =
-    <f, x> / |x|^2, and the residual |f - alpha x| / |x| is |pi(P - alpha Id)
-    nu| / |nu| (README, "The derivation space").  ValueError when nu leaves
-    v ^ v -> z, which encode would drop, or frame is not the splitting's."""
+    """NilFlow.soliton_certificate of nu's state on split; ValueError when
+    NilFlow.encode refuses nu or frame is not the splitting's."""
     if not np.array_equal(frame.J, split.frame.J):
         raise ValueError("frame's J is not the splitting's")
     flow = NilFlow(split)
-    x = flow.encode(nu)
-    if np.abs(nu.coeffs - flow.decode(x).coeffs).max() > _SPLIT_TOL * np.abs(nu.coeffs).max():
-        raise ValueError("bracket is not 2-step on the splitting (it leaves v ^ v -> z)")
-    if (n2 := float(x @ x)) == 0.0:
-        return NilSolitonCertificate(alpha=0.0, residual=0.0)
-    f = flow.field(x)
-    alpha = float(f @ x) / n2
-    return NilSolitonCertificate(alpha=alpha, residual=float(np.linalg.norm(f - alpha * x) / np.sqrt(n2)))
+    return flow.soliton_certificate(flow.encode(nu))
 
 
 def refine_fixed_point(flow: NilFlow, x0: np.ndarray) -> np.ndarray:

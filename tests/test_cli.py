@@ -519,6 +519,20 @@ def test_check_soliton_fit_is_scale_invariant(tmp_path, capsys):
     assert abs(small["soliton"]["residual"] / s**2 - unit["soliton"]["residual"]) <= 1e-10 * unit["soliton"]["residual"]
 
 
+def test_check_and_flow_refuse_what_the_state_cannot_hold(tmp_path, capsys, band_bracket):
+    # both commands take the bracket to the 2-step state by NilFlow.encode,
+    # which refuses it with one message
+    path = tmp_path / "band.json"
+    path.write_text(json.dumps(band_bracket[0].to_json_dict()))
+    note = "bracket is not 2-step on the splitting (it leaves v ^ v -> z)"
+    doc = _check_doc(path, capsys)
+    assert doc["note"] == note and "soliton" not in doc and "tr_P" not in doc
+    out = run_cli(["flow", str(path)])
+    assert out.returncode == 1
+    assert out.stdout == ""
+    assert out.stderr.strip().splitlines() == [f"{path}: {note}"]
+
+
 def _rotated_pair(tmp_path):
     # the bracket conjugated by an orthogonal Q, with J = Q J0 Q^t, is the same
     # Hermitian Lie algebra in another orthonormal basis

@@ -46,6 +46,11 @@ def test_nijenhuis_detects_noncommuting_A():
     assert nijenhuis_residual(mu, frame) > 0.1
 
 
+def evaluate(mu, x, y):
+    """mu(x, y) from the structure constants."""
+    return np.einsum("ijk,i,j->k", mu.coeffs, x, y)
+
+
 def test_torsion_zero_for_abelian():
     frame = HermitianFrame.pairwise(4)
     assert np.abs(torsion_three_form(LieBracket.zero(4), frame)).max() == 0.0
@@ -59,7 +64,7 @@ def test_torsion_central_entry_formula(rng):
     for z_idx in (d - 2, d - 1):  # central directions
         for i in range(4):
             for j in range(4):
-                want = -float(mu(frame.J @ e[i], frame.J @ e[j]) @ e[z_idx])
+                want = -float(evaluate(mu, frame.J @ e[i], frame.J @ e[j]) @ e[z_idx])
                 assert abs(c3[i, j, z_idx] - want) < 1e-12
 
 
@@ -73,7 +78,7 @@ def test_torsion_equals_j_twisted_domega(rng):
     d = mu.dim
 
     def domega(x, y, z):
-        return -float(mu(x, y) @ w @ z) + float(mu(x, z) @ w @ y) - float(mu(y, z) @ w @ x)
+        return -float(evaluate(mu, x, y) @ w @ z) + float(evaluate(mu, x, z) @ w @ y) - float(evaluate(mu, y, z) @ w @ x)
 
     e = np.eye(d)
     for i in range(d):
@@ -196,9 +201,16 @@ def test_bismut_p_matches_nilpotent_route(rng):
 CHECK_SPLITS = [(2, 2), (2, 4), (3, 4), (4, 4), (4, 6), (4, 8)]
 
 
+def _einsum_torsion(mu, frame):
+    """The Bismut torsion by one three-operand einsum: torsion_three_form's oracle."""
+    b = np.einsum("ai,bj,abk->ijk", frame.J, frame.J, mu.coeffs, optimize=True)
+    return -b - b.transpose(1, 2, 0) - b.transpose(2, 0, 1)
+
+
 def _dense_skt_residual(mu, frame):
-    """Max coefficient of the dense (d, d, d, d) d(c): skt_residual's oracle."""
-    return float(np.abs(exterior_derivative_c(mu, torsion_three_form(mu, frame))).max())
+    """Max coefficient of the dense (d, d, d, d) d(c) of the einsum torsion:
+    skt_residual's oracle."""
+    return float(np.abs(exterior_derivative_c(mu, _einsum_torsion(mu, frame))).max())
 
 
 def _einsum_nijenhuis_residual(mu, frame):
@@ -230,6 +242,7 @@ def _unchecked_bracket(t):
 def test_sliced_skt_residual_is_the_dense_one_bit_for_bit_on_two_step_inputs(rng, blocks, dim_z):
     for _ in range(5):
         mu, frame = random_two_step_skt(rng, blocks=blocks, dim_z=dim_z)
+        assert np.array_equal(torsion_three_form(mu, frame), _einsum_torsion(mu, frame))
         assert skt_residual(mu, frame) == _dense_skt_residual(mu, frame)
         assert nijenhuis_residual(mu, frame) == _einsum_nijenhuis_residual(mu, frame)
 
@@ -241,6 +254,8 @@ def test_sliced_residuals_match_the_dense_ones_on_generic_brackets(rng):
             mu = _generic_bracket(rng, d)
             q = np.linalg.qr(rng.standard_normal((d, d)))[0]
             rotated = HermitianFrame(q @ pairwise.J @ q.T)
+            c3 = _einsum_torsion(mu, rotated)
+            assert np.abs(torsion_three_form(mu, rotated) - c3).max() <= 1e-15 * np.abs(c3).max()
             assert_allclose(skt_residual(mu, rotated), _dense_skt_residual(mu, rotated), rtol=1e-15, atol=0)
             assert_allclose(nijenhuis_residual(mu, rotated), _einsum_nijenhuis_residual(mu, rotated), rtol=1e-15, atol=0)
             assert nijenhuis_residual(mu, pairwise) == _einsum_nijenhuis_residual(mu, pairwise)

@@ -1,3 +1,6 @@
+import csv
+import io
+import json
 from itertools import combinations
 from math import comb
 
@@ -5,7 +8,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from pluriflow import engine, hermitian
+from pluriflow import cli, engine, hermitian
 from pluriflow import nilflow as nf
 from pluriflow.brackets import (
     LieBracket,
@@ -20,6 +23,7 @@ from pluriflow.brackets import (
 from pluriflow.catalog import kodaira_bracket
 from pluriflow.hermitian import HermitianFrame
 from pluriflow.sampling import random_two_step_skt, random_unitary_commuting
+from pluriflow.serialize import format_float
 
 
 def rotated_two_step(rng, blocks, dim_z):
@@ -195,10 +199,11 @@ def test_unnormalized_norm_decay_law(rng):
     cfg = engine.IntegratorConfig(sample_times=samples)
     traj = nf.integrate_nil_flow(mu, frame, 2.0, "none", cfg)
     split = traj.flow.split
-    n2 = np.array([bracket_norm(b) ** 2 for b in traj.brackets()])
+    brackets = [traj.flow.decode(x) for x in traj.raw.states]
+    n2 = np.array([bracket_norm(b) ** 2 for b in brackets])
     dt = samples[1] - samples[0]
     fd = (n2[2:] - n2[:-2]) / (2 * dt)
-    for i, b in enumerate(traj.brackets()[1:-1], start=1):
+    for i, b in enumerate(brackets[1:-1], start=1):
         p = nf.p_endomorphism_nil(split, b)
         want = -8.0 * float(np.sum(p * p))
         assert abs(fd[i - 1] - want) < 5e-4 * max(1.0, abs(want))
@@ -607,6 +612,58 @@ def test_refusals_at_the_splitting_tolerance_keep_the_jacobi_first_outcome(rng):
                 messages.add(want)
     assert None in messages and "bracket violates the Jacobi identity" in messages
     assert any(m and "not 2-step" in m for m in messages)
+
+
+def test_integrate_reads_the_jacobi_identity_before_encode_refuses(monkeypatch, band_bracket):
+    # the splitting takes the band bracket and encode refuses it; the Jacobi
+    # identity is read first, and its message would win
+    mu, frame = band_bracket
+    nf.NilpotentSplitting.from_bracket(mu, frame)
+    calls = []
+    monkeypatch.setattr(nf, "jacobi_residual", lambda m: calls.append(m) or jacobi_residual(m))
+    with pytest.raises(ValueError, match=r"^bracket is not 2-step on the splitting \(it leaves v \^ v -> z\)$"):
+        nf.integrate_nil_flow(mu, frame, 1.0, "none")
+    assert calls == [mu]
+    monkeypatch.setattr(nf, "jacobi_residual", lambda m: np.inf)
+    with pytest.raises(ValueError, match="^bracket violates the Jacobi identity$"):
+        nf.integrate_nil_flow(mu, frame, 1.0, "unit_norm")
+
+
+def _write_input(path, mu, frame):
+    path.write_text(json.dumps({**mu.to_json_dict(), "J": frame.J.tolist()}))
+    return path
+
+
+@pytest.mark.parametrize("blocks, dim_z", NIL_SPLITS)
+def test_check_tr_p_is_the_first_tr_p_of_the_flow_csv(tmp_path, capsys, rng, blocks, dim_z):
+    # both read P off the state by NilFlow.p_block
+    path = _write_input(tmp_path / "mu.json", *rotated_two_step(rng, blocks, dim_z))
+    assert cli.main(["check", str(path)]) == 0
+    tr_p = json.loads(capsys.readouterr().out)["tr_P"]
+    assert cli.main(["flow", str(path), "--horizon", "1"]) == 0
+    rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+    assert float(rows[0]["tr_P"]) == tr_p
+
+
+def test_flow_certifies_its_final_state_without_a_dense_bracket(tmp_path, capsys, monkeypatch, rng):
+    path = _write_input(tmp_path / "mu.json", *rotated_two_step(rng, 3, 4))
+    load, integrate, post_init = cli._load_input, nf.integrate_nil_flow, LieBracket.__post_init__
+    built, runs = [], []
+
+    def loaded(spec):
+        out = load(spec)
+        monkeypatch.setattr(LieBracket, "__post_init__", lambda self: built.append(self) or post_init(self))
+        return out
+
+    monkeypatch.setattr(cli, "_load_input", loaded)
+    monkeypatch.setattr(nf, "integrate_nil_flow", lambda *args: runs.append(integrate(*args)) or runs[-1])
+    assert cli.main(["flow", str(path), "--mode", "normalized", "--horizon", "1000"]) == 0
+    assert built == []
+    summary = capsys.readouterr().err.split()
+    traj, = runs
+    assert traj.raw.terminal_event == engine.FIXED_POINT
+    cert = traj.flow.soliton_certificate(traj.raw.final_state)
+    assert f"soliton_residual={format_float(cert.residual)}" in summary
 
 
 @pytest.mark.parametrize("blocks, dim_z", NIL_SPLITS)
