@@ -12,11 +12,10 @@ import numpy as np
 
 from . import almostabelian as aa
 from . import catalog, engine, nilflow, verification
-from .brackets import LieBracket, jacobi_residual
-from .hermitian import HermitianFrame, is_skt_general, nijenhuis_residual
+from .brackets import LieBracket, bracket_inner_product, jacobi_residual
+from .hermitian import HermitianFrame, nijenhuis_residual, skt_residual
 from .serialize import dumps_json, format_float, json_array, write_csv
 
-_CHECK_TOL = 1e-8  # default tolerance of check, and the one sweep runs with
 _INTEGRABLE_RTOL = 1e-9  # N_J / max |c| above which a bracket input's J is refused
 
 
@@ -97,21 +96,26 @@ def _check_almost_abelian(data: aa.AlmostAbelianData, tol: float) -> dict:
 
 
 def _check_nilpotent(mu: LieBracket, frame: HermitianFrame, tol: float) -> dict:
-    ok, res = is_skt_general(mu, frame, tol)
-    out = {
-        "dim": mu.dim,
-        "jacobi_residual": jacobi_residual(mu),
-        "skt": {"is_skt": ok, "dc_residual": res},
-    }
+    """dc_residual is max |d(c)| / |mu|^2, read off the 2-step state as flow
+    reads it before it integrates; a state satisfies the Jacobi identity
+    exactly.  A bracket that NilFlow.encode refuses is read in the ambient
+    basis, beside its Jacobi sum."""
     try:
         flow = nilflow.NilFlow(nilflow.NilpotentSplitting.from_bracket(mu, frame))
         x = flow.encode(mu)
-        cert = flow.soliton_certificate(x)
-        out["soliton"] = {"alpha": cert.alpha, "residual": cert.residual}
-        out["tr_P"] = float(np.trace(flow.p_block(x)))
     except ValueError as exc:
-        out["note"] = str(exc)
-    return out
+        n2 = bracket_inner_product(mu, mu)
+        res = skt_residual(mu, frame) / n2 if n2 > 0.0 else 0.0
+        skt = {"is_skt": res < tol, "dc_residual": res}
+        return {"dim": mu.dim, "jacobi_residual": jacobi_residual(mu), "skt": skt, "note": str(exc)}
+    res = float(flow.skt_residual(x))
+    cert = flow.soliton_certificate(x)
+    return {
+        "dim": mu.dim,
+        "skt": {"is_skt": res < tol, "dc_residual": res},
+        "soliton": {"alpha": cert.alpha, "residual": cert.residual},
+        "tr_P": float(np.trace(flow.p_block(x))),
+    }
 
 
 def _check(kind: str, data, tol: float) -> dict:
@@ -213,7 +217,7 @@ def cmd_sweep(args) -> int:
     out = {}
     for name in catalog.catalog_names():
         entry = catalog.get_entry(name)
-        out[name] = _check(entry.kind, entry.data, _CHECK_TOL)
+        out[name] = _check(entry.kind, entry.data, nilflow.SKT_TOL)
     sys.stdout.write(dumps_json(out))
     return 0
 
@@ -250,9 +254,10 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument(
         "--tol",
         type=_positive,
-        default=_CHECK_TOL,
-        help="relative cutoff of the 2-step SKT verdict (dc_residual / |mu|^2) and of the almost-abelian soliton "
-        "certificate; the almost-abelian SKT verdict always reads its closure at 1e-9",
+        default=nilflow.SKT_TOL,
+        help="cutoff of the bracket SKT verdict on dc_residual (max |d(c)| / |mu|^2; flow's own cutoff is the "
+        "default) and of the almost-abelian soliton certificate; the almost-abelian SKT verdict always reads its "
+        "closure at 1e-9",
     )
     c.add_argument("--require-skt", action="store_true", help="exit 2 if the input is not SKT")
     c.set_defaults(fn=cmd_check)

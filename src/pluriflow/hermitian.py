@@ -5,7 +5,8 @@ brackets; the fundamental form is omega(X, Y) = <JX, Y>.  Forms are stored as
 fully antisymmetric dense tensors: a matrix for 2-forms, a rank-3 tensor for
 the Bismut torsion.  Its exterior derivative is a rank-4 tensor only in the
 oracle exterior_derivative_c; skt_residual reads it one (d, d, d) slice at a
-time.
+time.  check reads skt_residual only on a bracket that the 2-step state
+(nilflow.NilFlow.encode) refuses; on one it takes, d(c) is read off the state.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .brackets import LieBracket, bracket_inner_product, frobenius_norm
+from .brackets import LieBracket, frobenius_norm
 
 __all__ = [
     "HermitianFrame",
@@ -22,7 +23,6 @@ __all__ = [
     "torsion_three_form",
     "exterior_derivative_c",
     "skt_residual",
-    "is_skt_general",
     "one_one_part",
     "endomorphism_from_form",
     "bismut_ricci_general",
@@ -84,20 +84,20 @@ class HermitianFrame:
 def nijenhuis_residual(mu: LieBracket, frame: HermitianFrame) -> float:
     """Max over basis pairs of |N_J(e_i, e_j)|; zero iff J is integrable.
 
-    Each of N_J's three J-terms contracts two of c's indices with J, as two
-    matrix products over a reshaped c: its first index by jt.dot, its middle
-    one by a matmul batched over the first, its last one by .dot(jt).
+    N_J is read one first index i at a time, with no (d, d, d) temporary.  Each
+    J-term contracts two of c's indices with J: the first by a row of jt, the
+    middle one by jt.dot, the last by .dot(jt).  The per-i maxima go to an
+    array, whose max propagates a NaN as skt_residual's does.
     """
     c, jt = mu.coeffs, frame.J.T
     d = mu.dim
-    z = jt.dot(c.reshape(d, d * d)).reshape(d, d, d)  # z[i,n,k] = sum_m J[m,i] c[m,n,k]
-    n = (
-        c
-        + z.reshape(d * d, d).dot(jt).reshape(d, d, d)
-        + np.matmul(jt, c).reshape(d * d, d).dot(jt).reshape(d, d, d)
-        - np.matmul(jt, z)
-    )
-    return float(np.sqrt((n**2).sum(axis=-1)).max())
+    flat_c = c.reshape(d, d * d)
+    peaks = np.empty(d)
+    for i in range(d):
+        z = jt[i].dot(flat_c).reshape(d, d)  # z[n,k] = sum_m J[m,i] c[m,n,k]
+        n = c[i] + z.dot(jt) + jt.dot(c[i]).dot(jt) - jt.dot(z)
+        peaks[i] = np.sqrt((n**2).sum(axis=-1)).max()
+    return float(peaks.max())
 
 
 def torsion_three_form(mu: LieBracket, frame: HermitianFrame) -> np.ndarray:
@@ -148,17 +148,6 @@ def skt_residual(mu: LieBracket, frame: HermitianFrame) -> float:
         )
         peaks[i] = np.abs(dc).max()
     return float(peaks.max())
-
-
-def is_skt_general(mu: LieBracket, frame: HermitianFrame, tol: float = 1e-9):
-    """(is_skt, residual) with residual the max coefficient of d(c).
-
-    d(c) is quadratic in the bracket, so the verdict compares residual / |mu|^2
-    (ordered-pair norm) with tol; the zero bracket is pluriclosed.
-    """
-    r = skt_residual(mu, frame)
-    n2 = bracket_inner_product(mu, mu)
-    return (n2 == 0.0 or r / n2 < tol), r
 
 
 def skt_closure_residual(a: float, A: np.ndarray) -> float:

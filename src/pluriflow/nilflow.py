@@ -29,6 +29,7 @@ from .brackets import (
 from .hermitian import HermitianFrame
 
 __all__ = [
+    "SKT_TOL",
     "NilpotentSplitting",
     "ricci_endomorphism",
     "ricci_koszul",
@@ -50,7 +51,7 @@ _GRAD_FD_STEP = 1e-6  # central-difference step of gradient_equivalence_check
 _REFINE_ITERATIONS = 25
 _FIXEDPOINT_NORM = 1e-10  # absolute |field| below which a unit-norm run ends on FIXED_POINT
 _REFINE_TOL = 1e-13  # |field| plus sphere defect at which refine_fixed_point stops
-_SKT_TOL = 1e-8  # scale-normalized SKT residual from which integrate_nil_flow refuses x0
+SKT_TOL = 1e-8  # max |d(c)| / |mu|^2 from which flow refuses x0; check's default --tol, and sweep's
 _JACOBI_TOL = 1e-8  # jacobi_residual / |mu|^2 from which integrate_nil_flow refuses mu0 as no Lie bracket
 # NilFlow.skt_residual works on stacks of states whose pair matrices G fit in
 # this many bytes together, and on one state at a time when a single G does not.
@@ -359,7 +360,9 @@ def integrate_nil_flow(
     refuses mu0, to name the refusal, and then its message wins.  A bracket
     both accept needs no check: it is v ^ v -> z up to _SPLIT_TOL, so every
     double bracket [[x, y], w] lies in [z, w] = 0 up to that tolerance.  This
-    spares jacobi_residual's O(d^5) products.
+    spares jacobi_residual's O(d^5) products.  x0 must then have
+    NilFlow.skt_residual below SKT_TOL: the number check reports as
+    dc_residual for the same bracket, so both commands give one verdict.
     """
     normalized = normalization == "unit_norm"
     try:
@@ -372,7 +375,7 @@ def integrate_nil_flow(
     if normalization not in ("none", "unit_norm"):
         raise ValueError(f"unknown normalization {normalization!r}")
     cfg = config or engine.IntegratorConfig()
-    if not flow.skt_residual(x0) < _SKT_TOL:  # a NaN residual is refused too
+    if not flow.skt_residual(x0) < SKT_TOL:  # a NaN residual is refused too
         raise ValueError("initial condition is not pluriclosed")
     if normalized:
         nrm = np.linalg.norm(x0)

@@ -10,9 +10,10 @@ import pytest
 
 from pluriflow import almostabelian as aa
 from pluriflow import cli, nilflow
-from pluriflow.brackets import LieBracket, basis_change_action, jacobi_residual
+from pluriflow.brackets import LieBracket, basis_change_action, bracket_inner_product, jacobi_residual
 from pluriflow.catalog import catalog_names, get_entry
-from pluriflow.sampling import random_skt_almost_abelian, random_two_step_skt
+from pluriflow.hermitian import HermitianFrame, exterior_derivative_c, torsion_three_form
+from pluriflow.sampling import random_skt_almost_abelian, random_two_step_skt, random_unitary_commuting
 from pluriflow.serialize import dumps_json, format_float, write_csv
 
 
@@ -454,7 +455,7 @@ def test_out_of_memory_exits_1_with_one_line(tmp_path, monkeypatch, capsys):
     def out_of_memory(*args, **kwargs):
         raise MemoryError
 
-    monkeypatch.setattr(cli, "is_skt_general", out_of_memory)
+    monkeypatch.setattr(nilflow.NilFlow, "skt_residual", out_of_memory)
     monkeypatch.setattr(nilflow, "integrate_nil_flow", out_of_memory)
     for command in ("check", "flow"):
         with pytest.raises(SystemExit) as exc:
@@ -484,8 +485,8 @@ def test_check_skt_verdict_is_scale_invariant(tmp_path, rng):
     for path, want in ((big, True), (small, False)):
         skt = json.loads(run_cli(["check", str(path)]).stdout)["skt"]
         assert skt["is_skt"] is want, path.name
-        # dc_residual stays the raw max coefficient, on the other side of the tolerance
-        assert (skt["dc_residual"] < 1e-8) is not want, path.name
+        # dc_residual is the max coefficient over |mu|^2, on the verdict's side of the tolerance
+        assert (skt["dc_residual"] < 1e-8) is want, path.name
 
 
 def test_flow_rejects_non_pluriclosed_two_step(tmp_path):
@@ -531,6 +532,39 @@ def test_check_and_flow_refuse_what_the_state_cannot_hold(tmp_path, capsys, band
     assert out.returncode == 1
     assert out.stdout == ""
     assert out.stderr.strip().splitlines() == [f"{path}: {note}"]
+
+
+def test_check_and_flow_give_one_skt_verdict_inside_the_band(tmp_path, capsys):
+    # two Heisenberg planes of R^6 whose central values lie pi/2 - 2.15e-8
+    # apart, moved by a J-commuting orthogonal map: max |d(c)| / |mu|^2 reads
+    # 6.4e-9 in the ambient basis, but 1.075e-8 on v's basis, where flow reads it
+    th = np.pi / 2 - 2.15e-8
+    mu = LieBracket.from_entries(6, [(0, 1, 4, 1.0), (2, 3, 4, np.cos(th)), (2, 3, 5, np.sin(th))])
+    path = tmp_path / "band_skt.json"
+    path.write_text(json.dumps(basis_change_action(random_unitary_commuting(np.random.default_rng(1), 6), mu).to_json_dict()))
+    assert cli.main(["check", str(path), "--require-skt"]) == 2
+    skt = json.loads(capsys.readouterr().out)["skt"]
+    assert skt["is_skt"] is False and nilflow.SKT_TOL <= skt["dc_residual"] < 1.1e-8
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["flow", str(path), "--horizon", "1"])
+    assert exc.value.code == f"{path}: initial condition is not pluriclosed"
+    assert capsys.readouterr().out == ""
+
+
+def test_check_reads_a_bracket_the_state_refuses_in_the_ambient_basis(tmp_path, capsys):
+    # three_step_integrable.json of test_flow_rejects_bad_nilpotent_input_cleanly, and the zero bracket
+    frame = HermitianFrame.pairwise(6)
+    for mu, note in ((LieBracket.from_entries(6, [(0, 1, 2, 1.0), (0, 2, 4, 1.0), (0, 3, 5, 1.0)]), "not 2-step"),
+                     (LieBracket.zero(6), "abelian")):
+        path = tmp_path / "refused.json"
+        path.write_text(json.dumps(mu.to_json_dict()))
+        doc = _check_doc(path, capsys)
+        assert note in doc["note"] and "soliton" not in doc and "tr_P" not in doc
+        assert doc["jacobi_residual"] == jacobi_residual(mu)
+        n2 = bracket_inner_product(mu, mu)
+        dense = np.abs(exterior_derivative_c(mu, torsion_three_form(mu, frame))).max()
+        assert doc["skt"]["dc_residual"] == (dense / n2 if n2 else 0.0)
+        assert doc["skt"]["is_skt"] is (doc["skt"]["dc_residual"] < nilflow.SKT_TOL)
 
 
 def _rotated_pair(tmp_path):

@@ -13,7 +13,6 @@ from pluriflow.hermitian import (
     bismut_ricci_general,
     endomorphism_from_form,
     exterior_derivative_c,
-    is_skt_general,
     nijenhuis_residual,
     one_one_part,
     skt_residual,
@@ -92,6 +91,7 @@ def test_dc_zero_for_abelian_and_skt():
     frame = HermitianFrame.pairwise(4)
     mu0 = LieBracket.zero(4)
     assert np.abs(exterior_derivative_c(mu0, torsion_three_form(mu0, frame))).max() == 0.0
+    assert skt_residual(mu0, frame) == 0.0
     data = s_ab_data(1.0, np.pi / 2)
     assert skt_residual(build_bracket(data), hermitian_frame(data)) < 1e-13
 
@@ -104,12 +104,6 @@ def test_dc_nonzero_for_nilpotent_jordan_block():
     data = AlmostAbelianData(0.0, np.zeros(4), A, HermitianFrame.pairwise(4).J)
     res = skt_residual(build_bracket(data), hermitian_frame(data))
     assert res > 1e-3
-
-
-def test_is_skt_general_thresholds():
-    data = s_ab_data(1.0, np.pi / 2)
-    ok, res = is_skt_general(build_bracket(data), hermitian_frame(data), tol=1e-9)
-    assert ok and res < 1e-9
 
 
 def test_one_one_part_projector(rng):

@@ -645,6 +645,26 @@ def test_check_tr_p_is_the_first_tr_p_of_the_flow_csv(tmp_path, capsys, rng, blo
     assert float(rows[0]["tr_P"]) == tr_p
 
 
+@pytest.mark.parametrize("blocks, dim_z", NIL_SPLITS)
+def test_check_dc_residual_is_the_first_skt_residual_of_the_flow_csv(tmp_path, capsys, monkeypatch, rng, blocks, dim_z):
+    # both read d(c) off the state by NilFlow.skt_residual, and neither reads
+    # the ambient d(c) or the Jacobi sum, which hold on a state exactly
+    def forbidden(*args):
+        raise AssertionError("a 2-step state needs neither the ambient d(c) nor the Jacobi sum")
+
+    for module in (cli, hermitian):
+        monkeypatch.setattr(module, "skt_residual", forbidden)
+    for module in (cli, nf):
+        monkeypatch.setattr(module, "jacobi_residual", forbidden)
+    path = _write_input(tmp_path / "mu.json", *rotated_two_step(rng, blocks, dim_z))
+    assert cli.main(["check", str(path)]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["skt"]["is_skt"] is True and "jacobi_residual" not in doc and "note" not in doc
+    assert cli.main(["flow", str(path), "--horizon", "1"]) == 0
+    rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+    assert float(rows[0]["skt_residual"]) == doc["skt"]["dc_residual"]
+
+
 def test_flow_certifies_its_final_state_without_a_dense_bracket(tmp_path, capsys, monkeypatch, rng):
     path = _write_input(tmp_path / "mu.json", *rotated_two_step(rng, 3, 4))
     load, integrate, post_init = cli._load_input, nf.integrate_nil_flow, LieBracket.__post_init__
