@@ -24,6 +24,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -73,7 +74,15 @@ class SolitonKind(enum.Enum):
 
 @dataclass(frozen=True)
 class AlmostAbelianData:
-    """The tuple (a, v, A, J1) determining a left-invariant Hermitian structure."""
+    """The tuple (a, v, A, J1) determining a left-invariant Hermitian structure.
+
+    v, A and J1 are read-only copies of the input, so the data cannot change
+    once built.  Each invariant of it is therefore derived at most once, on
+    first use, and kept on the object: (is_skt, k), the closure residual and
+    normality defect of (a, A), S0 and its eigen-split with what ReducedFlow
+    reads off it in either mode (_S0Split).  The arrays the split holds are
+    read-only too, since every flow built from the data shares them.
+    """
 
     a: float
     v: np.ndarray
@@ -82,9 +91,9 @@ class AlmostAbelianData:
 
     def __post_init__(self):
         a = float(self.a)
-        v = np.asarray(self.v, dtype=float).ravel()
-        A = np.asarray(self.A, dtype=float)
-        J1 = np.asarray(self.J1, dtype=float)
+        v = np.array(self.v, dtype=float).ravel()
+        A = np.array(self.A, dtype=float)
+        J1 = np.array(self.J1, dtype=float)
         m = v.size
         if A.shape != (m, m) or J1.shape != (m, m):
             raise ValueError("A and J1 must be square matrices matching len(v)")
@@ -96,10 +105,10 @@ class AlmostAbelianData:
         # [A, J1] is linear in A, so it is read at A's own scale
         if np.abs(A @ J1 - J1 @ A).max() > 1e-12 * np.abs(A).max(initial=0.0):
             raise ValueError("[A, J1] != 0: the complex structure is not integrable")
+        for name, value in (("v", v), ("A", A), ("J1", J1)):
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
         object.__setattr__(self, "a", a)
-        object.__setattr__(self, "v", v)
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "J1", J1)
 
     @property
     def m(self) -> int:
@@ -116,6 +125,32 @@ class AlmostAbelianData:
             self.A if A is None else A,
             self.J1,
         )
+
+    # --- invariants, each derived at most once --------------------------------
+    @cached_property
+    def _skt_k(self) -> tuple[bool, int]:
+        """(is_skt, k): pluriclosedness by the closure criterion
+        sym(aA + A^2 + A^tA) = 0, and k."""
+        return skt_closure_holds(self.a, self.A), skt_multiplicity_k(self.a, self.A)
+
+    @cached_property
+    def _closure_residual(self) -> float:
+        return skt_closure_residual(self.a, self.A)
+
+    @cached_property
+    def _normality_defect(self) -> float:
+        return normality_defect(self.A)
+
+    @cached_property
+    def _s0(self) -> np.ndarray:
+        """S0 = S(a, A) at the data's own k, read-only."""
+        s0 = _s_matrix(self.a, self.A, self._skt_k[1])
+        s0.flags.writeable = False
+        return s0
+
+    @cached_property
+    def _s0_split(self) -> "_S0Split":
+        return _S0Split.of(self)
 
     # --- reduced-flow state (r, v), r = |(a, A)| ---------------------------
     @property
@@ -203,12 +238,6 @@ def skt_multiplicity_k(a: float, A: np.ndarray) -> int:
     return nonzero // 2
 
 
-def _skt_k(data: AlmostAbelianData) -> tuple[bool, int]:
-    """(is_skt, k): pluriclosedness by the closure criterion
-    sym(aA + A^2 + A^tA) = 0, and k."""
-    return skt_closure_holds(data.a, data.A), skt_multiplicity_k(data.a, data.A)
-
-
 def skt_verdict(data: AlmostAbelianData) -> SktVerdict:
     """Decide pluriclosedness by the closure criterion sym(aA + A^2 + A^tA) = 0.
 
@@ -216,13 +245,13 @@ def skt_verdict(data: AlmostAbelianData) -> SktVerdict:
     is equivalent as a theorem; the verdict reports the normality defect and
     the spectrum it reads, and the tests keep it as an oracle.
     """
-    is_skt, k = _skt_k(data)
+    is_skt, k = data._skt_k
     return SktVerdict(
         is_skt=is_skt,
         k=k,
-        normality_defect=normality_defect(data.A),
+        normality_defect=data._normality_defect,
         spectrum=np.sort_complex(np.linalg.eigvals(data.A)),
-        residual_lemma=skt_closure_residual(data.a, data.A),
+        residual_lemma=data._closure_residual,
     )
 
 
@@ -239,8 +268,7 @@ def p_components(data: AlmostAbelianData) -> PComponents:
     J-commuting matrix with c in the two outer corners and w coupling them to
     the middle block.
     """
-    k = skt_multiplicity_k(data.a, data.A)
-    return PComponents(c=_c_scalar(k, data.a, float(data.v @ data.v)), w=_w_vector(data.A, data.v))
+    return PComponents(c=_c_scalar(data._skt_k[1], data.a, float(data.v @ data.v)), w=_w_vector(data.A, data.v))
 
 
 def _s_top(k: int, a: float) -> float:
@@ -344,11 +372,20 @@ def _exp_dd(x, y):
     return np.exp(hi) * out
 
 
-def _root(g, lo, hi=None):
-    """Where g(tau) = (value, slope), increasing, crosses 0 above lo, g(lo) <= 0:
-    the bracket's upper end starts at hi (by default max(1, 2 lo)) and doubles
-    until g > 0 there, then Newton steps from it, the first on that same
-    evaluation, bisecting where they leave the bracket.  Each Newton step is
+def _log1p_ratio(z):
+    """log1p(z) / z, 1 at z = 0; 1 also where z <= -1 or z is not finite."""
+    ok = (z > -1.0) & (z < math.inf) & (z != 0.0)
+    zs = np.where(ok, z, 1.0)
+    return np.where(ok, np.log1p(zs) / zs, 1.0)
+
+
+def _root(g, lo, hi=None, x=None):
+    """Where g(tau) = (value, slope), increasing, crosses 0 above lo, g(lo) <= 0.
+    Newton starts at x (by default hi, and hi by default max(1, 2 lo)).  Where
+    x < hi, [lo, hi] must bracket the root, and g is not evaluated at hi;
+    where x = hi, the bracket's upper end doubles until g > 0 there, and
+    Newton's first step is taken on that same evaluation.  Steps that leave
+    the bracket are replaced by bisection.  Each Newton step is
     taken in log tau, tau e^(-g / (tau g')), and in tau, and the farther one
     that stays in the bracket is kept: that is the step in tau right of the
     root (g > 0), the step in log tau left of it.  g = log(t(tau) / t) is near
@@ -356,30 +393,81 @@ def _root(g, lo, hi=None):
     norm, or log(T - t(tau)), near linear in tau once it moves exponentially,
     where a step in log tau alone falls short of the root.  A value
     within 4 eps of 0 is a root: g is a log, resolved to its last bits, and
-    past that point Newton only wanders."""
+    past that point Newton only wanders.  Newton converges quadratically, so
+    a Newton step of at most 1e-9 (relative) after one of at most 1e-3 leaves
+    an error of order 1e-18, and its end is returned without evaluating g
+    there."""
     tol = 4.0 * engine._EPS
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         hi = np.maximum(1.0, 2.0 * lo) if hi is None else hi
+        x = hi if x is None else x
         for _ in range(1100):  # past the largest double
-            val, slope = g(hi)
-            if not (low := ~(val >= -tol)).any():
+            val, slope = g(x)
+            if not (low := ~(val >= -tol) & (x >= hi)).any():
                 break
             lo, hi = np.where(low, hi, lo), np.where(low, 2.0 * hi, hi)
+            x = np.where(low, hi, x)
         else:
-            val, slope = g(hi)
-        x = step = hi
+            val, slope = g(x)
+        step, settled = x, np.zeros(x.shape, dtype=bool)
         for _ in range(200):
             right = val > 0
             lo, hi = np.where(right, lo, x), np.where(right, x, hi)
             linear, geometric = x - val / slope, x * np.exp(-val / (x * slope))
             far, near = np.where(right, linear, geometric), np.where(right, geometric, linear)
-            step = np.where((near >= lo) & (near <= hi), near, 0.5 * (lo + hi))
-            step = np.where((far >= lo) & (far <= hi), far, step)
-            if np.all((np.abs(step - x) <= tol * x) | (np.abs(val) <= tol)):
+            near_in, far_in = (near >= lo) & (near <= hi), (far >= lo) & (far <= hi)
+            step = np.where(far_in, far, np.where(near_in, near, 0.5 * (lo + hi)))
+            moved, newton = np.abs(step - x), near_in | far_in
+            if np.all((moved <= tol * x) | (np.abs(val) <= tol) | (settled & newton & (moved <= 1e-9 * x))):
                 break
-            x = step
+            x, settled = step, newton & (moved <= 1e-3 * x)
             val, slope = g(x)
     return step
+
+
+@dataclass(frozen=True)
+class _S0Split:
+    """What ReducedFlow reads off S0 = Q diag(sigma) Q^t in either mode: c0 =
+    (k/4 - 1/2) a0^2, beta = Q^t v0 with its weight on ker A0 dropped unless
+    top_weight, b2 = beta^2, m the top sigma_i that carries weight (at least
+    0), T, the weights tail_w of T - t(tau) (None where T = inf), and D_inf =
+    1 + sum beta_i^2 / (-2 sigma_i), the limit of D, or inf unless every
+    sigma_i that carries weight is negative.  Its arrays are read-only."""
+
+    c: float
+    sigma: np.ndarray
+    q: np.ndarray
+    beta: np.ndarray
+    b2: np.ndarray
+    top_weight: bool
+    m: float
+    T: float
+    tail_w: np.ndarray | None
+    d_inf: float
+
+    @classmethod
+    def of(cls, data0: AlmostAbelianData) -> "_S0Split":
+        c = _s_top(data0._skt_k[1], data0.a)
+        sigma, q = np.linalg.eigh(data0._s0)
+        beta, gap = q.T @ data0.v, c - sigma
+        top = gap <= _TOP_RTOL * max(abs(c), np.abs(sigma).max(initial=0.0))
+        # read at the data's scale: against |v0| alone, roundoff in v0 = 0 would count
+        top_weight = bool(np.linalg.norm(beta[top]) > _IMAGE_RTOL * max(_direction_norm(data0), np.linalg.norm(data0.v)))
+        if not top_weight:
+            beta[top] = 0.0
+        b2 = beta**2
+        carried = sigma[b2 > 0]
+        m = max(0.0, carried.max(initial=0.0))  # e^(-2 m tau) D stays in range
+        d_inf = 1.0 + float(np.sum(b2[b2 > 0] / (-2.0 * carried))) if (carried < 0).all() else math.inf
+        T, tail_w = math.inf, None
+        if c > 0 and not top_weight:
+            # T = [1 + v0^t (c0 - S0)^+ v0 / 2] / (2 c0), the weight on ker A0 dropped
+            tail_w = np.divide(1.0, 4.0 * c * gap, out=np.zeros_like(gap), where=b2 > 0)
+            T = 0.5 / c + float(b2 @ tail_w)
+        for arr in (sigma, q, beta, b2, tail_w):
+            if arr is not None:
+                arr.flags.writeable = False
+        return cls(c, sigma, q, beta, b2, top_weight, m, T, tail_w, d_inf)
 
 
 class ReducedFlow:
@@ -398,27 +486,15 @@ class ReducedFlow:
     def __init__(self, data0: AlmostAbelianData, mode: str = UNNORMALIZED):
         if mode not in (UNNORMALIZED, A_NORM_FIXED):
             raise ValueError(f"unknown mode {mode!r}")
-        is_skt, self.k = _skt_k(data0)
+        is_skt, self.k = data0._skt_k
         if not is_skt:
             raise ValueError("initial condition is not pluriclosed")
         self.data0, self.mode = data0, mode
-        self.c = _s_top(self.k, data0.a)
         self._r0, self._x0 = _direction_norm(data0), data0.to_state()
-        self._s0 = _s_matrix(data0.a, data0.A, self.k)
-        self.sigma, self._q = np.linalg.eigh(self._s0)
-        self._beta, gap = self._q.T @ data0.v, self.c - self.sigma
-        top = gap <= _TOP_RTOL * max(abs(self.c), np.abs(self.sigma).max(initial=0.0))
-        # read at the data's scale: against |v0| alone, roundoff in v0 = 0 would count
-        self.top_weight = bool(np.linalg.norm(self._beta[top]) > _IMAGE_RTOL * max(self._r0, np.linalg.norm(data0.v)))
-        if not self.top_weight:
-            self._beta[top] = 0.0
-        self._b2 = self._beta**2
-        self._m = max(0.0, self.sigma[self._b2 > 0].max(initial=0.0))  # e^(-2 m tau) D stays in range
-        self.T = math.inf
-        if self.c > 0 and not self.top_weight:
-            # T = [1 + v0^t (c0 - S0)^+ v0 / 2] / (2 c0), the weight on ker A0 dropped
-            self._tail_w = np.divide(1.0, 4.0 * self.c * gap, out=np.zeros_like(gap), where=self._b2 > 0)
-            self.T = 0.5 / self.c + float(self._b2 @ self._tail_w)
+        split = data0._s0_split
+        self.c, self.T, self.top_weight = split.c, split.T, split.top_weight
+        self._s0, self.sigma, self._q, self._beta = data0._s0, split.sigma, split.q, split.beta
+        self._b2, self._m, self._tail_w, self._d_inf = split.b2, split.m, split.tail_w, split.d_inf
 
     @property
     def limit(self) -> str:
@@ -485,13 +561,22 @@ class ReducedFlow:
 
     def tau_at(self, t):
         """tau at the times 0 < t < T: the root of _horizon_g(t, late), late
-        where t >= T / 2, with the bracket from _tau0(t)."""
+        where t >= T / 2, with the bracket [0, _tau0(t)] where 2 c0 t < 1.
+        There Newton starts at the asymptotic root, where D_inf is finite:
+        D rises to D_inf, so t(tau) <= D_inf tau phi1(-2 c0 tau), and the time
+        tau_s = log1p(-2 c0 t / D_inf) / (-2 c0) (t / D_inf at c0 = 0) at
+        which the right side reaches t lies at or below the root, near it once
+        D has settled.  Elsewhere Newton starts at _tau0(t)."""
         if self.mode == A_NORM_FIXED:
             return t
+        hi = start = self._tau0(t)
+        if self._d_inf < math.inf:
+            z = -2.0 * self.c * t
+            start = np.where((z > -1.0) & (z < math.inf), t / self._d_inf * _log1p_ratio(z / self._d_inf), hi)
         tau, late = np.empty_like(t), t >= 0.5 * self.T
         for form in (False, True):
             if (part := late == form).any():
-                tau[part] = _root(self._horizon_g(t[part], form), 0.0 * t[part], self._tau0(t[part]))
+                tau[part] = _root(self._horizon_g(t[part], form), 0.0 * t[part], hi[part], start[part])
         return tau
 
     def _horizon_g(self, t, late):
@@ -524,10 +609,7 @@ class ReducedFlow:
         d log t / d log tau.  Where 2 c0 t >= 1 there is no such bound, and
         the bracket starts at 1."""
         z = -2.0 * self.c * t
-        bounded = (z > -1.0) & (z < math.inf)
-        zs = np.where(bounded & (z != 0.0), z, 1.0)
-        ratio = np.where(z == 0.0, 1.0, np.log1p(zs) / zs)
-        return np.where(bounded, t * ratio * (1.0 + 4.0 * engine._EPS), 1.0)
+        return np.where((z > -1.0) & (z < math.inf), t * _log1p_ratio(z) * (1.0 + 4.0 * engine._EPS), 1.0)
 
     def _log_norm(self, tau):
         """(log(|x| / engine._BLOWUP_NORM), its tau-derivative)."""
@@ -579,8 +661,8 @@ class ReducedTrajectory:
             "v_norm": np.sqrt(vv),
             "A_norm": lam * frobenius_norm(d0.A),
             "c": lam2 * _s_top(self.k, d0.a) - 0.5 * vv,
-            "skt_residual": np.full(n, skt_closure_residual(d0.a, d0.A) / scale2),
-            "normality_defect": np.full(n, normality_defect(d0.A) / scale2),
+            "skt_residual": np.full(n, d0._closure_residual / scale2),
+            "normality_defect": np.full(n, d0._normality_defect / scale2),
         }
 
 
@@ -645,7 +727,7 @@ def _derivation_residual(data: AlmostAbelianData, u_norm: float) -> float:
     mu_sq = data.scale_sq + float(data.v @ data.v)
     if mu_sq == 0.0:
         return 0.0
-    return math.hypot(u_norm, 0.25 * data.a * normality_defect(data.A)) / math.sqrt(mu_sq)
+    return math.hypot(u_norm, 0.25 * data.a * data._normality_defect) / math.sqrt(mu_sq)
 
 
 def soliton_certificate(data: AlmostAbelianData, tol: float = 1e-8) -> SolitonCertificate:
@@ -656,7 +738,7 @@ def soliton_certificate(data: AlmostAbelianData, tol: float = 1e-8) -> SolitonCe
     sym(D) = P - alpha Id; the residual takes in |pi(D) mu| / |mu|, read off
     (a, v, A) in closed form.
     """
-    is_skt, k = _skt_k(data)
+    is_skt, k = data._skt_k
     if not is_skt:
         raise ValueError("soliton certificates require a pluriclosed structure")
     a, v, A = data.a, data.v, data.A
@@ -664,7 +746,7 @@ def soliton_certificate(data: AlmostAbelianData, tol: float = 1e-8) -> SolitonCe
     # at the data's own scale; an exact zero is zero at every scale
     scale = max(abs(a), float(np.linalg.norm(A)), vnorm)
     lam = 0.5 * (vnorm * vnorm)
-    u_norm = float(np.linalg.norm(_s_matrix(a, A, k) @ v - lam * v))
+    u_norm = float(np.linalg.norm(data._s0 @ v - lam * v))
 
     kind = SolitonKind.NONE
     eigen_lambda = None
@@ -703,7 +785,7 @@ class ClassificationReport:
 def classify(data: AlmostAbelianData) -> ClassificationReport:
     """Asymptotic regime of the reduced flow by (k, a_0, v_0 vs Im A_0), the last
     read off ReducedFlow's split of S_0, as its T and limit are."""
-    is_skt, k = _skt_k(data)
+    is_skt, k = data._skt_k
     if not is_skt:
         raise ValueError("classification requires a pluriclosed structure")
     a = data.a

@@ -50,7 +50,7 @@ def _load_input(spec: str):
                 raise ValueError(f"J must be {mu.dim} x {mu.dim}, got {frame.dim} x {frame.dim}")
             # N_J is linear in the bracket: read at unit scale, it cannot overflow
             scale = np.abs(mu.coeffs).max()
-            if scale > 0.0 and nijenhuis_residual(LieBracket(mu.coeffs / scale), frame) > _INTEGRABLE_RTOL:
+            if scale > 0.0 and nijenhuis_residual(mu.coeffs / scale, frame) > _INTEGRABLE_RTOL:
                 raise ValueError("complex structure is not integrable")
             return "nilpotent", (mu, frame)
     except (ValueError, KeyError, TypeError, OverflowError) as exc:

@@ -81,16 +81,18 @@ class HermitianFrame:
         return cls(j)
 
 
-def nijenhuis_residual(mu: LieBracket, frame: HermitianFrame) -> float:
-    """Max over basis pairs of |N_J(e_i, e_j)|; zero iff J is integrable.
+def nijenhuis_residual(c: np.ndarray, frame: HermitianFrame) -> float:
+    """Max over basis pairs of |N_J(e_i, e_j)| for the structure constants c
+    (d, d, d), antisymmetric in the first two axes (LieBracket.coeffs, or a
+    multiple of them); zero iff J is integrable.
 
     N_J is read one first index i at a time, with no (d, d, d) temporary.  Each
     J-term contracts two of c's indices with J: the first by a row of jt, the
     middle one by jt.dot, the last by .dot(jt).  The per-i maxima go to an
     array, whose max propagates a NaN as skt_residual's does.
     """
-    c, jt = mu.coeffs, frame.J.T
-    d = mu.dim
+    jt = frame.J.T
+    d = c.shape[0]
     flat_c = c.reshape(d, d * d)
     peaks = np.empty(d)
     for i in range(d):

@@ -29,9 +29,9 @@ def test_frame_validation():
 
 
 def test_nijenhuis_zero_and_integrable():
-    assert nijenhuis_residual(LieBracket.zero(4), HermitianFrame.pairwise(4)) == 0.0
+    assert nijenhuis_residual(LieBracket.zero(4).coeffs, HermitianFrame.pairwise(4)) == 0.0
     data = s_ab_data(1.0, 2.0)
-    assert nijenhuis_residual(build_bracket(data), hermitian_frame(data)) < 1e-14
+    assert nijenhuis_residual(build_bracket(data).coeffs, hermitian_frame(data)) < 1e-14
 
 
 def test_nijenhuis_detects_noncommuting_A():
@@ -42,7 +42,7 @@ def test_nijenhuis_detects_noncommuting_A():
     t[d - 1, 1:5, 1:5] = a_mat.T
     mu = LieBracket(t - t.transpose(1, 0, 2))
     frame = HermitianFrame.antidiagonal(6)
-    assert nijenhuis_residual(mu, frame) > 0.1
+    assert nijenhuis_residual(mu.coeffs, frame) > 0.1
 
 
 def evaluate(mu, x, y):
@@ -238,7 +238,7 @@ def test_sliced_skt_residual_is_the_dense_one_bit_for_bit_on_two_step_inputs(rng
         mu, frame = random_two_step_skt(rng, blocks=blocks, dim_z=dim_z)
         assert np.array_equal(torsion_three_form(mu, frame), _einsum_torsion(mu, frame))
         assert skt_residual(mu, frame) == _dense_skt_residual(mu, frame)
-        assert nijenhuis_residual(mu, frame) == _einsum_nijenhuis_residual(mu, frame)
+        assert nijenhuis_residual(mu.coeffs, frame) == _einsum_nijenhuis_residual(mu, frame)
 
 
 def test_sliced_residuals_match_the_dense_ones_on_generic_brackets(rng):
@@ -251,8 +251,11 @@ def test_sliced_residuals_match_the_dense_ones_on_generic_brackets(rng):
             c3 = _einsum_torsion(mu, rotated)
             assert np.abs(torsion_three_form(mu, rotated) - c3).max() <= 1e-15 * np.abs(c3).max()
             assert_allclose(skt_residual(mu, rotated), _dense_skt_residual(mu, rotated), rtol=1e-15, atol=0)
-            assert_allclose(nijenhuis_residual(mu, rotated), _einsum_nijenhuis_residual(mu, rotated), rtol=1e-15, atol=0)
-            assert nijenhuis_residual(mu, pairwise) == _einsum_nijenhuis_residual(mu, pairwise)
+            assert_allclose(nijenhuis_residual(mu.coeffs, rotated), _einsum_nijenhuis_residual(mu, rotated), rtol=1e-15, atol=0)
+            assert nijenhuis_residual(mu.coeffs, pairwise) == _einsum_nijenhuis_residual(mu, pairwise)
+            # cli._load_input reads N_J on the scaled coefficients, which a bracket would hold unchanged
+            scaled = mu.coeffs / np.abs(mu.coeffs).max()
+            assert np.array_equal(LieBracket(scaled).coeffs, scaled)
 
 
 @pytest.mark.parametrize("scale", [1e200, np.inf])
@@ -265,7 +268,7 @@ def test_sliced_residuals_overflow_as_the_dense_ones(scale):
             t[i, j, k], t[j, i, k] = scale, -scale
         mu = _unchecked_bracket(t)
         with np.errstate(all="ignore"):
-            got = [skt_residual(mu, frame), nijenhuis_residual(mu, frame)]
+            got = [skt_residual(mu, frame), nijenhuis_residual(mu.coeffs, frame)]
             want = [_dense_skt_residual(mu, frame), _einsum_nijenhuis_residual(mu, frame)]
         assert np.array_equal(got, want, equal_nan=True)
 

@@ -24,7 +24,7 @@ def test_two_step_generator_properties(rng):
         for _ in range(10):
             mu, frame = random_two_step_skt(rng, blocks=blocks, dim_z=2)
             assert jacobi_residual(mu) < 1e-12
-            assert nijenhuis_residual(mu, frame) < 1e-12
+            assert nijenhuis_residual(mu.coeffs, frame) < 1e-12
             assert skt_residual(mu, frame) < 1e-10
             assert center(mu).shape[1] == 2
             NilpotentSplitting.from_bracket(mu, frame)  # must not raise
