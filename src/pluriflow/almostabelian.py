@@ -110,6 +110,11 @@ class AlmostAbelianData:
             object.__setattr__(self, name, value)
         object.__setattr__(self, "a", a)
 
+    def __reduce__(self):
+        # copies and pickles go through the constructor: their arrays are
+        # read-only again, and no derived invariant comes along
+        return AlmostAbelianData, (self.a, self.v, self.A, self.J1)
+
     @property
     def m(self) -> int:
         return self.v.size

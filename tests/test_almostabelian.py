@@ -1,4 +1,6 @@
+import copy
 import json
+import pickle
 from dataclasses import replace
 
 import numpy as np
@@ -578,6 +580,10 @@ def test_data_arrays_are_read_only_copies():
             arr[0] = 7.0
     v[0], A[0, 1], J1[0, 1] = 5.0, 3.0, 2.0
     assert data.v[0] == 0.3 and data.A[0, 1] == -np.pi / 2 and data.J1[0, 1] == -1.0
+    aa.classify(data)
+    for other in (copy.copy(data), copy.deepcopy(data), pickle.loads(pickle.dumps(data))):
+        assert all(not arr.flags.writeable for arr in (other.v, other.A, other.J1))
+        assert "_skt_k" not in vars(other) and other.v[0] == 0.3
     # every flow built from the data shares the arrays of its one split of S0
     one, other = aa.ReducedFlow(data), aa.ReducedFlow(data, aa.A_NORM_FIXED)
     for name in ("_s0", "sigma", "_q", "_beta", "_b2"):
